@@ -2,9 +2,9 @@
 
 A candidate is any function GF(q)^f -> GF(q), stored as its full value table
 over all q^f input tuples (inputs enumerated in base-q lexicographic order,
-first variable most significant).  Probability masses are exact rationals
-(preimage counts over q^f) under uniform i.i.d. inputs; entropies are computed
-from those counts in double precision, in q-ary units.
+first variable most significant).  Under uniform i.i.d. inputs a value's
+probability is its exact preimage count over q^f; entropies are computed from
+those counts in double precision, in q-ary units.
 
 The monomial generator produces the deduplicated "nonparallel" candidate sets
 used by the rate sweeps: exponent vectors are first reduced with x^q = x, and
@@ -16,15 +16,34 @@ determines it.
 import itertools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import DegenerateInstanceError, ResourceLimitError, UsageError
-from .fields import PrimeField
 
 # q^f value-table scans get slow and memory hungry past this point
 ENUMERATION_CAP = 10**7
 
 FLOAT_TOL = 1e-9
+
+
+def is_prime(n: int) -> bool:
+    if n < 2:
+        return False
+    if n < 4:
+        return True
+    if n % 2 == 0:
+        return False
+    d = 3
+    while d * d <= n:
+        if n % d == 0:
+            return False
+        d += 2
+    return True
+
+
+def require_prime(q: int):
+    """Reject a field size that is not prime: GF(q) arithmetic is mod q."""
+    if not is_prime(q):
+        raise UsageError(f"field modulus must be prime, got {q}")
 
 
 def _check_enumeration_cap(q: int, f: int):
@@ -47,32 +66,13 @@ def reduce_exponent_vector(e: tuple, q: int) -> tuple:
     Uses x^q = x: for x != 0 the exponent only matters mod q-1, and exponent 0
     must stay 0 (absent variable).  The reduced table equals the input table.
     """
-    PrimeField(q)
+    require_prime(q)
     return tuple(((x - 1) % (q - 1)) + 1 if x >= 1 else 0 for x in e)
 
 
 def grlex_key(e: tuple) -> tuple:
     """Graded-lex sort key: by total degree, then first-variable-major order."""
     return (sum(e), tuple(-x for x in e))
-
-
-@dataclass(frozen=True)
-class Pmf:
-    """Exact pmf over field values: value -> Fraction with denominator q^f."""
-
-    q: int
-    probabilities: tuple  # tuple of (value, Fraction), sorted by value
-
-    def __post_init__(self):
-        total = sum(p for _, p in self.probabilities)
-        if total != 1:
-            raise UsageError(f"pmf sums to {total}, not 1")
-
-    def as_dict(self) -> dict:
-        return dict(self.probabilities)
-
-    def __getitem__(self, value: int) -> Fraction:
-        return self.as_dict().get(value, Fraction(0))
 
 
 @dataclass(frozen=True)
@@ -107,7 +107,7 @@ def build_monomial(exponents: tuple, q: int) -> FunctionTable:
         raise UsageError("exponent vector must be nonempty and nonnegative")
     if sum(exponents) < 1:
         raise UsageError("monomial must involve at least one variable (wt >= 1)")
-    PrimeField(q)
+    require_prime(q)
     _check_enumeration_cap(q, f)
     values = []
     for w in itertools.product(range(q), repeat=f):
@@ -132,7 +132,7 @@ def generate_nonparallel_monomials(f: int, g: int, q: int) -> list:
     """
     if f < 1 or g < 1:
         raise UsageError("f and g must be >= 1")
-    PrimeField(q)
+    require_prime(q)
     if (g + 1) ** f > ENUMERATION_CAP:
         raise ResourceLimitError(
             f"(g+1)^f = {g + 1}^{f} exceeds the enumeration cap"
@@ -155,16 +155,6 @@ def generate_nonparallel_monomials(f: int, g: int, q: int) -> list:
     return kept
 
 
-def pmf_of(table: FunctionTable) -> Pmf:
-    """Exact preimage-counting pmf of a candidate under uniform inputs."""
-    counts = {v: 0 for v in range(table.q)}
-    for v in table.values:
-        counts[v] += 1
-    total = len(table.values)
-    probs = tuple((v, Fraction(c, total)) for v, c in sorted(counts.items()))
-    return Pmf(q=table.q, probabilities=probs)
-
-
 def _entropy_from_counts(counts, total: int, q: int) -> float:
     """Plug-in entropy (base q) from integer counts; 0*log 0 = 0.
 
@@ -178,19 +168,19 @@ def _entropy_from_counts(counts, total: int, q: int) -> float:
     return (math.log(total) - s / total) / math.log(q)
 
 
-def entropy_qary(pmf: Pmf) -> float:
-    """Shannon entropy of a pmf in q-ary units."""
-    # rescale to a common denominator so the count-based path applies exactly
-    den = math.lcm(*(p.denominator for _, p in pmf.probabilities))
-    counts = [int(p * den) for _, p in pmf.probabilities]
-    return _entropy_from_counts(counts, den, pmf.q)
+def empirical_entropy(samples, q: int) -> float:
+    """Plug-in entropy (base q) of the empirical distribution of samples."""
+    if len(samples) == 0:
+        raise UsageError("need at least one sample")
+    counts = {}
+    for s in samples:
+        counts[s] = counts.get(s, 0) + 1
+    return _entropy_from_counts(counts.values(), len(samples), q)
 
 
 def table_entropy(table: FunctionTable) -> float:
-    counts = {}
-    for v in table.values:
-        counts[v] = counts.get(v, 0) + 1
-    return _entropy_from_counts(counts.values(), len(table.values), table.q)
+    """Exact entropy of a candidate under uniform inputs, q-ary units."""
+    return empirical_entropy(table.values, table.q)
 
 
 @dataclass(frozen=True)
@@ -333,10 +323,6 @@ def candidate_set_from_exponents(vectors, q: int) -> CandidateSet:
     return order_by_entropy([build_monomial(e, q) for e in vectors])
 
 
-def all_constant(candidate_set: CandidateSet) -> bool:
-    return candidate_set.profile.h_max <= 0.0
-
-
 def require_nondegenerate(candidate_set: CandidateSet):
-    if all_constant(candidate_set):
+    if candidate_set.profile.h_max <= 0.0:
         raise DegenerateInstanceError("every candidate is constant")

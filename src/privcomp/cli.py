@@ -11,6 +11,8 @@ import csv
 import io
 import json
 import sys
+from collections import Counter
+from fractions import Fraction
 from importlib import resources
 
 from . import candidates as cand
@@ -46,6 +48,13 @@ def _round_floats(obj):
 
 def _emit_json(obj, out=None):
     (out or sys.stdout).write(json.dumps(_round_floats(obj), indent=2) + "\n")
+
+
+def _parse_int_list(text: str, option: str) -> list:
+    try:
+        return [int(tok) for tok in text.split(",")]
+    except ValueError:
+        raise UsageError(f"{option} must be a comma list of integers")
 
 
 def parse_candidates(text: str):
@@ -115,8 +124,8 @@ def figure_rows(q: int, ns, gs, f_max: int):
 
 
 def cmd_figure(args) -> int:
-    ns = [int(x) for x in args.n.split(",")]
-    gs = [int(x) for x in args.g.split(",")]
+    ns = _parse_int_list(args.n, "--n")
+    gs = _parse_int_list(args.g, "--g")
     rows = figure_rows(args.q, ns, gs, args.f_max)
     lines = ["n,g,f,mu,h_min,achievable,converse"]
     for r in rows:
@@ -191,22 +200,17 @@ def cmd_entropy(args) -> int:
             raise UsageError("--monomial takes a single exponent vector")
         table = cand.build_monomial(vec[0], args.q)
     else:
-        try:
-            values = tuple(int(tok) for tok in args.table.split(","))
-        except ValueError:
-            raise UsageError("--table must be a comma list of integers")
+        values = tuple(_parse_int_list(args.table, "--table"))
         f = 0
         while args.q**f < len(values):
             f += 1
         table = cand.FunctionTable(q=args.q, f=f, values=values)
-    pmf = cand.pmf_of(table)
-    _emit_json(
-        {
-            "q": args.q,
-            "entropy": cand.entropy_qary(pmf),
-            "pmf": {str(v): f"{p.numerator}/{p.denominator}" for v, p in pmf.probabilities},
-        }
-    )
+    counts = Counter(table.values)
+    pmf = {}
+    for v in range(args.q):
+        p = Fraction(counts[v], len(table.values))
+        pmf[str(v)] = f"{p.numerator}/{p.denominator}"
+    _emit_json({"q": args.q, "entropy": cand.table_entropy(table), "pmf": pmf})
     return EXIT_OK
 
 
@@ -288,6 +292,9 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     except ResourceLimitError as exc:
         print(f"resource guard: {exc}", file=sys.stderr)
+        return EXIT_RESOURCE
+    except (RecursionError, MemoryError) as exc:
+        print(f"resource guard: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
     except ProtocolError as exc:
         print(f"protocol failure: {exc}", file=sys.stderr)

@@ -17,9 +17,8 @@ import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
-from .candidates import _entropy_from_counts
+from .candidates import require_prime
 from .errors import CodecError, UsageError
-from .fields import PrimeField
 
 
 @lru_cache(maxsize=None)
@@ -140,7 +139,7 @@ class FixedCode:
     budget: float
 
     def __post_init__(self):
-        PrimeField(self.q)
+        require_prime(self.q)
         if self.alphabet_size < 1 or self.length < 1:
             raise UsageError("alphabet size and length must be >= 1")
         if self.budget < 0:
@@ -268,12 +267,3 @@ def widen_codeword(codeword: Codeword, target: FixedCode) -> Codeword:
     symbols = codeword.symbols[: src.header_len] + pad + codeword.symbols[src.header_len :]
     return Codeword(code=target, symbols=symbols)
 
-
-def empirical_entropy(samples, q: int) -> float:
-    """Plug-in entropy (base q) of the empirical distribution of samples."""
-    if len(samples) == 0:
-        raise UsageError("need at least one sample")
-    counts = {}
-    for s in samples:
-        counts[s] = counts.get(s, 0) + 1
-    return _entropy_from_counts(counts.values(), len(samples), q)

@@ -1,12 +1,13 @@
 """Exception types shared across the package.
 
 The CLI maps these onto process exit codes: UsageError -> 2,
-ResourceLimitError -> 3, everything that signals a failed verification -> 1.
+ResourceLimitError (and the interpreter's RecursionError and MemoryError) -> 3,
+everything that signals a failed verification -> 1.
 """
 
 
 class UsageError(ValueError):
-    """Invalid parameters, mismatched fields, or unparsable input."""
+    """Invalid parameters, inconsistent candidates or codes, or unparsable input."""
 
 
 class ResourceLimitError(RuntimeError):

@@ -105,14 +105,6 @@ class QueryPlan:
                 return s.members[0][1]
         raise ProtocolError(f"database {j} has no round-1 sums")
 
-    def wire_view(self, j: int) -> tuple:
-        """What database j sees: sums with permuted (actual) segment indices."""
-        perm = self.permutation
-        view = []
-        for s in self.per_db(j):
-            view.append(tuple(sorted((w, perm[t - 1]) for w, t in s.members)))
-        return tuple(sorted(view))
-
 
 def _sample_permutation(beta: int, seed):
     rng = np.random.default_rng(seed)

@@ -118,23 +118,16 @@ def rate_lower_bound(n: int, mu: int, h_min: float, h_max: float) -> float:
         raise UsageError("mu must be >= 1")
     if h_max <= 0.0:
         raise DegenerateInstanceError("h_max = 0; lower bound undefined")
-    return (h_min / h_max) * (1 - 1 / n) / (1 - (1 / n) ** mu)
+    return (h_min / h_max) * pir_capacity(n, mu)
 
 
 def baseline_virtual_pir_rate(n: int, mu: int, h_min: float) -> float:
     """Rate of plain retrieval treating each candidate as a virtual message.
 
     Normalized by h_min so it is comparable under the smallest-function-size
-    rate definition; see virtual_pir_rate_unnormalized for the raw value.
+    rate definition; the raw value is pir_capacity(n, mu).
     """
-    return h_min * virtual_pir_rate_unnormalized(n, mu)
-
-
-def virtual_pir_rate_unnormalized(n: int, mu: int) -> float:
-    _check_n(n)
-    if mu < 1:
-        raise UsageError("mu must be >= 1")
-    return (1 - 1 / n) / (1 - (1 / n) ** mu)
+    return h_min * pir_capacity(n, mu)
 
 
 def asymptotic_rate(n: int, h_min: float) -> float:
@@ -224,7 +217,7 @@ def rate_report(n: int, candidate_set) -> RateReport:
         outer_bound=outer,
         lower_bound=rate_lower_bound(n, profile.mu, profile.h_min, profile.h_max),
         baseline_pir=baseline_virtual_pir_rate(n, profile.mu, profile.h_min),
-        baseline_pir_unnormalized=virtual_pir_rate_unnormalized(n, profile.mu),
+        baseline_pir_unnormalized=pir_capacity(n, profile.mu),
         d_opt=d_opt(n, profile),
         d_one=d_one(n, profile),
         capacity_met=abs(ach - outer) <= CAPACITY_TOL,

@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 from collections import Counter
 from fractions import Fraction
@@ -12,15 +13,14 @@ from privcomp import (
     UsageError,
     build_monomial,
     count_all_monomials,
-    entropy_qary,
     generate_nonparallel_monomials,
     joint_entropy_prefix,
     monomial_candidate_set,
     order_by_entropy,
-    pmf_of,
     reduce_exponent_vector,
     table_entropy,
 )
+from privcomp.cli import main
 
 H_PRODUCT = 0.905712598  # entropy of w1*w2 over F_3, q-ary units
 
@@ -36,6 +36,32 @@ def brute_force_pmf(exponents, q):
                 v = (v * wj) % q
         counts[v] += 1
     return {val: Fraction(c, q**f) for val, c in counts.items()}
+
+
+def table_pmf(values):
+    """Oracle for an explicit value table: exact value frequencies."""
+    counts = Counter(values)
+    return {val: Fraction(c, len(values)) for val, c in counts.items()}
+
+
+def pmf_strings(pmf, q):
+    """An exact pmf as `privcomp entropy` prints it: every value, as c/q^f."""
+    out = {}
+    for v in range(q):
+        p = pmf.get(v, Fraction(0))
+        out[str(v)] = f"{p.numerator}/{p.denominator}"
+    return out
+
+
+def pmf_entropy(pmf, q):
+    """Entropy of an exact pmf, q-ary units."""
+    return -sum(float(p) * math.log(p) for p in pmf.values() if p) / math.log(q)
+
+
+def cli_entropy(capsys, q, option, vector):
+    code = main(["entropy", "--q", str(q), option, ",".join(map(str, vector))])
+    assert code == 0
+    return json.loads(capsys.readouterr().out)
 
 
 def brute_force_joint_entropy(tables):
@@ -155,35 +181,31 @@ def test_nonparallel_deduplicates_as_functions():
 # ---------------------------------------------------------------------- pmfs
 
 
-def test_pmf_product_monomial():
-    pmf = pmf_of(build_monomial((1, 1), 3))
-    assert pmf.as_dict() == brute_force_pmf((1, 1), 3)
-    assert pmf[0] == Fraction(5, 9)
-    assert pmf[1] == Fraction(2, 9)
-    assert pmf[2] == Fraction(2, 9)
+def test_pmf_product_monomial(capsys):
+    pmf = cli_entropy(capsys, 3, "--monomial", (1, 1))["pmf"]
+    assert pmf == pmf_strings(brute_force_pmf((1, 1), 3), 3)
+    assert pmf == {"0": "5/9", "1": "2/9", "2": "2/9"}
 
 
-def test_pmf_projection_uniform():
-    pmf = pmf_of(build_monomial((1, 0), 3))
-    assert all(pmf[v] == Fraction(1, 3) for v in range(3))
+def test_pmf_projection_uniform(capsys):
+    pmf = cli_entropy(capsys, 3, "--monomial", (1, 0))["pmf"]
+    assert pmf == {"0": "1/3", "1": "1/3", "2": "1/3"}
 
 
-def test_pmf_square():
-    pmf = pmf_of(build_monomial((2, 0), 3))
-    assert pmf[0] == Fraction(1, 3)
-    assert pmf[1] == Fraction(2, 3)
-    assert pmf[2] == 0
+def test_pmf_square(capsys):
+    pmf = cli_entropy(capsys, 3, "--monomial", (2, 0))["pmf"]
+    assert pmf == {"0": "1/3", "1": "2/3", "2": "0/1"}
 
 
 # ----------------------------------------------------------------- entropies
 
 
 def test_entropy_uniform():
-    assert entropy_qary(pmf_of(build_monomial((1, 0), 3))) == pytest.approx(1.0, abs=1e-15)
+    assert table_entropy(build_monomial((1, 0), 3)) == pytest.approx(1.0, abs=1e-15)
 
 
 def test_entropy_product():
-    h = entropy_qary(pmf_of(build_monomial((1, 1), 3)))
+    h = table_entropy(build_monomial((1, 1), 3))
     # closed form, and the downstream capacity figure it must reproduce
     expected = -(5 / 9 * math.log(5 / 9) + 4 / 9 * math.log(2 / 9)) / math.log(3)
     assert h == pytest.approx(expected, abs=1e-12)
@@ -191,9 +213,33 @@ def test_entropy_product():
 
 
 def test_entropy_square():
-    h = entropy_qary(pmf_of(build_monomial((2, 0), 3)))
+    h = table_entropy(build_monomial((2, 0), 3))
     assert h == pytest.approx(1 - (2 / 3) * math.log(2) / math.log(3), abs=1e-12)
     assert h == pytest.approx(0.579380164, abs=1e-9)
+
+
+@pytest.mark.parametrize(
+    "q,f,option,vectors",
+    [
+        (3, 1, "--table", list(itertools.product(range(3), repeat=3))),
+        (2, 2, "--table", list(itertools.product(range(2), repeat=4))),
+        (3, 2, "--monomial", [e for e in itertools.product(range(3), repeat=2) if sum(e)]),
+    ],
+    ids=["q3-tables-len3", "q2-tables-len4", "q3-f2-monomials"],
+)
+def test_entropy_and_pmf_match_exact_oracle_exhaustive(capsys, q, f, option, vectors):
+    for vec in vectors:
+        if option == "--table":
+            table = FunctionTable(q=q, f=f, values=vec)
+            oracle = table_pmf(vec)
+        else:
+            table = build_monomial(vec, q)
+            oracle = brute_force_pmf(vec, q)
+        h = pmf_entropy(oracle, q)
+        data = cli_entropy(capsys, q, option, vec)
+        assert data["pmf"] == pmf_strings(oracle, q)
+        assert abs(data["entropy"] - h) <= 1e-12
+        assert abs(table_entropy(table) - h) <= 1e-12
 
 
 # ------------------------------------------------------------- joint entropy

@@ -1,5 +1,6 @@
 import csv
 import json
+import os
 
 import pytest
 
@@ -246,10 +247,16 @@ def test_console_script_entry_point():
     import subprocess
     import sys
 
+    import privcomp
+
+    # run the same tree this test imported, installed or not
+    src_root = os.path.dirname(os.path.dirname(os.path.abspath(privcomp.__file__)))
+    path = os.pathsep.join(filter(None, [src_root, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "privcomp.cli", "entropy", "--q", "3", "--monomial", "1,0"],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["entropy"] == 1.0
@@ -291,3 +298,28 @@ def test_simulate_exit_one_on_failed_verification(capsys, monkeypatch):
     )
     assert code == 1
     assert json.loads(out)["recovery_ok"] is False
+
+
+@pytest.mark.parametrize("option,value", [("--n", "3,x"), ("--g", "two"), ("--n", "")])
+def test_figure_bad_comma_list_is_usage_error(capsys, option, value):
+    code, out, err = run_cli(capsys, "figure", option, value)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {option} must be a comma list of integers\n"
+
+
+@pytest.mark.parametrize("error", [RecursionError, MemoryError])
+def test_resource_exhaustion_exits_three(capsys, monkeypatch, error):
+    import privcomp.cli as cli
+
+    def exhausted(config):
+        raise error("exhausted")
+
+    monkeypatch.setattr(cli.protocol, "run_simulation", exhausted)
+    code, out, err = run_cli(
+        capsys, "simulate", "--n", "2", "--q", "3", "--candidates", "1,0;1,1",
+        "--L", "4", "--v", "1",
+    )
+    assert code == 3
+    assert out == ""
+    assert err == f"resource guard: {error.__name__}: exhausted\n"

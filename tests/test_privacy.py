@@ -97,7 +97,7 @@ def wire_distributions(n, mu):
 
 
 @pytest.mark.parametrize("n,mu", [(2, 2), (2, 3)])
-def test_wire_view_distribution_identical_across_v(n, mu):
+def test_wire_distribution_identical_across_v(n, mu):
     dists = wire_distributions(n, mu)
     for j in range(1, n + 1):
         for v in range(2, mu + 1):
