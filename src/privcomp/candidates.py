@@ -3,8 +3,9 @@
 A candidate is any function GF(q)^f -> GF(q), stored as its full value table
 over all q^f input tuples (inputs enumerated in base-q lexicographic order,
 first variable most significant).  Under uniform i.i.d. inputs a value's
-probability is its exact preimage count over q^f; entropies are computed from
-those counts in double precision, in q-ary units.
+probability is its exact preimage count over q^f.  Tables are built and
+counted on numpy arrays but stored as tuples of Python ints; entropies are
+summed from the counts in Python floats, in q-ary units, so ties stay exact.
 
 The monomial generator produces the deduplicated "nonparallel" candidate sets
 used by the rate sweeps: exponent vectors are first reduced with x^q = x, and
@@ -15,29 +16,22 @@ determines it.
 
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import DegenerateInstanceError, ResourceLimitError, UsageError
 
-# q^f value-table scans get slow and memory hungry past this point
+# cells (tables x q^f entries) per candidate set and exponent-grid points per
+# generation; at 10^7 cells the costliest shape (f = 1, q ~ 10^7) nears 0.9 GB
 ENUMERATION_CAP = 10**7
 
 FLOAT_TOL = 1e-9
 
 
 def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 2
-    return True
+    return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
 
 
 def require_prime(q: int):
@@ -46,10 +40,11 @@ def require_prime(q: int):
         raise UsageError(f"field modulus must be prime, got {q}")
 
 
-def _check_enumeration_cap(q: int, f: int):
-    if q**f > ENUMERATION_CAP:
+def _check_enumeration_cap(base: int, f: int, mu: int = 1):
+    """Reject enumerating mu tables of base^f cells each."""
+    if mu * base**f > ENUMERATION_CAP:
         raise ResourceLimitError(
-            f"q^f = {q}^{f} exceeds the enumeration cap of {ENUMERATION_CAP}"
+            f"{mu} x {base}^{f} cells exceed the enumeration cap of {ENUMERATION_CAP}"
         )
 
 
@@ -67,6 +62,11 @@ def reduce_exponent_vector(e: tuple, q: int) -> tuple:
     must stay 0 (absent variable).  The reduced table equals the input table.
     """
     require_prime(q)
+    return _reduce(e, q)
+
+
+def _reduce(e: tuple, q: int) -> tuple:
+    # reduce_exponent_vector for a q already checked prime
     return tuple(((x - 1) % (q - 1)) + 1 if x >= 1 else 0 for x in e)
 
 
@@ -89,7 +89,7 @@ class FunctionTable:
             raise UsageError(
                 f"table has {len(self.values)} entries, expected {self.q}^{self.f}"
             )
-        if any(not 0 <= v < self.q for v in self.values):
+        if self.values and not (0 <= min(self.values) and max(self.values) < self.q):
             raise UsageError("table value out of field range")
 
     def value_at(self, inputs: tuple) -> int:
@@ -109,14 +109,12 @@ def build_monomial(exponents: tuple, q: int) -> FunctionTable:
         raise UsageError("monomial must involve at least one variable (wt >= 1)")
     require_prime(q)
     _check_enumeration_cap(q, f)
-    values = []
-    for w in itertools.product(range(q), repeat=f):
-        v = 1
-        for wj, ej in zip(w, exponents):
-            if ej:
-                v = (v * pow(wj, ej, q)) % q
-        values.append(v)
-    return FunctionTable(q=q, f=f, values=tuple(values), exponents=exponents)
+    # outer product of per-variable power tables; the last variable varies fastest
+    values = np.ones(1, dtype=np.int64)
+    for e in exponents:
+        powers = np.array([pow(w, e, q) for w in range(q)], dtype=np.int64)
+        values = np.multiply.outer(values, powers).ravel() % q
+    return FunctionTable(q=q, f=f, values=tuple(values.tolist()), exponents=exponents)
 
 
 def generate_nonparallel_monomials(f: int, g: int, q: int) -> list:
@@ -133,24 +131,23 @@ def generate_nonparallel_monomials(f: int, g: int, q: int) -> list:
     if f < 1 or g < 1:
         raise UsageError("f and g must be >= 1")
     require_prime(q)
-    if (g + 1) ** f > ENUMERATION_CAP:
-        raise ResourceLimitError(
-            f"(g+1)^f = {g + 1}^{f} exceeds the enumeration cap"
-        )
+    _check_enumeration_cap(max(g + 1, q), f)  # the exponent grid, and one table
     # reduction never raises an entry, so reduced in-range vectors stay in range
     in_range = set()
     for e in itertools.product(range(g + 1), repeat=f):
         if 1 <= sum(e) <= g:
-            in_range.add(reduce_exponent_vector(e, q))
+            in_range.add(_reduce(e, q))
     kept = []
     banned = set()
+    ks = np.arange(2, q, dtype=np.int64)[:, None]
     for e in sorted(in_range, key=grlex_key):
         if e in banned:
             continue
         kept.append(e)
-        for k in range(2, q):
-            p = reduce_exponent_vector(tuple(k * x for x in e), q)
-            if p != e:
+        # reduced k-th powers of e; only in-range ones (entries <= g) are looked up
+        powers = np.where(np.array(e) > 0, (ks * e - 1) % (q - 1) + 1, 0)
+        for p in map(tuple, powers[powers.max(axis=1) <= g].tolist()):
+            if p != e and p in in_range:
                 banned.add(p)
     return kept
 
@@ -172,15 +169,29 @@ def empirical_entropy(samples, q: int) -> float:
     """Plug-in entropy (base q) of the empirical distribution of samples."""
     if len(samples) == 0:
         raise UsageError("need at least one sample")
-    counts = {}
-    for s in samples:
-        counts[s] = counts.get(s, 0) + 1
-    return _entropy_from_counts(counts.values(), len(samples), q)
+    return _entropy_from_counts(Counter(samples).values(), len(samples), q)
+
+
+def _entropy_and_labels(keys, bins: int, q: int):
+    """Entropy of keys in [0, bins), the number of distinct keys, and each key's
+    rank among them.  Sorts when bins > 4 len(keys) (large q), else a dense
+    bincount."""
+    if len(keys) == 0:
+        raise UsageError("need at least one sample")
+    if bins > 4 * len(keys):
+        _, labels, counts = np.unique(keys, return_inverse=True, return_counts=True)
+    else:
+        counts = np.bincount(keys, minlength=bins)
+        present = counts > 0
+        counts, labels = counts[present], (np.cumsum(present) - 1)[keys]
+    # a count of 1 adds 1*log(1) = 0.0 exactly, so only counts > 1 are summed
+    h = _entropy_from_counts(counts[counts > 1].tolist(), len(keys), q)
+    return h, len(counts), labels
 
 
 def table_entropy(table: FunctionTable) -> float:
     """Exact entropy of a candidate under uniform inputs, q-ary units."""
-    return empirical_entropy(table.values, table.q)
+    return _entropy_and_labels(np.asarray(table.values, dtype=np.int64), table.q, table.q)[0]
 
 
 @dataclass(frozen=True)
@@ -238,33 +249,18 @@ class CandidateSet:
         return len(self.functions)
 
 
-def _prefix_joint_entropies(tables) -> tuple:
-    """Joint entropy of each prefix of candidates by exact enumeration.
+def _prefix_joint_entropies(rows, order, q: int) -> tuple:
+    """Joint entropy of each prefix of rows[order] by exact enumeration.
 
-    Inputs are scanned once per prefix; the joint value tuple is tracked as a
-    compact integer label that is re-canonicalized each step, so labels never
-    exceed the number of distinct tuples seen so far times q.
+    Each input's joint value tuple is a compact label, re-canonicalized after
+    every row, so keys labels*q + value stay below (distinct tuples so far)*q.
     """
-    q = tables[0].q
-    f = tables[0].f
-    _check_enumeration_cap(q, f)
-    total = q**f
-    labels = [0] * total
+    labels = np.zeros(rows.shape[1], dtype=np.int64)
+    n_labels = 1
     joints = []
-    for t in tables:
-        relabel = {}
-        values = t.values
-        for i in range(total):
-            key = labels[i] * q + values[i]
-            lab = relabel.get(key)
-            if lab is None:
-                lab = len(relabel)
-                relabel[key] = lab
-            labels[i] = lab
-        counts = [0] * len(relabel)
-        for lab in labels:
-            counts[lab] += 1
-        joints.append(_entropy_from_counts(counts, total, q))
+    for i in order:
+        h, n_labels, labels = _entropy_and_labels(labels * q + rows[i], n_labels * q, q)
+        joints.append(h)
     return tuple(joints)
 
 
@@ -290,7 +286,9 @@ def order_by_entropy(functions) -> CandidateSet:
     f = functions[0].f
     if any(t.q != q or t.f != f for t in functions):
         raise UsageError("all candidates must share the same q and f")
-    entropies = [table_entropy(t) for t in functions]
+    # the one tuple -> array conversion of every table
+    rows = np.array([t.values for t in functions], dtype=np.int64)
+    entropies = [_entropy_and_labels(row, q, q)[0] for row in rows]
     all_monomial = all(t.exponents is not None for t in functions)
     if all_monomial:
         order = sorted(
@@ -301,13 +299,14 @@ def order_by_entropy(functions) -> CandidateSet:
         order = sorted(range(len(functions)), key=lambda i: -entropies[i])
     tables = tuple(functions[i] for i in order)
     h = tuple(entropies[i] for i in order)
-    profile = EntropyProfile(h=h, prefix_joint=_prefix_joint_entropies(tables))
+    profile = EntropyProfile(h=h, prefix_joint=_prefix_joint_entropies(rows, order, q))
     return CandidateSet(q=q, f=f, functions=tables, profile=profile)
 
 
 def monomial_candidate_set(f: int, g: int, q: int) -> CandidateSet:
     """Entropy-ordered candidate set of all nonparallel monomials (f, g, q)."""
     vectors = generate_nonparallel_monomials(f, g, q)
+    _check_enumeration_cap(q, f, len(vectors))
     return order_by_entropy([build_monomial(e, q) for e in vectors])
 
 
@@ -320,6 +319,8 @@ def candidate_set_from_exponents(vectors, q: int) -> CandidateSet:
         raise UsageError("all exponent vectors must have the same length")
     if len(set(vectors)) != len(vectors):
         raise UsageError("duplicate exponent vectors in candidate list")
+    require_prime(q)  # a usage error outranks the cap below
+    _check_enumeration_cap(q, len(vectors[0]), len(vectors))
     return order_by_entropy([build_monomial(e, q) for e in vectors])
 
 

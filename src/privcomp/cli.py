@@ -104,17 +104,19 @@ def load_reference_figure() -> dict:
 def figure_rows(q: int, ns, gs, f_max: int):
     """One row per (n, g, f): candidate count, entropies, both bounds."""
     rows = []
+    profiles = {}  # (f, g) -> profile; each candidate set is built once
     for n in ns:
         for g in gs:
             for f in range(1, f_max + 1):
-                cs = cand.monomial_candidate_set(f, g, q)
-                profile = cs.profile
+                if (f, g) not in profiles:
+                    profiles[f, g] = cand.monomial_candidate_set(f, g, q).profile
+                profile = profiles[f, g]
                 rows.append(
                     {
                         "n": n,
                         "g": g,
                         "f": f,
-                        "mu": cs.mu,
+                        "mu": profile.mu,
                         "h_min": profile.h_min,
                         "achievable": rates.achievable_rate_messages(n, f, profile),
                         "converse": rates.outer_bound_messages(profile.h_min, n, f),
@@ -171,12 +173,8 @@ def cmd_figure(args) -> int:
 
 def cmd_monomials(args) -> int:
     vectors = cand.generate_nonparallel_monomials(args.f, args.g, args.q)
-    entries = []
-    entropies = []
-    for e in vectors:
-        h = cand.table_entropy(cand.build_monomial(e, args.q))
-        entropies.append(h)
-        entries.append({"exponents": list(e), "entropy": h})
+    entropies = [cand.table_entropy(cand.build_monomial(e, args.q)) for e in vectors]
+    entries = [{"exponents": list(e), "entropy": h} for e, h in zip(vectors, entropies)]
     _emit_json(
         {
             "q": args.q,
@@ -201,6 +199,7 @@ def cmd_entropy(args) -> int:
         table = cand.build_monomial(vec[0], args.q)
     else:
         values = tuple(_parse_int_list(args.table, "--table"))
+        cand.require_prime(args.q)  # the search for f below needs q >= 2
         f = 0
         while args.q**f < len(values):
             f += 1

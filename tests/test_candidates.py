@@ -6,12 +6,15 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from privcomp import (
     FunctionTable,
     ResourceLimitError,
     UsageError,
     build_monomial,
+    candidate_set_from_exponents,
     count_all_monomials,
     generate_nonparallel_monomials,
     joint_entropy_prefix,
@@ -20,6 +23,7 @@ from privcomp import (
     reduce_exponent_vector,
     table_entropy,
 )
+from privcomp.candidates import is_prime
 from privcomp.cli import main
 
 H_PRODUCT = 0.905712598  # entropy of w1*w2 over F_3, q-ary units
@@ -99,9 +103,42 @@ def test_table_length_validated():
         FunctionTable(q=3, f=2, values=(0, 1, 2))
 
 
+@pytest.mark.parametrize(
+    "values", [(0, 1, -1), (0, 3, 1), (-1, 0, 3), (0, 1), (0, 1, 2, 0)],
+    ids=["minus-one", "q", "both-ends", "short", "long"],
+)
+def test_table_values_validated(values):
+    with pytest.raises(UsageError):
+        FunctionTable(q=3, f=1, values=values)
+
+
+def test_table_values_at_field_bounds_accepted():
+    assert FunctionTable(q=3, f=1, values=(2, 0, 2)).values == (2, 0, 2)
+    assert FunctionTable(q=5, f=0, values=(4,)).values == (4,)
+
+
 def test_enumeration_cap():
     with pytest.raises(ResourceLimitError):
         build_monomial((1,) * 8, 11)  # 11^8 inputs
+
+
+def test_nonprime_modulus_outranks_enumeration_cap():
+    # 12 tables of 4^12 cells are over the cap, but q = 4 is a usage error first
+    vectors = [tuple(int(i == j) for j in range(12)) for i in range(12)]
+    with pytest.raises(UsageError, match="must be prime"):
+        candidate_set_from_exponents(vectors, 4)
+    with pytest.raises(ResourceLimitError):
+        candidate_set_from_exponents(vectors, 5)
+
+
+def test_is_prime_matches_sieve():
+    sieve = [False, False] + [True] * 2998
+    for d in range(2, 55):
+        for m in range(d * d, 3000, d):
+            sieve[m] = False
+    assert [n for n in range(-3, 3000) if is_prime(n)] == [
+        n for n in range(3000) if sieve[n]
+    ]
 
 
 # ----------------------------------------------------------------- reduction
@@ -343,3 +380,166 @@ def test_nonparallel_q2_no_exclusions():
     # k-th powers to exclude: count = subsets of at most g variables
     assert len(generate_nonparallel_monomials(3, 2, 2)) == 3 + 3
     assert len(generate_nonparallel_monomials(4, 3, 2)) == 4 + 6 + 4
+
+
+# ------------------------------------------- oracles: the scalar algorithms
+
+
+def oracle_monomial(exponents, q):
+    """prod_j pow(w_j, e_j, q) at every input, first variable most significant."""
+    values = []
+    for w in itertools.product(range(q), repeat=len(exponents)):
+        v = 1
+        for wj, ej in zip(w, exponents):
+            v = v * pow(wj, ej, q) % q
+        values.append(v)
+    return tuple(values)
+
+
+def oracle_entropy_from_counts(counts, total, q):
+    s = 0.0
+    for c in sorted(counts):
+        if c:
+            s += c * math.log(c)
+    return (math.log(total) - s / total) / math.log(q)
+
+
+def oracle_table_entropy(values, q):
+    """Dictionary counting, summed like the package: must agree bit for bit."""
+    counts = {}
+    for v in values:
+        counts[v] = counts.get(v, 0) + 1
+    return oracle_entropy_from_counts(counts.values(), len(values), q)
+
+
+def oracle_prefix_joints(tables, q):
+    """Per-cell relabeling of the joint value tuple with a dictionary."""
+    total = len(tables[0])
+    labels = [0] * total
+    joints = []
+    for values in tables:
+        relabel = {}
+        for i in range(total):
+            labels[i] = relabel.setdefault(labels[i] * q + values[i], len(relabel))
+        counts = [0] * len(relabel)
+        for lab in labels:
+            counts[lab] += 1
+        joints.append(oracle_entropy_from_counts(counts, total, q))
+    return tuple(joints)
+
+
+def oracle_nonparallel(f, g, q):
+    """Reduced in-range exponent vectors in graded-lex order, each dropped when
+    it is a reduced k-th power (k in [2, q-1]) of an earlier kept one."""
+
+    def reduce(e):
+        return tuple((x - 1) % (q - 1) + 1 if x else 0 for x in e)
+
+    in_range = {
+        reduce(e) for e in itertools.product(range(g + 1), repeat=f) if 1 <= sum(e) <= g
+    }
+    kept, banned = [], set()
+    for e in sorted(in_range, key=lambda e: (sum(e), [-x for x in e])):
+        if e not in banned:
+            kept.append(e)
+            banned.update(reduce([k * x for x in e]) for k in range(2, q))
+            banned.discard(e)
+    return kept
+
+
+def oracle_candidate_set(vectors, q):
+    """Exponents, h and prefix joints of the entropy-ordered monomial set."""
+    tables = [oracle_monomial(e, q) for e in vectors]
+    h = [oracle_table_entropy(t, q) for t in tables]
+    # ties: lower total degree first, then larger leading exponents first
+    order = sorted(
+        range(len(vectors)),
+        key=lambda i: (-h[i], sum(vectors[i]), [-x for x in vectors[i]]),
+    )
+    return (
+        [vectors[i] for i in order],
+        tuple(h[i] for i in order),
+        oracle_prefix_joints([tables[i] for i in order], q),
+    )
+
+
+PRIMES_TO_13 = [2, 3, 5, 7, 11, 13]
+
+
+@st.composite
+def monomials(draw):
+    q = draw(st.sampled_from(PRIMES_TO_13))
+    f = draw(st.integers(1, 4))
+    e = draw(st.lists(st.integers(0, 2 * q), min_size=f, max_size=f))
+    if not any(e):
+        e[draw(st.integers(0, f - 1))] = draw(st.integers(1, 2 * q))
+    return tuple(e), q
+
+
+@settings(deadline=None, max_examples=60)
+@given(monomials())
+def test_build_monomial_matches_pow_oracle(case):
+    e, q = case
+    table = build_monomial(e, q)
+    assert table.values == oracle_monomial(e, q)
+    assert all(type(v) is int for v in table.values)
+
+
+@st.composite
+def table_sets(draw):
+    """mu random tables; few distinct values per table makes entropy ties likely."""
+    q = draw(st.sampled_from([2, 3, 5, 7]))
+    f = draw(st.integers(0, 3))
+    mu = draw(st.integers(1, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    tables = []
+    for _ in range(mu):
+        k = draw(st.integers(1, q))
+        tables.append(tuple(int(v) for v in rng.integers(0, k, size=q**f)))
+    return q, f, tables
+
+
+@settings(deadline=None, max_examples=150)
+@given(table_sets())
+def test_entropies_equal_dictionary_oracle(case):
+    q, f, tables = case
+    for values in tables:
+        assert table_entropy(FunctionTable(q=q, f=f, values=values)) == (
+            oracle_table_entropy(values, q)
+        )
+    cs = order_by_entropy([FunctionTable(q=q, f=f, values=t) for t in tables])
+    h = [oracle_table_entropy(t, q) for t in tables]
+    order = sorted(range(len(tables)), key=lambda i: -h[i])
+    assert [t.values for t in cs.functions] == [tables[i] for i in order]
+    assert cs.profile.h == tuple(h[i] for i in order)
+    assert cs.profile.prefix_joint == oracle_prefix_joints([tables[i] for i in order], q)
+
+
+ORACLE_GRID = [
+    (q, f, g)
+    for q in (2, 3, 5, 7)
+    for f in range(1, 6)
+    for g in range(1, 5)
+    if q**f <= 20000
+]
+
+
+def test_oracle_grid_has_80_sets():
+    assert len(ORACLE_GRID) == 80
+
+
+@pytest.mark.parametrize("q", PRIMES_TO_13)
+def test_nonparallel_monomials_equal_oracle(q):
+    for f in range(1, 5):
+        for g in range(1, 6):
+            assert generate_nonparallel_monomials(f, g, q) == oracle_nonparallel(f, g, q)
+
+
+@pytest.mark.parametrize("q", [2, 3, 5, 7])
+def test_monomial_candidate_set_equals_oracle(q):
+    for _, f, g in (cell for cell in ORACLE_GRID if cell[0] == q):
+        cs = monomial_candidate_set(f, g, q)
+        vectors, h, joints = oracle_candidate_set(oracle_nonparallel(f, g, q), q)
+        assert [t.exponents for t in cs.functions] == vectors
+        assert cs.profile.h == h
+        assert cs.profile.prefix_joint == joints

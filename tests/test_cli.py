@@ -243,21 +243,26 @@ def test_simulate_byte_stable(capsys):
     assert out1 == out2
 
 
-def test_console_script_entry_point():
+def run_module(*argv, timeout=None):
+    """Run `python -m privcomp.cli` on the tree this test imported, installed or not."""
     import subprocess
     import sys
 
     import privcomp
 
-    # run the same tree this test imported, installed or not
     src_root = os.path.dirname(os.path.dirname(os.path.abspath(privcomp.__file__)))
     path = os.pathsep.join(filter(None, [src_root, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "privcomp.cli", "entropy", "--q", "3", "--monomial", "1,0"],
+    return subprocess.run(
+        [sys.executable, "-m", "privcomp.cli", *argv],
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": path},
+        timeout=timeout,
     )
+
+
+def test_console_script_entry_point():
+    proc = run_module("entropy", "--q", "3", "--monomial", "1,0")
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["entropy"] == 1.0
 
@@ -323,3 +328,72 @@ def test_resource_exhaustion_exits_three(capsys, monkeypatch, error):
     assert code == 3
     assert out == ""
     assert err == f"resource guard: {error.__name__}: exhausted\n"
+
+
+@pytest.mark.parametrize("q", [1, 0, 4])
+def test_entropy_table_rejects_nonprime_modulus(q):
+    # in a child with a timeout: q <= 1 once looped forever searching for f
+    proc = run_module("entropy", "--q", str(q), "--table", "0,0,0,0", timeout=60)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == f"error: field modulus must be prime, got {q}\n"
+
+
+@pytest.mark.parametrize(
+    "q,f,accepted", [(3, 12, True), (3, 13, False), (10000019, 1, False)]
+)
+def test_candidate_set_cap_counts_every_table(capsys, monkeypatch, q, f, accepted):
+    # g=1 holds f tables of q^f cells: 12 * 3^12 fits 10^7, 13 * 3^13 does not,
+    # and neither does one table of the first prime above 10^7
+    import privcomp.cli as cli
+
+    class Built(Exception):
+        pass
+
+    def build_monomial(exponents, q):
+        raise Built
+
+    monkeypatch.setattr(cli.cand, "build_monomial", build_monomial)
+    argv = ["rates", "--n", "2", "--q", str(q), "--f", str(f), "--g", "1"]
+    if accepted:
+        with pytest.raises(Built):
+            main(argv)
+        return
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 3
+    assert out == ""
+    assert err.startswith("resource guard: ")
+
+
+def test_figure_rows_build_each_candidate_set_once(monkeypatch):
+    import privcomp.cli as cli
+    from privcomp import rates
+
+    q, ns, gs, f_max = 3, [3, 5], [2, 3], 7
+    expected = []
+    for n in ns:
+        for g in gs:
+            for f in range(1, f_max + 1):
+                profile = cli.cand.monomial_candidate_set(f, g, q).profile
+                expected.append(
+                    {
+                        "n": n,
+                        "g": g,
+                        "f": f,
+                        "mu": profile.mu,
+                        "h_min": profile.h_min,
+                        "achievable": rates.achievable_rate_messages(n, f, profile),
+                        "converse": rates.outer_bound_messages(profile.h_min, n, f),
+                    }
+                )
+    calls = []
+    real = cli.cand.monomial_candidate_set
+
+    def counting(f, g, q):
+        calls.append((f, g, q))
+        return real(f, g, q)
+
+    monkeypatch.setattr(cli.cand, "monomial_candidate_set", counting)
+    assert cli.figure_rows(q, ns, gs, f_max) == expected
+    assert len(calls) == len(gs) * f_max == 14
+    assert len(set(calls)) == len(calls)
