@@ -16,7 +16,6 @@ determines it.
 
 import itertools
 import math
-from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,7 +30,18 @@ FLOAT_TOL = 1e-9
 
 
 def is_prime(n: int) -> bool:
-    return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
+    if n < 2:
+        return False
+    if n < 4:
+        return True
+    if n % 2 == 0:
+        return False
+    d = 3
+    while d * d <= n:
+        if n % d == 0:
+            return False
+        d += 2
+    return True
 
 
 def require_prime(q: int):
@@ -85,6 +95,8 @@ class FunctionTable:
     exponents: tuple | None = None  # set when built from a monomial
 
     def __post_init__(self):
+        if self.q >= 2**63:
+            raise UsageError("field size must be below 2^63 (tables are int64)")
         if len(self.values) != self.q**self.f:
             raise UsageError(
                 f"table has {len(self.values)} entries, expected {self.q}^{self.f}"
@@ -169,29 +181,26 @@ def empirical_entropy(samples, q: int) -> float:
     """Plug-in entropy (base q) of the empirical distribution of samples."""
     if len(samples) == 0:
         raise UsageError("need at least one sample")
-    return _entropy_from_counts(Counter(samples).values(), len(samples), q)
+    counts = {}
+    for s in samples:
+        counts[s] = counts.get(s, 0) + 1
+    return _entropy_from_counts(counts.values(), len(samples), q)
 
 
-def _entropy_and_labels(keys, bins: int, q: int):
-    """Entropy of keys in [0, bins), the number of distinct keys, and each key's
-    rank among them.  Sorts when bins > 4 len(keys) (large q), else a dense
-    bincount."""
+def _entropy_and_labels(keys, q: int):
+    """Entropy of integer keys and each key's rank among the distinct keys."""
     if len(keys) == 0:
         raise UsageError("need at least one sample")
-    if bins > 4 * len(keys):
-        _, labels, counts = np.unique(keys, return_inverse=True, return_counts=True)
-    else:
-        counts = np.bincount(keys, minlength=bins)
-        present = counts > 0
-        counts, labels = counts[present], (np.cumsum(present) - 1)[keys]
+    distinct, counts = np.unique(keys, return_counts=True)
     # a count of 1 adds 1*log(1) = 0.0 exactly, so only counts > 1 are summed
     h = _entropy_from_counts(counts[counts > 1].tolist(), len(keys), q)
-    return h, len(counts), labels
+    # searchsorted ranks keys in less memory than unique's return_inverse
+    return h, np.searchsorted(distinct, keys)
 
 
 def table_entropy(table: FunctionTable) -> float:
     """Exact entropy of a candidate under uniform inputs, q-ary units."""
-    return _entropy_and_labels(np.asarray(table.values, dtype=np.int64), table.q, table.q)[0]
+    return _entropy_and_labels(np.asarray(table.values, dtype=np.int64), table.q)[0]
 
 
 @dataclass(frozen=True)
@@ -256,10 +265,9 @@ def _prefix_joint_entropies(rows, order, q: int) -> tuple:
     every row, so keys labels*q + value stay below (distinct tuples so far)*q.
     """
     labels = np.zeros(rows.shape[1], dtype=np.int64)
-    n_labels = 1
     joints = []
     for i in order:
-        h, n_labels, labels = _entropy_and_labels(labels * q + rows[i], n_labels * q, q)
+        h, labels = _entropy_and_labels(labels * q + rows[i], q)
         joints.append(h)
     return tuple(joints)
 
@@ -288,7 +296,7 @@ def order_by_entropy(functions) -> CandidateSet:
         raise UsageError("all candidates must share the same q and f")
     # the one tuple -> array conversion of every table
     rows = np.array([t.values for t in functions], dtype=np.int64)
-    entropies = [_entropy_and_labels(row, q, q)[0] for row in rows]
+    entropies = [_entropy_and_labels(row, q)[0] for row in rows]
     all_monomial = all(t.exponents is not None for t in functions)
     if all_monomial:
         order = sorted(

@@ -173,8 +173,12 @@ def cmd_figure(args) -> int:
 
 def cmd_monomials(args) -> int:
     vectors = cand.generate_nonparallel_monomials(args.f, args.g, args.q)
-    entropies = [cand.table_entropy(cand.build_monomial(e, args.q)) for e in vectors]
-    entries = [{"exponents": list(e), "entropy": h} for e, h in zip(vectors, entropies)]
+    entries = []
+    entropies = []
+    for e in vectors:
+        h = cand.table_entropy(cand.build_monomial(e, args.q))
+        entropies.append(h)
+        entries.append({"exponents": list(e), "entropy": h})
     _emit_json(
         {
             "q": args.q,
