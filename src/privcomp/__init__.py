@@ -46,7 +46,6 @@ from .protocol import (
     QueryPlan,
     SimulationConfig,
     SimulationReport,
-    TauSum,
     answer_queries,
     decode,
     generate_query_plan,
@@ -84,7 +83,6 @@ __all__ = [
     "ResourceLimitError",
     "SimulationConfig",
     "SimulationReport",
-    "TauSum",
     "TypeVector",
     "UsageError",
     "achievable_rate",

@@ -29,7 +29,7 @@ coding module and charges their actual lengths.
 
 import itertools
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -56,59 +56,98 @@ DEFAULT_EPSILON = 0.05
 # ---------------------------------------------------------------- query plans
 
 
-@dataclass(frozen=True)
-class TauSum:
-    """One queried sum: |members| segments from distinct candidates."""
-
-    sum_id: int
-    db: int  # 1-based database index
-    round: int  # tau = number of constituents
-    members: tuple  # sorted tuple of (candidate, subindex), 1-based
-    desired: bool
-    side_ref: int | None  # sum_id of the undesired (tau-1)-sum it extends
-
-    @property
-    def type(self) -> tuple:
-        return tuple(w for w, _ in self.members)
-
-    def subindex(self, candidate: int) -> int:
-        for w, t in self.members:
-            if w == candidate:
-                return t
-        raise ProtocolError(f"candidate {candidate} not in sum {self.sum_id}")
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QueryPlan:
-    """All tau-sums for one retrieval, plus the private permutation."""
+    """All tau-sums for one retrieval, plus the private permutation.
+
+    Row i of every array is sum i, in generation order.  sums[i, w-1] is the
+    subindex of candidate w in sum i, 0 when w is not a member; side_ref[i] is
+    the undesired (tau-1)-sum a desired sum extends, -1 for none.
+    """
 
     n: int
     mu: int
     v: int
     seed: int | None
     permutation: tuple  # permutation[t-1] = actual segment index, 1-based
-    sums: tuple
+    sums: np.ndarray  # (S, mu) subindex matrix
+    db: np.ndarray  # 1-based database index
+    round: np.ndarray  # tau = number of constituents
+    desired: np.ndarray  # bool
+    side_ref: np.ndarray
 
     @property
     def beta(self) -> int:
         return self.n**self.mu
 
-    def per_db(self, j: int):
-        return [s for s in self.sums if s.db == j]
 
-    def by_id(self) -> dict:
-        return {s.sum_id: s for s in self.sums}
+def _masks(sums: np.ndarray) -> np.ndarray:
+    """Candidate set of each row as a bitmask, bit w-1 for candidate w."""
+    return (sums != 0) @ (1 << np.arange(sums.shape[1], dtype=np.int64))
 
-    def round1_subindex(self, j: int) -> int:
-        for s in self.sums:
-            if s.db == j and s.round == 1:
-                return s.members[0][1]
-        raise ProtocolError(f"database {j} has no round-1 sums")
+
+def _type_of(mask: int) -> tuple:
+    return tuple(w + 1 for w in range(mask.bit_length()) if mask >> w & 1)
 
 
 def _sample_permutation(beta: int, seed):
     rng = np.random.default_rng(seed)
     return tuple(int(x) + 1 for x in rng.permutation(beta))
+
+
+def _plan_blocks(n: int, mu: int) -> list:
+    """Blocks (sums, db, round, desired, side_ref) of the plan for v = 1."""
+    bit = 1 << np.arange(mu, dtype=np.int64)
+    blocks = []
+    rows = 0  # sum id of the next row
+    counter = 0  # global fresh-subindex counter for the desired candidate
+    undesired_prev = {}  # db -> (first sum id, sums) of the previous round
+    for tau in range(1, mu + 1):
+        combos = np.array(
+            list(itertools.combinations(range(1, mu), tau)), dtype=np.int64
+        ).reshape(-1, tau)  # undesired types, as 0-based columns
+        copies = (n - 1) ** (tau - 1)
+        k = np.arange(copies)
+        new_undesired = {}
+        for j in range(1, n + 1):
+            if tau == 1:
+                desired = np.zeros((1, mu), dtype=np.int32)
+                side_ref = np.array([-1])
+            else:
+                prev = [undesired_prev[jp] for jp in range(1, n + 1) if jp != j]
+                desired = np.concatenate([s for _, s in prev])
+                side_ref = np.concatenate([i + np.arange(len(s)) for i, s in prev])
+            desired[:, 0] = counter + 1 + np.arange(len(desired))
+            counter += len(desired)
+            # member w of an undesired sum of type T takes the subindex of a
+            # desired sum with side type T minus {w}, in generation order
+            side = (desired[:, 1:] != 0) @ bit[1:]
+            order = np.argsort(side, kind="stable")
+            side_types = side[order][::copies]
+            donors = desired[order, 0].reshape(-1, copies)
+            undesired = np.zeros((len(combos) * copies, mu), dtype=np.int32)
+            at = np.arange(len(combos))[:, None] * copies + k
+            full = bit[combos].sum(axis=1)
+            for i in range(tau):
+                w = combos[:, i]
+                d = donors[np.searchsorted(side_types, full - bit[w])]
+                # cycle the fastest-varying digit of the copy index
+                idx = (k // (n - 1)) * (n - 1) + (k + i) % (n - 1)
+                undesired[at, w[:, None]] = d[:, idx]
+            for s, want, ref in ((desired, True, side_ref), (undesired, False, -1)):
+                m = len(s)
+                ref = np.broadcast_to(ref, m)
+                blocks.append(
+                    (s, np.full(m, j), np.full(m, tau), np.full(m, want), ref)
+                )
+            new_undesired[j] = (rows + len(desired), undesired)
+            rows += len(desired) + len(undesired)
+        undesired_prev = new_undesired
+    if counter != n**mu:
+        raise ProtocolError(
+            f"desired coverage is {counter} segments, expected beta = {n**mu}"
+        )
+    return blocks
 
 
 def generate_query_plan(
@@ -120,9 +159,9 @@ def generate_query_plan(
 ) -> QueryPlan:
     """Build the round-wise query plan for desired candidate v.
 
-    The structure is generated for desired slot 1 and then candidate labels 1
-    and v are swapped, so all plans for one (n, mu) are label-isomorphic by
-    construction.
+    The structure is generated for desired slot 1 and then the columns of
+    candidates 1 and v are swapped, so all plans for one (n, mu) are
+    label-isomorphic by construction.
     """
     if n < 2:
         raise UsageError("replication requires at least 2 databases")
@@ -141,64 +180,13 @@ def generate_query_plan(
             raise UsageError("permutation must be a bijection on [beta]")
     else:
         permutation = _sample_permutation(beta, seed)
-
-    sums = []
-    counter = 0  # global fresh-subindex counter for the desired candidate
-    undesired_prev = [[] for _ in range(n + 1)]  # per db, previous round
-    for tau in range(1, mu + 1):
-        new_undesired = [[] for _ in range(n + 1)]
-        for j in range(1, n + 1):
-            desired_here = []
-            if tau == 1:
-                counter += 1
-                s = TauSum(len(sums), j, 1, ((1, counter),), True, None)
-                sums.append(s)
-                desired_here.append(s)
-            else:
-                for jp in range(1, n + 1):
-                    if jp == j:
-                        continue
-                    for sp in undesired_prev[jp]:
-                        counter += 1
-                        members = tuple(sorted(((1, counter),) + sp.members))
-                        s = TauSum(len(sums), j, tau, members, True, sp.sum_id)
-                        sums.append(s)
-                        desired_here.append(s)
-            by_side = {}
-            for ds in desired_here:
-                side = tuple(w for w, _ in ds.members if w != 1)
-                by_side.setdefault(side, []).append(ds)
-            copies = (n - 1) ** (tau - 1)
-            for T in itertools.combinations(range(2, mu + 1), tau):
-                for k in range(copies):
-                    members = []
-                    for i, w in enumerate(T):
-                        side = tuple(x for x in T if x != w)
-                        donors = by_side[side]
-                        # cycle the fastest-varying digit of the copy index
-                        idx = (k // (n - 1)) * (n - 1) + (k + i) % (n - 1) if tau > 1 else 0
-                        members.append((w, donors[idx].subindex(1)))
-                    s = TauSum(len(sums), j, tau, tuple(sorted(members)), False, None)
-                    sums.append(s)
-                    new_undesired[j].append(s)
-        undesired_prev = new_undesired
-    if counter != beta:
-        raise ProtocolError(
-            f"desired coverage is {counter} segments, expected beta = {beta}"
-        )
-    if v != 1:
-        relabel = {1: v, v: 1}
-        sums = [
-            replace(
-                s,
-                members=tuple(
-                    sorted((relabel.get(w, w), t) for w, t in s.members)
-                ),
-            )
-            for s in sums
-        ]
+    sums, db, rnd, desired, side_ref = (
+        np.concatenate(col) for col in zip(*_plan_blocks(n, mu))
+    )
+    sums[:, [0, v - 1]] = sums[:, [v - 1, 0]]
     return QueryPlan(
-        n=n, mu=mu, v=v, seed=seed, permutation=permutation, sums=tuple(sums)
+        n=n, mu=mu, v=v, seed=seed, permutation=permutation, sums=sums,
+        db=db, round=rnd, desired=desired, side_ref=side_ref,
     )
 
 
@@ -252,26 +240,6 @@ class LedgerEntry:
     round: int
     type: tuple
     charge: float  # q-ary units
-
-
-@dataclass
-class Round1Answer:
-    db: int
-    subindex: int
-    payload: object  # symbolic: ndarray (mu, L); concrete: Codeword
-
-
-@dataclass
-class SumAnswer:
-    sum_id: int
-    payload: object  # symbolic: ndarray (L,); concrete: Codeword
-
-
-@dataclass
-class AnswerSet:
-    db: int
-    round1: Round1Answer
-    sums: dict  # sum_id -> SumAnswer
 
 
 def _type_budget(profile, type_: tuple) -> float:
@@ -329,6 +297,15 @@ def build_concrete_codes(
     )
 
 
+def _sum_segments(sums: np.ndarray, perm: np.ndarray, values, q: int) -> np.ndarray:
+    """Raw answer of each row of sums: its members' segments added mod q."""
+    total = np.zeros((len(sums), values[0].shape[1]), dtype=np.int16)
+    for w, col in enumerate(sums.T):
+        (rows,) = np.nonzero(col)
+        total[rows] = (total[rows] + values[w][perm[col[rows] - 1]]) % q
+    return total
+
+
 def answer_queries(
     j: int,
     plan: QueryPlan,
@@ -341,80 +318,62 @@ def answer_queries(
 ):
     """Database j's answers and ledger entries for its part of the plan.
 
-    Only the queried sums, the replica, and the public candidate tables are
-    consulted; nothing here depends on which candidate is desired.
+    answers[i] answers database j's i-th sum in plan order.  Symbolic mode
+    sends raw sums mod q, one (S_j, L) array whose round-1 rows are the joint
+    bundle.  Concrete mode sends a list: each later sum as a codeword, and
+    every round-1 row as the one joint-bundle codeword, or as its raw segment
+    when the joint alphabet is capped out.  Only the queried sums, the
+    replica, and the public candidate tables are consulted; nothing here
+    depends on which candidate is desired.
     """
     if mode not in ("symbolic", "concrete"):
         raise UsageError(f"unknown mode {mode!r}")
-    q = store.q
     profile = candidate_set.profile
     length = store.length
-    perm = plan.permutation
-    if values is None:
-        values = evaluate_candidates(store, candidate_set)
-    input_codes = None
-    if mode == "concrete":
-        if codes is None:
-            codes = build_concrete_codes(candidate_set, length, epsilon)
-        if not codes.joint_fallback:
-            input_codes = store.input_codes()
-
-    def segment(w: int, t: int) -> np.ndarray:
-        if not 1 <= t <= plan.beta:
-            raise ProtocolError(f"subindex {t} outside [1, {plan.beta}]")
-        return values[w - 1][perm[t - 1] - 1]
-
-    ledger = []
-    sums = {}
-    round1 = None
-    full_type = tuple(range(1, plan.mu + 1))
-    round1_ts = {s.members[0][1] for s in plan.per_db(j) if s.round == 1}
-    if len(round1_ts) > 1:
+    sums = plan.sums[plan.db == j]
+    if sums.min(initial=0) < 0 or sums.max(initial=0) > plan.beta:
+        raise ProtocolError(f"database {j}: subindex outside [1, {plan.beta}]")
+    first = plan.round[plan.db == j] == 1
+    round1_ts = sums[first].max(axis=1)
+    if len(round1_ts) == 0:
+        raise ProtocolError(f"database {j} has no round-1 sums")
+    if (round1_ts != round1_ts[0]).any():
         # joint compression requires one shared segment per database
         raise ProtocolError(
             f"database {j} has round-1 singletons at several subindices"
         )
-    for s in plan.per_db(j):
-        if s.round == 1:
-            if round1 is not None:
-                continue  # the round-1 bundle covers all singletons at once
-            t = s.members[0][1]
-            if mode == "symbolic":
-                payload = np.stack([segment(w, t) for w in full_type])
-                charge = length * profile.joint
-            else:
-                if codes.joint_fallback:
-                    payload = np.stack([segment(w, t) for w in full_type])
-                    charge = length * profile.joint
-                else:
-                    row = input_codes[perm[t - 1] - 1]
-                    seq = tuple(int(x) for x in codes.image_of_code[row])
-                    payload = encode_fixed(seq, codes.joint_code)
-                    charge = float(codes.joint_code.codeword_len)
-            round1 = Round1Answer(db=j, subindex=t, payload=payload)
-            ledger.append(LedgerEntry(db=j, round=1, type=full_type, charge=charge))
+    if values is None:
+        values = evaluate_candidates(store, candidate_set)
+    perm = np.asarray(plan.permutation) - 1
+    charge = length * profile.joint
+    if mode == "symbolic":
+        answers = _sum_segments(sums, perm, values, store.q)
+    else:
+        if codes is None:
+            codes = build_concrete_codes(candidate_set, length, epsilon)
+        # raw round-1 segments, kept only when the joint alphabet is capped out
+        answers = list(_sum_segments(sums * first[:, None], perm, values, store.q))
+        if not codes.joint_fallback:
+            row = store.input_codes()[perm[round1_ts[0] - 1]]
+            seq = tuple(int(x) for x in codes.image_of_code[row])
+            bundle = encode_fixed(seq, codes.joint_code)
+            answers = [bundle if f else a for f, a in zip(first, answers)]
+            charge = float(codes.joint_code.codeword_len)
+    full_type = tuple(range(1, plan.mu + 1))
+    ledger = [LedgerEntry(db=j, round=1, type=full_type, charge=charge)]
+    masks = _masks(sums).tolist()
+    for i in np.flatnonzero(~first).tolist():
+        type_ = _type_of(masks[i])
+        if mode == "symbolic":
+            charge = length * _type_budget(profile, type_)
         else:
-            if mode == "symbolic":
-                total = np.zeros(length, dtype=np.int16)
-                for w, t in s.members:
-                    total = (total + segment(w, t)) % q
-                payload = total
-                charge = length * _type_budget(profile, s.type)
-            else:
-                code = codes.type_codes[s.type]
-                parts = [
-                    encode_fixed(tuple(int(x) for x in segment(w, t)), code)
-                    for w, t in s.members
-                ]
-                payload = sum_codewords(*parts)
-                charge = float(code.codeword_len)
-            sums[s.sum_id] = SumAnswer(sum_id=s.sum_id, payload=payload)
-            ledger.append(
-                LedgerEntry(db=j, round=s.round, type=s.type, charge=charge)
-            )
-    if round1 is None:
-        raise ProtocolError(f"database {j} has no round-1 sums")
-    return AnswerSet(db=j, round1=round1, sums=sums), ledger
+            code = codes.type_codes[type_]
+            segments = (values[w - 1][perm[sums[i, w - 1] - 1]] for w in type_)
+            parts = [encode_fixed(tuple(int(x) for x in seg), code) for seg in segments]
+            answers[i] = sum_codewords(*parts)
+            charge = float(code.codeword_len)
+        ledger.append(LedgerEntry(db=j, round=len(type_), type=type_, charge=charge))
+    return answers, ledger
 
 
 # -------------------------------------------------------------------- decode
@@ -435,171 +394,158 @@ def decode(
     answers,
     candidate_set: CandidateSet,
     mode: str = "symbolic",
-    epsilon: float = DEFAULT_EPSILON,
+    codes: ConcreteCodes | None = None,
 ):
-    """Recover all beta desired segments by round-ordered elimination.
+    """Recover all beta desired segments from the answers of databases 1..n.
 
-    Round-1 segments decode directly; a desired tau-sum is resolved by
-    subtracting its side information, which round-by-round is either a raw
-    undesired sum (symbolic), a re-encoded known segment (concrete, tau = 2),
-    or a widened undesired codeword sum (concrete, tau >= 3).
+    A desired sum is resolved by subtracting its side information, the
+    undesired sum it extends: nothing for round 1, a raw answer (symbolic),
+    a re-encoded known segment (concrete, tau = 2), or a widened undesired
+    codeword sum (concrete, tau >= 3).
     """
     if mode not in ("symbolic", "concrete"):
         raise UsageError(f"unknown mode {mode!r}")
-    v = plan.v
-    q = candidate_set.q
-    by_id = plan.by_id()
-    answer_by_db = {a.db: a for a in answers}
-    if sorted(answer_by_db) != list(range(1, plan.n + 1)):
+    v, q, beta = plan.v, candidate_set.q, plan.beta
+    rows = [np.flatnonzero(plan.db == j) for j in range(1, plan.n + 1)]
+    if list(map(len, answers)) != list(map(len, rows)):
         raise ProtocolError("need answers from every database")
-    length = answers[0].round1.payload.shape[1] if mode == "symbolic" else None
-    codes = None
-    if mode == "concrete":
-        first = answer_by_db[1].round1.payload
-        length = (
-            first.shape[1] if isinstance(first, np.ndarray) else first.code.length
-        )
-        codes = build_concrete_codes(candidate_set, length, epsilon)
-
-    segments = np.zeros((plan.beta, length), dtype=np.int16)
-    placed = np.zeros(plan.beta, dtype=bool)
-    failed_real = []
-    # round-1 bundles decode to every candidate's segment at that subindex
-    round1_values = {}  # (candidate, subindex) -> ndarray (L,), or None if lost
-    for j in range(1, plan.n + 1):
-        a = answer_by_db[j].round1
-        if isinstance(a.payload, np.ndarray):
-            for w in range(1, plan.mu + 1):
-                round1_values[(w, a.subindex)] = a.payload[w - 1]
-        else:
-            if a.payload.atypical:
-                for w in range(1, plan.mu + 1):
-                    round1_values[(w, a.subindex)] = None
-            else:
-                seq = decode_fixed(a.payload, codes.joint_code)
-                arr = np.array(
-                    [codes.image_tuples[s] for s in seq], dtype=np.int16
-                ).T
-                for w in range(1, plan.mu + 1):
-                    round1_values[(w, a.subindex)] = arr[w - 1]
-
-    def place(t: int, value) -> None:
-        real = plan.permutation[t - 1]
-        if placed[real - 1]:
-            raise ProtocolError(f"segment {real} decoded twice")
-        placed[real - 1] = True
-        if value is None:
-            failed_real.append(real)
-        else:
-            segments[real - 1] = value
-
-    def check_side(s: TauSum) -> TauSum:
-        if s.side_ref is None or s.side_ref not in by_id:
-            raise ProtocolError(f"sum {s.sum_id} is missing its side information")
-        ref = by_id[s.side_ref]
-        expected = tuple(m for m in s.members if m[0] != v)
-        if ref.desired or ref.db == s.db or ref.members != expected:
-            raise ProtocolError(
-                f"sum {s.sum_id}: side reference {ref.sum_id} does not match"
-            )
-        return ref
-
-    for s in plan.sums:
-        if not s.desired:
-            continue
-        t = s.subindex(v)
-        if s.round == 1:
-            place(t, round1_values[(v, t)])
-            continue
-        ref = check_side(s)
-        answer = answer_by_db[s.db].sums[s.sum_id].payload
-        if mode == "symbolic":
-            if ref.round == 1:
-                side = round1_values[ref.members[0]]
-            else:
-                side = answer_by_db[ref.db].sums[ref.sum_id].payload
-            place(t, (answer - side) % q)
-            continue
-        # concrete: cancel the side information inside codeword space
-        code = codes.type_codes[s.type]
-        if answer.atypical:
-            place(t, None)
-            continue
-        if ref.round == 1:
-            known = round1_values[ref.members[0]]
-            if known is None:
-                place(t, None)
-                continue
-            side_cw = encode_fixed(tuple(int(x) for x in known), code)
-        else:
-            side_answer = answer_by_db[ref.db].sums[ref.sum_id].payload
-            side_cw = widen_codeword(side_answer, code)
-        if side_cw.atypical:
-            place(t, None)
-            continue
-        residual = subtract_codewords(answer, side_cw)
-        try:
-            value = np.array(decode_fixed(residual, code), dtype=np.int16)
-        except CodecError:
-            value = None
-        place(t, value)
-    if not placed.all():
+    desired = np.flatnonzero(plan.desired)
+    t = plan.sums[desired, v - 1]
+    if t.min(initial=1) < 1 or t.max(initial=1) > beta:
+        raise ProtocolError(f"a desired sum has no subindex in [1, {beta}]")
+    later = plan.round[desired] > 1
+    side = np.where(later, plan.side_ref[desired], -1)
+    ref = side[later]
+    if ref.min(initial=0) < 0 or ref.max(initial=0) >= len(plan.sums):
+        raise ProtocolError("a desired sum is missing its side information")
+    expected = plan.sums[desired[later]]
+    expected[:, v - 1] = 0
+    if (
+        plan.desired[ref] | (plan.db[ref] == plan.db[desired[later]])
+        | (plan.sums[ref] != expected).any(axis=1)
+    ).any():
+        raise ProtocolError("a side reference does not match its desired sum")
+    real = np.asarray(plan.permutation)[t - 1]
+    hits = np.bincount(real, minlength=beta + 1)[1:]
+    if hits.max(initial=0) > 1:
+        raise ProtocolError(f"segment {int(np.argmax(hits)) + 1} decoded twice")
+    if (hits == 0).any():
         raise ProtocolError("decode did not cover every segment")
-    return DecodeResult(segments=segments, failed=sorted(failed_real))
+
+    probe = answers[0][0]
+    length = probe.shape[-1] if isinstance(probe, np.ndarray) else probe.code.length
+    # raw row values; the extra last row is the zero side information of round 1
+    raw = np.zeros((len(plan.sums) + 1, length), dtype=np.int16)
+    lost = np.zeros(len(plan.sums) + 1, dtype=bool)
+    order = np.concatenate(rows)  # sum ids in the order the answers arrive
+    if mode == "symbolic":
+        raw[order] = np.concatenate(answers)
+    else:
+        if codes is None:
+            codes = build_concrete_codes(candidate_set, length)
+        coded = dict(zip(order.tolist(), itertools.chain(*answers)))
+        for r in rows:
+            first = r[plan.round[r] == 1]
+            bundle = coded[first[0]]
+            if codes.joint_fallback:
+                raw[first] = [coded[i] for i in first]
+            elif bundle.atypical:
+                lost[first] = True
+            else:
+                seq = decode_fixed(bundle, codes.joint_code)
+                image = np.array([codes.image_tuples[s] for s in seq], dtype=np.int16)
+                raw[first] = image[:, plan.sums[first].argmax(axis=1)].T
+    value = (raw[desired] - raw[side]) % q
+    failed = lost[desired]
+    if mode == "concrete":
+        masks = _masks(plan.sums).tolist()
+        for k in np.flatnonzero(later).tolist():
+            i, s = int(desired[k]), int(side[k])
+            code = codes.type_codes[_type_of(masks[i])]
+            failed[k] = True
+            if coded[i].atypical or lost[s]:
+                continue
+            if plan.round[s] == 1:
+                side_cw = encode_fixed(tuple(int(x) for x in raw[s]), code)
+            else:
+                side_cw = widen_codeword(coded[s], code)
+            if side_cw.atypical:
+                continue
+            try:
+                value[k] = decode_fixed(subtract_codewords(coded[i], side_cw), code)
+            except CodecError:
+                continue
+            failed[k] = False
+        value[failed] = 0
+    segments = np.zeros((beta, length), dtype=np.int16)
+    segments[real - 1] = value
+    return DecodeResult(segments=segments, failed=sorted(real[failed].tolist()))
 
 
 # ----------------------------------------------------------- privacy checks
 
 
-def _find_relabeling(sums_a, sums_b) -> bool:
+def _bind(row_a: list, row_b: list, rho: dict, rho_inv: dict):
+    """Extend rho so it maps row_a onto row_b; the labels bound, or None."""
+    bound = []
+    for w, t in row_a:
+        t2 = row_b[w]
+        if t in rho:
+            if rho[t] == t2:
+                continue
+        elif t2 not in rho_inv:
+            rho[t] = t2
+            rho_inv[t2] = t
+            bound.append(t)
+            continue
+        for t in bound:
+            del rho_inv[rho.pop(t)]
+        return None
+    return bound
+
+
+def _find_relabeling(view_a: np.ndarray, view_b: np.ndarray) -> bool:
     """Is one per-database view a subindex relabeling of the other?
 
     Exact criterion for the query distributions (over the uniform permutation)
-    to coincide: backtracking search for a bijection on subindex labels that
-    maps one sum multiset onto the other with candidates fixed.
+    to coincide: backtracking search, on an explicit stack, for a bijection on
+    subindex labels that maps one view's rows onto the other's with candidates
+    fixed.  Row i of view_a is only tried on the rows of view_b with the same
+    candidate set.
     """
-    a = [dict(s.members) for s in sums_a]
-    b = [dict(s.members) for s in sums_b]
-    if sorted(map(len, a)) != sorted(map(len, b)):
+    keys_a, keys_b = _masks(view_a).tolist(), _masks(view_b).tolist()
+    if Counter(keys_a) != Counter(keys_b):
         return False
+    a = [[(w, t) for w, t in enumerate(row) if t] for row in view_a.tolist()]
+    b = view_b.tolist()
+    bucket = {}
+    for k, key in enumerate(keys_b):
+        bucket.setdefault(key, []).append(k)
     used = [False] * len(b)
-    rho = {}
-    rho_inv = {}
-
-    def match(i: int) -> bool:
-        if i == len(a):
-            return True
-        sa = a[i]
-        for k, sb in enumerate(b):
-            if used[k] or set(sa) != set(sb):
-                continue
-            bound = []
-            ok = True
-            for w, t in sa.items():
-                t2 = sb[w]
-                if t in rho:
-                    if rho[t] != t2:
-                        ok = False
-                        break
-                elif t2 in rho_inv:
-                    ok = False
+    rho, rho_inv = {}, {}
+    stack = []  # per matched row of view_a: (next bucket position, k, labels bound)
+    pos = 0
+    while len(stack) < len(a):
+        tries = bucket[keys_a[len(stack)]]
+        while pos < len(tries):
+            k = tries[pos]
+            pos += 1
+            if not used[k]:
+                bound = _bind(a[len(stack)], b[k], rho, rho_inv)
+                if bound is not None:
+                    used[k] = True
+                    stack.append((pos, k, bound))
+                    pos = 0
                     break
-                else:
-                    bound.append((t, t2))
-            if ok:
-                for t, t2 in bound:
-                    rho[t] = t2
-                    rho_inv[t2] = t
-                used[k] = True
-                if match(i + 1):
-                    return True
-                used[k] = False
-                for t, t2 in bound:
-                    del rho[t]
-                    del rho_inv[t2]
-        return False
-
-    return match(0)
+        else:
+            # no row fits: take back the previous match and try its next row
+            if not stack:
+                return False
+            pos, k, bound = stack.pop()
+            used[k] = False
+            for t in bound:
+                del rho_inv[rho.pop(t)]
+    return True
 
 
 @dataclass
@@ -627,7 +573,6 @@ def verify_privacy_structure(
     plans,
     uniformity_seeds: int = 0,
     significance: float = 0.01,
-    check_relabeling: bool | None = None,
 ) -> PrivacyReport:
     """Check the structural symmetries privacy rests on, across all plans.
 
@@ -649,29 +594,32 @@ def verify_privacy_structure(
         raise UsageError("plans disagree on (n, mu)")
     plans = sorted(plans, key=lambda p: p.v)
 
+    def type_keys(p, j):
+        # (round, type) of database j's sums, sorted, as round * 2^mu + mask
+        at = p.db == j
+        return np.sort(p.round[at] * 2**mu + _masks(p.sums[at]))
+
     violations = []
-    base = [Counter((s.round, s.type) for s in plans[0].per_db(j)) for j in range(1, n + 1)]
+    base = [type_keys(plans[0], j) for j in range(1, n + 1)]
     for p in plans[1:]:
         for j in range(1, n + 1):
-            got = Counter((s.round, s.type) for s in p.per_db(j))
-            if got != base[j - 1]:
-                diff = (got - base[j - 1]) + (base[j - 1] - got)
-                example = next(iter(diff))
+            got = type_keys(p, j)
+            if not np.array_equal(got, base[j - 1]):
+                a, b = Counter(got.tolist()), Counter(base[j - 1].tolist())
+                tau, mask = divmod(next(iter((a - b) + (b - a))), 2**mu)
                 violations.append(
                     f"db {j}: (round, type) multiset differs between v=1 and "
-                    f"v={p.v}, e.g. {example}"
+                    f"v={p.v}, e.g. {(tau, _type_of(mask))}"
                 )
     multisets_ok = not violations
 
     relabeling_ok = None
-    total_sums = len(plans[0].sums)
-    if check_relabeling is None:
-        check_relabeling = multisets_ok and total_sums <= RELABEL_CHECK_CAP
-    if check_relabeling:
+    if multisets_ok and len(plans[0].sums) <= RELABEL_CHECK_CAP:
         relabeling_ok = True
+        a = plans[0]
         for p in plans[1:]:
             for j in range(1, n + 1):
-                if not _find_relabeling(plans[0].per_db(j), p.per_db(j)):
+                if not _find_relabeling(a.sums[a.db == j], p.sums[p.db == j]):
                     relabeling_ok = False
                     violations.append(
                         f"db {j}: view for v={p.v} is not a relabeling of v=1"
@@ -688,9 +636,13 @@ def verify_privacy_structure(
         for p in plans:
             slots = {}
             for j in range(1, n + 1):
-                slots[(j, "round1")] = p.round1_subindex(j)
-                last_desired = [s for s in p.per_db(j) if s.desired][-1]
-                slots[(j, "last-desired")] = last_desired.subindex(p.v)
+                at = p.db == j
+                round1 = np.flatnonzero(at & (p.round == 1))
+                if not len(round1):
+                    raise ProtocolError(f"database {j} has no round-1 sums")
+                slots[(j, "round1")] = int(p.sums[round1[0]].max())
+                last_desired = np.flatnonzero(at & p.desired)[-1]
+                slots[(j, "last-desired")] = int(p.sums[last_desired, p.v - 1])
             counts = {key: np.zeros(beta, dtype=np.int64) for key in slots}
             for seed in range(uniformity_seeds):
                 perm = _sample_permutation(beta, seed)
@@ -810,7 +762,7 @@ def run_simulation(config: SimulationConfig) -> SimulationReport:
         answers.append(a)
         ledger.extend(entries)
 
-    result = decode(plan, answers, cs, mode=config.mode, epsilon=config.epsilon)
+    result = decode(plan, answers, cs, mode=config.mode, codes=codes)
     direct = values[config.v - 1]
     if config.mode == "symbolic":
         recovery_ok = bool(np.array_equal(result.segments, direct)) and not result.failed
@@ -827,7 +779,14 @@ def run_simulation(config: SimulationConfig) -> SimulationReport:
             generate_query_plan(n, mu, w, permutation=plan.permutation)
             for w in range(1, mu + 1)
         ]
-        privacy_ok = verify_privacy_structure(siblings).ok
+        report = verify_privacy_structure(siblings)
+        privacy_ok = report.ok
+        if report.ok and report.relabeling_ok is None:
+            privacy_ok = None
+            warnings.append(
+                f"privacy relabeling check skipped: {len(plan.sums)} sums "
+                f"exceed the cap of {RELABEL_CHECK_CAP}"
+            )
 
     total = sum(e.charge for e in ledger)
     per_round = []

@@ -14,7 +14,6 @@ from privcomp import (
     FixedCode,
     FunctionTable,
     SimulationConfig,
-    TauSum,
     TypeVector,
     achievable_rate,
     achievable_rate_messages,
@@ -207,11 +206,16 @@ def test_criterion_4_recovery_and_privacy():
         seed += 1
     # negative control: a plan with one extra desired singleton must be caught
     plans = [generate_query_plan(2, 2, v, seed=0) for v in (1, 2)]
-    extra = TauSum(
-        sum_id=len(plans[0].sums), db=1, round=1, members=((1, 3),),
-        desired=True, side_ref=None,
+    extra = np.zeros((1, plans[0].mu), dtype=plans[0].sums.dtype)
+    extra[0, 0] = 3
+    tampered = replace(
+        plans[0],
+        sums=np.vstack([plans[0].sums, extra]),
+        db=np.append(plans[0].db, 1),
+        round=np.append(plans[0].round, 1),
+        desired=np.append(plans[0].desired, True),
+        side_ref=np.append(plans[0].side_ref, -1),
     )
-    tampered = replace(plans[0], sums=plans[0].sums + (extra,))
     control = verify_privacy_structure([tampered, plans[1]])
     ok = failures == 0 and runs >= 200 and not control.ok
     _report(

@@ -172,6 +172,31 @@ def test_simulate_symbolic_example(capsys):
     assert data["rate_measured"] == pytest.approx(data["rate_formula"], abs=1e-9)
 
 
+def test_simulate_privacy_skipped_is_null_and_exits_0(capsys):
+    exps = "1,0,0;0,1,0;0,0,1;1,1,0;1,0,1;0,1,1;1,1,1;2,1,0;2,0,1;0,2,1;1,2,0"
+    code, out, _ = run_cli(
+        capsys,
+        "simulate", "--n", "2", "--q", "3", "--candidates", exps,
+        "--L", "1", "--v", "1", "--seed", "0",
+    )
+    assert code == 0
+    data = json.loads(out)
+    assert data["recovery_ok"] is True
+    assert data["privacy_ok"] is None
+    assert any("skipped" in w for w in data["warnings"])
+
+
+def test_simulate_ten_candidates_n2_exits_0(capsys):
+    exps = "1,0,0;0,1,0;0,0,1;1,1,0;1,0,1;0,1,1;1,1,1;2,1,0;2,0,1;0,2,1"
+    code, out, _ = run_cli(
+        capsys,
+        "simulate", "--n", "2", "--q", "3", "--candidates", exps,
+        "--L", "1", "--v", "2", "--seed", "0",
+    )
+    assert code == 0
+    assert json.loads(out)["privacy_ok"] is True
+
+
 def test_simulate_concrete(capsys):
     code, out, _ = run_cli(
         capsys,

@@ -2,9 +2,22 @@ import itertools
 from collections import Counter
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
-from privcomp import TauSum, generate_query_plan, verify_privacy_structure
+from privcomp import generate_query_plan, verify_privacy_structure
+
+
+def db_rows(plan, j):
+    """(round, members) of database j's sums in plan order.
+
+    members is the sorted tuple of (candidate, subindex) pairs of the sum.
+    """
+    at = plan.db == j
+    return [
+        (int(tau), tuple((w + 1, int(t)) for w, t in enumerate(row) if t))
+        for row, tau in zip(plan.sums[at], plan.round[at])
+    ]
 
 
 def sibling_plans(n, mu, permutation=None, seed=0):
@@ -29,16 +42,19 @@ def test_type_multisets_equal_across_v(n, mu):
 def test_negative_control_extra_desired_singleton():
     plans = sibling_plans(2, 2)
     tampered = plans[0]
-    extra = TauSum(
-        sum_id=len(tampered.sums),
-        db=1,
-        round=1,
-        members=((tampered.v, 3),),
-        desired=True,
-        side_ref=None,
+    extra = np.zeros((1, tampered.mu), dtype=tampered.sums.dtype)
+    extra[0, tampered.v - 1] = 3
+    plans[0] = replace(
+        tampered,
+        sums=np.vstack([tampered.sums, extra]),
+        db=np.append(tampered.db, 1),
+        round=np.append(tampered.round, 1),
+        desired=np.append(tampered.desired, True),
+        side_ref=np.append(tampered.side_ref, -1),
     )
-    plans[0] = replace(tampered, sums=tampered.sums + (extra,))
-    report = verify_privacy_structure(plans, check_relabeling=False)
+    # relabeling is not searched once the type multisets differ
+    report = verify_privacy_structure(plans)
+    assert report.relabeling_ok is None
     assert not report.type_multisets_ok
     assert not report.ok
     assert any("multiset differs" in v for v in report.violations)
@@ -57,13 +73,11 @@ def test_relabeling_detects_breakage():
     plans = sibling_plans(2, 3)
     # retarget one undesired subindex: type multisets still match, but the
     # sharing pattern stops being a relabeling of the other plans' views
-    sums = list(plans[0].sums)
-    for i, s in enumerate(sums):
-        if not s.desired and s.round == 2:
-            (w1, t1), (w2, t2) = s.members
-            sums[i] = replace(s, members=((w1, t2), (w2, t2)))
-            break
-    plans[0] = replace(plans[0], sums=tuple(sums))
+    sums = plans[0].sums.copy()
+    i = np.flatnonzero(~plans[0].desired & (plans[0].round == 2))[0]
+    (w1, w2) = np.flatnonzero(sums[i])
+    sums[i, w1] = sums[i, w2]
+    plans[0] = replace(plans[0], sums=sums)
     report = verify_privacy_structure(plans)
     assert report.type_multisets_ok
     assert report.relabeling_ok is False
@@ -81,7 +95,7 @@ def wire_distributions(n, mu):
         for v in range(1, mu + 1)
     ]
     views = {
-        (v, j): [s.members for s in plans[v - 1].per_db(j)]
+        (v, j): [m for _, m in db_rows(plans[v - 1], j)]
         for v in range(1, mu + 1)
         for j in range(1, n + 1)
     }
@@ -158,19 +172,69 @@ def test_full_joint_distribution_micro_exhaustive():
         for (v, perm), plan in plans.items():
             for j in (1, 2):
                 answers, _ = answer_queries(j, plan, store, cs, values=values)
+                rows = db_rows(plan, j)
+                # the round-1 rows form the joint bundle, in candidate order
+                bundle = sorted(
+                    (m[0], a) for (tau, m), a in zip(rows, answers) if tau == 1
+                )
                 view = [
                     (
                         "bundle",
-                        perm[answers.round1.subindex - 1],
-                        tuple(int(x) for x in answers.round1.payload.ravel()),
+                        perm[bundle[0][0][1] - 1],
+                        tuple(int(x) for _, a in bundle for x in a),
                     )
                 ]
-                for s in plan.per_db(j):
-                    if s.round == 1:
+                for (tau, members), a in zip(rows, answers):
+                    if tau == 1:
                         continue
-                    wired = tuple((w, perm[t - 1]) for w, t in s.members)
-                    payload = tuple(int(x) for x in answers.sums[s.sum_id].payload)
+                    wired = tuple((w, perm[t - 1]) for w, t in members)
+                    payload = tuple(int(x) for x in a)
                     view.append(("sum", wired, payload))
                 dists[(v, j)][(tuple(sorted(view)), images)] += 1
     for j in (1, 2):
         assert dists[(1, j)] == dists[(2, j)]
+
+
+# ------------------------------------------ independent oracle: networkx VF2
+
+
+def incidence_graph(plan, j):
+    """Database j's view as a graph: sum and subindex nodes, candidate edges."""
+    import networkx as nx
+
+    g = nx.Graph()
+    for i, (_, members) in enumerate(db_rows(plan, j)):
+        g.add_node(("sum", i), label=tuple(w for w, _ in members))
+        for w, t in members:
+            g.add_node(("t", t), label=None)
+            g.add_edge(("sum", i), ("t", t), w=w)
+    return g
+
+
+@pytest.mark.parametrize(
+    "n,mu", [(2, 2), (2, 3), (2, 4), (3, 2), (3, 3), (4, 3), (3, 4), (4, 4), (5, 4)]
+)
+def test_relabeling_agrees_with_vf2(n, mu):
+    nx = pytest.importorskip("networkx")
+    plans = sibling_plans(n, mu)
+    isomorphic = all(
+        nx.is_isomorphic(
+            incidence_graph(plans[0], j),
+            incidence_graph(p, j),
+            node_match=lambda a, b: a["label"] == b["label"],
+            edge_match=lambda a, b: a["w"] == b["w"],
+        )
+        for p in plans[1:]
+        for j in range(1, n + 1)
+    )
+    report = verify_privacy_structure(plans)
+    assert report.relabeling_ok is isomorphic
+    if (n, mu) in {(4, 4), (5, 4)}:
+        assert report.relabeling_ok is False  # the known non-private plans
+
+
+def test_relabeling_search_is_not_recursive():
+    # (2, 10): 2046 sums, past the recursion limit of a per-sum recursion
+    report = verify_privacy_structure(sibling_plans(2, 10))
+    assert report.relabeling_ok is True
+    assert report.ok

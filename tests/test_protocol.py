@@ -27,6 +27,74 @@ from privcomp import (
 from privcomp.protocol import evaluate_candidates
 
 
+# the earlier generator, built from one object per tau-sum: the array
+# generator must reproduce it row for row
+def oracle_plan(n, mu, v):
+    """Rows (db, round, members, desired, side_ref) of the plan for v."""
+    sums = []  # [db, round, members, desired, side_ref]
+    counter = 0
+    undesired_prev = [[] for _ in range(n + 1)]  # per db: sum ids
+    for tau in range(1, mu + 1):
+        new_undesired = [[] for _ in range(n + 1)]
+        for j in range(1, n + 1):
+            desired_here = []
+            if tau == 1:
+                counter += 1
+                desired_here.append(len(sums))
+                sums.append([j, 1, ((1, counter),), True, -1])
+            else:
+                for jp in range(1, n + 1):
+                    if jp == j:
+                        continue
+                    for sp in undesired_prev[jp]:
+                        counter += 1
+                        members = tuple(sorted(((1, counter),) + sums[sp][2]))
+                        desired_here.append(len(sums))
+                        sums.append([j, tau, members, True, sp])
+            by_side = {}
+            for ds in desired_here:
+                side = tuple(w for w, _ in sums[ds][2] if w != 1)
+                by_side.setdefault(side, []).append(ds)
+            copies = (n - 1) ** (tau - 1)
+            for T in itertools.combinations(range(2, mu + 1), tau):
+                for k in range(copies):
+                    members = []
+                    for i, w in enumerate(T):
+                        side = tuple(x for x in T if x != w)
+                        donors = by_side[side]
+                        # cycle the fastest-varying digit of the copy index
+                        idx = (k // (n - 1)) * (n - 1) + (k + i) % (n - 1) if tau > 1 else 0
+                        members.append((w, dict(sums[donors[idx]][2])[1]))
+                    new_undesired[j].append(len(sums))
+                    sums.append([j, tau, tuple(sorted(members)), False, -1])
+        undesired_prev = new_undesired
+    assert counter == n**mu
+    relabel = {1: v, v: 1}
+    return [
+        (j, tau, tuple(sorted((relabel.get(w, w), t) for w, t in members)), d, ref)
+        for j, tau, members, d, ref in sums
+    ]
+
+
+def plan_rows(plan):
+    """Rows (db, round, members, desired, side_ref) of an array plan.
+
+    members is the sorted tuple of (candidate, subindex) pairs of the sum.
+    """
+    return [
+        (
+            int(j),
+            int(tau),
+            tuple((w + 1, int(t)) for w, t in enumerate(row) if t),
+            bool(d),
+            int(ref),
+        )
+        for row, j, tau, d, ref in zip(
+            plan.sums, plan.db, plan.round, plan.desired, plan.side_ref
+        )
+    ]
+
+
 def plan_cases():
     for n in (2, 3, 4):
         for mu in range(1, 6):
@@ -41,29 +109,51 @@ def plan_cases():
 def test_plan_invariants(n, mu):
     for v in {1, mu}:
         plan = generate_query_plan(n, mu, v, seed=0)
+        rows = plan_rows(plan)
         beta = n**mu
         # per database and round: (n-1)^(tau-1) sums of every type
         for j in range(1, n + 1):
-            counts = Counter((s.round, s.type) for s in plan.per_db(j))
+            at_j = [r for r in rows if r[0] == j]
+            counts = Counter((tau, types(m)) for _, tau, m, _, _ in at_j)
             for tau in range(1, mu + 1):
                 for T in itertools.combinations(range(1, mu + 1), tau):
                     assert counts[(tau, T)] == (n - 1) ** (tau - 1)
-            assert len(plan.per_db(j)) == sum(
+            assert len(at_j) == sum(
                 math.comb(mu, tau) * (n - 1) ** (tau - 1) for tau in range(1, mu + 1)
             )
         # every desired subindex used exactly once, covering [beta]
-        desired_ts = sorted(s.subindex(v) for s in plan.sums if s.desired)
+        desired_ts = sorted(dict(m)[v] for _, _, m, d, _ in rows if d)
         assert desired_ts == list(range(1, beta + 1))
         # side information: the undesired part of each desired sum is queried
         # verbatim at some other database
         undesired = {}
-        for s in plan.sums:
-            if not s.desired:
-                undesired.setdefault(s.members, set()).add(s.db)
-        for s in plan.sums:
-            if s.desired and s.round >= 2:
-                rest = tuple(m for m in s.members if m[0] != v)
-                assert any(j != s.db for j in undesired.get(rest, ()))
+        for j, _, m, d, _ in rows:
+            if not d:
+                undesired.setdefault(m, set()).add(j)
+        for j, tau, m, d, _ in rows:
+            if d and tau >= 2:
+                rest = tuple(x for x in m if x[0] != v)
+                assert any(jj != j for jj in undesired.get(rest, ()))
+
+
+def types(members):
+    return tuple(w for w, _ in members)
+
+
+def oracle_cases():
+    for n in range(2, 6):
+        for mu in range(1, 7):
+            if n**mu <= 4096:
+                yield n, mu
+
+
+@pytest.mark.parametrize("n,mu", list(oracle_cases()))
+def test_plan_matches_oracle(n, mu):
+    # row for row: db, round, members, desired and side_ref, for every v
+    for v in range(1, mu + 1):
+        plan = generate_query_plan(n, mu, v, seed=0)
+        assert plan_rows(plan) == oracle_plan(n, mu, v)
+        assert len(plan.sums) == plan.sums.shape[0] == len(plan.side_ref)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
@@ -79,16 +169,18 @@ def test_desired_coverage_binomial_identity(n):
 def test_plan_example_n2_mu2():
     plan = generate_query_plan(2, 2, 1, seed=0)
     for j in (1, 2):
-        rounds = Counter((s.round, s.type) for s in plan.per_db(j))
+        rounds = Counter(
+            (tau, types(m)) for jj, tau, m, _, _ in plan_rows(plan) if jj == j
+        )
         assert rounds == Counter({(1, (1,)): 1, (1, (2,)): 1, (2, (1, 2)): 1})
-    assert sum(1 for s in plan.sums if s.desired) == 4  # beta segments
+    assert sum(1 for r in plan_rows(plan) if r[3]) == 4  # beta segments
 
 
 def test_plan_example_n2_mu3_type_multiset():
     plan = generate_query_plan(2, 3, 2, seed=0)
     for j in (1, 2):
-        types = Counter(s.type for s in plan.per_db(j))
-        assert types == Counter(
+        got = Counter(types(m) for jj, _, m, _, _ in plan_rows(plan) if jj == j)
+        assert got == Counter(
             {(1,): 1, (2,): 1, (3,): 1, (1, 2): 1, (1, 3): 1, (2, 3): 1, (1, 2, 3): 1}
         )
 
@@ -96,7 +188,7 @@ def test_plan_example_n2_mu3_type_multiset():
 def test_round1_shares_one_subindex_per_db():
     plan = generate_query_plan(3, 3, 2, seed=1)
     for j in (1, 2, 3):
-        ts = {s.members[0][1] for s in plan.per_db(j) if s.round == 1}
+        ts = {m[0][1] for jj, tau, m, _, _ in plan_rows(plan) if jj == j and tau == 1}
         assert len(ts) == 1
 
 
@@ -115,7 +207,7 @@ def test_permutation_reproducible():
     a = generate_query_plan(2, 3, 1, seed=42)
     b = generate_query_plan(2, 3, 1, seed=42)
     assert a.permutation == b.permutation
-    assert a.sums == b.sums
+    assert plan_rows(a) == plan_rows(b)
 
 
 # ------------------------------------------------------------------ decoding
@@ -191,12 +283,13 @@ def test_symbolic_sum_is_componentwise_field_add():
     store = MessageStore.generate(3, 2, beta=4, length=3, seed=0)
     plan = generate_query_plan(2, 2, 1, seed=0)
     values = evaluate_candidates(store, cs)
-    two_sum = next(s for s in plan.per_db(1) if s.round == 2)
-    (w1, t1), (w2, t2) = two_sum.members
+    at_db1 = [r for r in plan_rows(plan) if r[0] == 1]
+    i, two_sum = next((i, r) for i, r in enumerate(at_db1) if r[1] == 2)
+    (w1, t1), (w2, t2) = two_sum[2]
     a = values[w1 - 1][plan.permutation[t1 - 1] - 1]
     b = values[w2 - 1][plan.permutation[t2 - 1] - 1]
     answers, _ = answer_queries(1, plan, store, cs, values=values)
-    assert np.array_equal(answers.sums[two_sum.sum_id].payload, (a + b) % 3)
+    assert np.array_equal(answers[i], (a + b) % 3)
     # the componentwise rule itself: (1,2,0) + (2,2,1) = (0,1,1) over F_3
     assert (np.array([1, 2, 0]) + np.array([2, 2, 1])) % 3 == pytest.approx([0, 1, 1])
 
@@ -230,10 +323,8 @@ def test_answer_unknown_subindex():
     cs = candidate_set_from_exponents([(1, 0), (1, 1)], 3)
     store = MessageStore.generate(3, 2, beta=4, length=4, seed=0)
     plan = generate_query_plan(2, 2, 1, seed=0)
-    bad_sums = tuple(
-        replace(s, members=((1, 99), s.members[1])) if s.round == 2 and s.db == 1 else s
-        for s in plan.sums
-    )
+    bad_sums = plan.sums.copy()
+    bad_sums[(plan.round == 2) & (plan.db == 1), 0] = 99
     bad = replace(plan, sums=bad_sums)
     with pytest.raises(ProtocolError):
         answer_queries(1, bad, store, cs)
@@ -244,13 +335,50 @@ def test_decode_missing_side_information():
     store = MessageStore.generate(3, 2, beta=4, length=4, seed=0)
     plan = generate_query_plan(2, 2, 1, seed=0)
     answers = [answer_queries(j, plan, store, cs)[0] for j in (1, 2)]
-    broken_sums = tuple(
-        replace(s, side_ref=None) if s.desired and s.round == 2 else s
-        for s in plan.sums
-    )
-    broken = replace(plan, sums=broken_sums)
+    broken_refs = np.where(plan.desired & (plan.round == 2), -1, plan.side_ref)
+    broken = replace(plan, side_ref=broken_refs)
     with pytest.raises(ProtocolError):
         decode(broken, answers, cs)
+
+
+def test_decode_rejects_inconsistent_plans_and_answers():
+    cs = candidate_set_from_exponents([(1, 0), (1, 1)], 3)
+    store = MessageStore.generate(3, 2, beta=4, length=4, seed=0)
+    plan = generate_query_plan(2, 2, 1, seed=0)
+    answers = [answer_queries(j, plan, store, cs)[0] for j in (1, 2)]
+    desired = np.flatnonzero(plan.desired)
+    later = desired[plan.round[desired] == 2]
+    # side reference pointing at the desired sum itself
+    refs = plan.side_ref.copy()
+    refs[later[0]] = later[0]
+    # one segment decoded twice: two desired sums share a subindex
+    twice = plan.sums.copy()
+    twice[desired[1], 0] = twice[desired[0], 0]
+    # one desired sum dropped: a segment is never decoded
+    dropped = plan.desired.copy()
+    dropped[desired[0]] = False
+    for bad, message in [
+        (replace(plan, side_ref=refs), "does not match"),
+        (replace(plan, sums=twice), "decoded twice"),
+        (replace(plan, desired=dropped), "did not cover"),
+    ]:
+        with pytest.raises(ProtocolError, match=message):
+            decode(bad, answers, cs)
+    with pytest.raises(ProtocolError, match="every database"):
+        decode(plan, answers[:1], cs)
+
+
+def test_privacy_ok_is_null_when_relabeling_is_skipped():
+    # (2, 11): 4094 sums, above RELABEL_CHECK_CAP, so only the type
+    # multisets are checked and the report must not claim privacy
+    exps = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0), (1, 0, 1), (0, 1, 1),
+            (1, 1, 1), (2, 1, 0), (2, 0, 1), (0, 2, 1), (1, 2, 0)]
+    cs = candidate_set_from_exponents(exps, 3)
+    rep = run_simulation(SimulationConfig(n=2, candidate_set=cs, length=1, v=2, seed=1))
+    assert rep.recovery_ok
+    assert rep.privacy_ok is None
+    assert rep.as_dict()["privacy_ok"] is None
+    assert any("relabeling check skipped" in w for w in rep.warnings)
 
 
 def test_simulation_resource_guard():
