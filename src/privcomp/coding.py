@@ -144,6 +144,11 @@ class FixedCode:
             raise UsageError("alphabet size and length must be >= 1")
         if self.budget < 0:
             raise UsageError("budget must be nonnegative")
+        if not math.isfinite(self.length * self.budget):
+            raise UsageError(
+                f"payload length L * budget = {self.length * self.budget} "
+                "is not finite"
+            )
 
     @cached_property
     def count_width(self) -> int:

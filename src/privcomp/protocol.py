@@ -20,11 +20,12 @@ view of every desired index a relabeling of every other (verified exactly by
 the privacy checker at small scale), while keeping each (candidate, subindex)
 pair fresh where freshness matters.
 
-Costs are tracked in a ledger.  Symbolic mode charges the information-
-theoretic costs (round 1: joint entropy of the candidate tuple; a tau-sum:
-the largest constituent entropy) while transmitting raw sums so recovery can
-be checked exactly.  Concrete mode transmits fixed-length codewords from the
-coding module and charges their actual lengths.
+Costs are charged per answered row, in one array per database.  Symbolic
+mode charges the information-theoretic costs (round 1: joint entropy of the
+candidate tuple; a tau-sum: the largest constituent entropy) while
+transmitting raw sums so recovery can be checked exactly.  Concrete mode,
+used exactly when concrete codes are given, transmits fixed-length codewords
+from the coding module and charges their actual lengths.
 """
 
 import itertools
@@ -88,11 +89,6 @@ def _masks(sums: np.ndarray) -> np.ndarray:
 
 def _type_of(mask: int) -> tuple:
     return tuple(w + 1 for w in range(mask.bit_length()) if mask >> w & 1)
-
-
-def _sample_permutation(beta: int, seed):
-    rng = np.random.default_rng(seed)
-    return tuple(int(x) + 1 for x in rng.permutation(beta))
 
 
 def _plan_blocks(n: int, mu: int) -> list:
@@ -179,7 +175,8 @@ def generate_query_plan(
         if sorted(permutation) != list(range(1, beta + 1)):
             raise UsageError("permutation must be a bijection on [beta]")
     else:
-        permutation = _sample_permutation(beta, seed)
+        rng = np.random.default_rng(seed)
+        permutation = tuple(int(x) + 1 for x in rng.permutation(beta))
     sums, db, rnd, desired, side_ref = (
         np.concatenate(col) for col in zip(*_plan_blocks(n, mu))
     )
@@ -206,6 +203,12 @@ class MessageStore:
 
     @classmethod
     def generate(cls, q: int, f: int, beta: int, length: int, seed=None):
+        # symbols are int16, and the answers add two of them before reducing
+        if 2 * (q - 1) > np.iinfo(np.int16).max:
+            raise UsageError(
+                f"q = {q} is too large for the simulator's int16 symbols "
+                f"(need 2(q-1) <= 32767, so q <= 16384)"
+            )
         rng = np.random.default_rng(seed)
         msgs = rng.integers(0, q, size=(f, beta, length), dtype=np.int16)
         return cls(q=q, f=f, beta=beta, length=length, seed=seed, messages=msgs)
@@ -235,25 +238,13 @@ def evaluate_candidates(store: MessageStore, candidate_set: CandidateSet):
 
 
 @dataclass(frozen=True)
-class LedgerEntry:
-    db: int
-    round: int
-    type: tuple
-    charge: float  # q-ary units
-
-
-def _type_budget(profile, type_: tuple) -> float:
-    return max(profile.h[w - 1] for w in type_)
-
-
-@dataclass(frozen=True)
 class ConcreteCodes:
     """Shared deterministic code parameters for concrete answers/decoding."""
 
     joint_code: FixedCode | None  # None when the joint alphabet is capped out
     image_tuples: tuple
     image_of_code: np.ndarray  # input code -> image index
-    type_codes: dict
+    type_codes: dict  # candidate-set bitmask of a tau-sum, tau >= 2 -> code
 
     @property
     def joint_fallback(self) -> bool:
@@ -281,13 +272,11 @@ def build_concrete_codes(
             budget=profile.joint + epsilon,
         )
     type_codes = {}
-    for tau in range(2, profile.mu + 1):
-        for T in itertools.combinations(range(1, profile.mu + 1), tau):
-            type_codes[T] = FixedCode(
-                q=q,
-                alphabet_size=q,
-                length=length,
-                budget=_type_budget(profile, T) + epsilon,
+    for mask in range(1, 2**profile.mu):
+        members = [h for w, h in enumerate(profile.h) if mask >> w & 1]
+        if len(members) > 1:
+            type_codes[mask] = FixedCode(
+                q=q, alphabet_size=q, length=length, budget=max(members) + epsilon
             )
     return ConcreteCodes(
         joint_code=joint_code,
@@ -311,23 +300,23 @@ def answer_queries(
     plan: QueryPlan,
     store: MessageStore,
     candidate_set: CandidateSet,
-    mode: str = "symbolic",
-    epsilon: float = DEFAULT_EPSILON,
     values=None,
     codes: ConcreteCodes | None = None,
 ):
-    """Database j's answers and ledger entries for its part of the plan.
+    """Database j's answers and charges for its part of the plan.
 
-    answers[i] answers database j's i-th sum in plan order.  Symbolic mode
-    sends raw sums mod q, one (S_j, L) array whose round-1 rows are the joint
-    bundle.  Concrete mode sends a list: each later sum as a codeword, and
-    every round-1 row as the one joint-bundle codeword, or as its raw segment
-    when the joint alphabet is capped out.  Only the queried sums, the
-    replica, and the public candidate tables are consulted; nothing here
-    depends on which candidate is desired.
+    answers[i] answers database j's i-th sum in plan order, and charges[i]
+    is its cost in q-ary units; the joint round-1 charge sits on the first
+    round-1 row, the other round-1 rows cost 0.0.  Without codes (symbolic
+    mode) the answers are raw sums mod q, one (S_j, L) array whose round-1
+    rows are the joint bundle, and a later sum costs L times the largest
+    entropy among its members.  With codes (concrete mode) they are a list:
+    each later sum as a codeword, charged its length, and every round-1 row as
+    the one joint-bundle codeword, or as its raw segment when the joint
+    alphabet is capped out.  Only the queried sums, the replica, and the
+    public candidate tables are consulted; nothing here depends on which
+    candidate is desired.
     """
-    if mode not in ("symbolic", "concrete"):
-        raise UsageError(f"unknown mode {mode!r}")
     profile = candidate_set.profile
     length = store.length
     sums = plan.sums[plan.db == j]
@@ -345,12 +334,11 @@ def answer_queries(
     if values is None:
         values = evaluate_candidates(store, candidate_set)
     perm = np.asarray(plan.permutation) - 1
-    charge = length * profile.joint
-    if mode == "symbolic":
+    joint = length * profile.joint
+    if codes is None:
         answers = _sum_segments(sums, perm, values, store.q)
+        charges = length * np.where(sums != 0, profile.h, -np.inf).max(axis=1)
     else:
-        if codes is None:
-            codes = build_concrete_codes(candidate_set, length, epsilon)
         # raw round-1 segments, kept only when the joint alphabet is capped out
         answers = list(_sum_segments(sums * first[:, None], perm, values, store.q))
         if not codes.joint_fallback:
@@ -358,22 +346,18 @@ def answer_queries(
             seq = tuple(int(x) for x in codes.image_of_code[row])
             bundle = encode_fixed(seq, codes.joint_code)
             answers = [bundle if f else a for f, a in zip(first, answers)]
-            charge = float(codes.joint_code.codeword_len)
-    full_type = tuple(range(1, plan.mu + 1))
-    ledger = [LedgerEntry(db=j, round=1, type=full_type, charge=charge)]
-    masks = _masks(sums).tolist()
-    for i in np.flatnonzero(~first).tolist():
-        type_ = _type_of(masks[i])
-        if mode == "symbolic":
-            charge = length * _type_budget(profile, type_)
-        else:
-            code = codes.type_codes[type_]
-            segments = (values[w - 1][perm[sums[i, w - 1] - 1]] for w in type_)
+            joint = float(codes.joint_code.codeword_len)
+        charges = np.zeros(len(sums))
+        masks = _masks(sums).tolist()
+        for i in np.flatnonzero(~first).tolist():
+            code = codes.type_codes[masks[i]]
+            segments = (values[w][perm[t - 1]] for w, t in enumerate(sums[i]) if t)
             parts = [encode_fixed(tuple(int(x) for x in seg), code) for seg in segments]
             answers[i] = sum_codewords(*parts)
-            charge = float(code.codeword_len)
-        ledger.append(LedgerEntry(db=j, round=len(type_), type=type_, charge=charge))
-    return answers, ledger
+            charges[i] = code.codeword_len
+    charges[first] = 0.0
+    charges[np.argmax(first)] = joint
+    return answers, charges
 
 
 # -------------------------------------------------------------------- decode
@@ -393,22 +377,28 @@ def decode(
     plan: QueryPlan,
     answers,
     candidate_set: CandidateSet,
-    mode: str = "symbolic",
     codes: ConcreteCodes | None = None,
 ):
     """Recover all beta desired segments from the answers of databases 1..n.
 
-    A desired sum is resolved by subtracting its side information, the
-    undesired sum it extends: nothing for round 1, a raw answer (symbolic),
-    a re-encoded known segment (concrete, tau = 2), or a widened undesired
-    codeword sum (concrete, tau >= 3).
+    The answers are concrete exactly when the codes they were encoded with
+    are given.  A desired sum is resolved by subtracting its side
+    information, the undesired sum it extends: nothing for round 1, a raw
+    answer (symbolic), a re-encoded known segment (concrete, tau = 2), or a
+    widened undesired codeword sum (concrete, tau >= 3).
     """
-    if mode not in ("symbolic", "concrete"):
-        raise UsageError(f"unknown mode {mode!r}")
     v, q, beta = plan.v, candidate_set.q, plan.beta
     rows = [np.flatnonzero(plan.db == j) for j in range(1, plan.n + 1)]
     if list(map(len, answers)) != list(map(len, rows)):
         raise ProtocolError("need answers from every database")
+    # answer_queries sends one array per database in symbolic mode, a list
+    # in concrete mode
+    if any(isinstance(a, np.ndarray) != (codes is None) for a in answers):
+        raise ProtocolError(
+            "concrete answers need the codes they were encoded with"
+            if codes is None
+            else "symbolic answers cannot be decoded with concrete codes"
+        )
     desired = np.flatnonzero(plan.desired)
     t = plan.sums[desired, v - 1]
     if t.min(initial=1) < 1 or t.max(initial=1) > beta:
@@ -438,11 +428,9 @@ def decode(
     raw = np.zeros((len(plan.sums) + 1, length), dtype=np.int16)
     lost = np.zeros(len(plan.sums) + 1, dtype=bool)
     order = np.concatenate(rows)  # sum ids in the order the answers arrive
-    if mode == "symbolic":
+    if codes is None:
         raw[order] = np.concatenate(answers)
     else:
-        if codes is None:
-            codes = build_concrete_codes(candidate_set, length)
         coded = dict(zip(order.tolist(), itertools.chain(*answers)))
         for r in rows:
             first = r[plan.round[r] == 1]
@@ -457,11 +445,11 @@ def decode(
                 raw[first] = image[:, plan.sums[first].argmax(axis=1)].T
     value = (raw[desired] - raw[side]) % q
     failed = lost[desired]
-    if mode == "concrete":
+    if codes is not None:
         masks = _masks(plan.sums).tolist()
         for k in np.flatnonzero(later).tolist():
             i, s = int(desired[k]), int(side[k])
-            code = codes.type_codes[_type_of(masks[i])]
+            code = codes.type_codes[masks[i]]
             failed[k] = True
             if coded[i].atypical or lost[s]:
                 continue
@@ -553,27 +541,17 @@ class PrivacyReport:
     type_multisets_ok: bool
     violations: list
     relabeling_ok: bool | None  # None when skipped (scale cap)
-    uniformity_ok: bool | None  # None when no seeds were requested
-    chi_square: list  # (db, label, statistic, threshold)
 
     @property
     def ok(self) -> bool:
-        return (
-            self.type_multisets_ok
-            and self.relabeling_ok is not False
-            and self.uniformity_ok is not False
-        )
+        return self.type_multisets_ok and self.relabeling_ok is not False
 
 
 # relabeling search is exponential in the worst case; verified envelope
 RELABEL_CHECK_CAP = 4000
 
 
-def verify_privacy_structure(
-    plans,
-    uniformity_seeds: int = 0,
-    significance: float = 0.01,
-) -> PrivacyReport:
+def verify_privacy_structure(plans) -> PrivacyReport:
     """Check the structural symmetries privacy rests on, across all plans.
 
     plans must hold one QueryPlan per desired index 1..mu for one (n, mu).
@@ -581,8 +559,7 @@ def verify_privacy_structure(
     on the desired index.  Distribution check (small scale): per database,
     each plan's subindex structure must be a relabeling of every other's,
     which makes the wire views identically distributed under the uniform
-    permutation.  Uniformity check: over seeded permutations, wire subindices
-    of fixed slots are chi-square tested against uniform.
+    permutation.
     """
     plans = list(plans)
     if not plans:
@@ -625,45 +602,10 @@ def verify_privacy_structure(
                         f"db {j}: view for v={p.v} is not a relabeling of v=1"
                     )
 
-    uniformity_ok = None
-    chi_stats = []
-    if uniformity_seeds:
-        from scipy.stats import chi2
-
-        beta = plans[0].beta
-        threshold = float(chi2.ppf(1 - significance, beta - 1))
-        uniformity_ok = True
-        for p in plans:
-            slots = {}
-            for j in range(1, n + 1):
-                at = p.db == j
-                round1 = np.flatnonzero(at & (p.round == 1))
-                if not len(round1):
-                    raise ProtocolError(f"database {j} has no round-1 sums")
-                slots[(j, "round1")] = int(p.sums[round1[0]].max())
-                last_desired = np.flatnonzero(at & p.desired)[-1]
-                slots[(j, "last-desired")] = int(p.sums[last_desired, p.v - 1])
-            counts = {key: np.zeros(beta, dtype=np.int64) for key in slots}
-            for seed in range(uniformity_seeds):
-                perm = _sample_permutation(beta, seed)
-                for key, t in slots.items():
-                    counts[key][perm[t - 1] - 1] += 1
-            expected = uniformity_seeds / beta
-            for (j, label), c in counts.items():
-                stat = float(((c - expected) ** 2 / expected).sum())
-                chi_stats.append((j, f"v={p.v} {label}", stat, threshold))
-                if stat > threshold:
-                    uniformity_ok = False
-                    violations.append(
-                        f"db {j}: subindex of {label} (v={p.v}) fails "
-                        f"uniformity: chi2 {stat:.2f} > {threshold:.2f}"
-                    )
     return PrivacyReport(
         type_multisets_ok=multisets_ok,
         violations=violations,
         relabeling_ok=relabeling_ok,
-        uniformity_ok=uniformity_ok,
-        chi_square=chi_stats,
     )
 
 
@@ -730,6 +672,8 @@ def run_simulation(config: SimulationConfig) -> SimulationReport:
         raise UsageError(f"desired index {config.v} out of range [1, {mu}]")
     if config.length < 1:
         raise UsageError("segment length must be >= 1")
+    if config.mode not in ("symbolic", "concrete"):
+        raise UsageError(f"unknown mode {config.mode!r}")
     beta = n**mu
     footprint = beta * config.length * (cs.f + mu)
     if beta > PLAN_SEGMENT_CAP or footprint > SIMULATION_SYMBOL_CAP:
@@ -753,24 +697,18 @@ def run_simulation(config: SimulationConfig) -> SimulationReport:
             )
 
     answers = []
-    ledger = []
+    charges = []
     for j in range(1, n + 1):
-        a, entries = answer_queries(
-            j, plan, store, cs, mode=config.mode,
-            epsilon=config.epsilon, values=values, codes=codes,
-        )
+        a, c = answer_queries(j, plan, store, cs, values=values, codes=codes)
         answers.append(a)
-        ledger.extend(entries)
+        charges.append(c)
 
-    result = decode(plan, answers, cs, mode=config.mode, codes=codes)
+    result = decode(plan, answers, cs, codes=codes)
+    # only concrete decoding can fail on a segment
     direct = values[config.v - 1]
-    if config.mode == "symbolic":
-        recovery_ok = bool(np.array_equal(result.segments, direct)) and not result.failed
-    else:
-        ok_rows = np.ones(beta, dtype=bool)
-        for r in result.failed:
-            ok_rows[r - 1] = False
-        recovery_ok = bool(np.array_equal(result.segments[ok_rows], direct[ok_rows]))
+    ok_rows = np.ones(beta, dtype=bool)
+    ok_rows[np.array(result.failed, dtype=np.int64) - 1] = False
+    recovery_ok = bool(np.array_equal(result.segments[ok_rows], direct[ok_rows]))
 
     privacy_ok = None
     if config.check_privacy:
@@ -788,10 +726,14 @@ def run_simulation(config: SimulationConfig) -> SimulationReport:
                 f"exceed the cap of {RELABEL_CHECK_CAP}"
             )
 
-    total = sum(e.charge for e in ledger)
-    per_round = []
-    for tau in range(1, mu + 1):
-        per_round.append((tau, sum(e.charge for e in ledger if e.round == tau)))
+    # Python sums in database-major, then plan order: np.sum adds pairwise,
+    # which can change the printed digits
+    charges = np.concatenate(charges)
+    rounds = np.concatenate([plan.round[plan.db == j] for j in range(1, n + 1)])
+    total = sum(charges.tolist())
+    per_round = [
+        (tau, sum(charges[rounds == tau].tolist())) for tau in range(1, mu + 1)
+    ]
     h_min = cs.profile.h_min
     rate_measured = beta * config.length * h_min / total if total else 0.0
     rate_formula = rates.achievable_rate(n, cs.profile)

@@ -230,6 +230,74 @@ def test_simulate_resource_guard(capsys):
     assert "resource" in err.lower() or "cap" in err.lower()
 
 
+@pytest.mark.parametrize("q,code", [(16381, 0), (16411, 2), (32749, 2), (32771, 2)])
+def test_simulate_field_size_bound(capsys, q, code):
+    # symbols are int16: 2(q-1) must fit, so 16381 is the largest prime
+    got, out, err = run_cli(
+        capsys,
+        "simulate", "--n", "2", "--q", str(q), "--candidates", "1;2",
+        "--L", "64", "--v", "2",
+    )
+    assert got == code
+    if code == 0:
+        assert json.loads(out)["recovery_ok"] is True
+    else:
+        assert out == ""
+        assert err.startswith("error: q = ") and "int16" in err
+        assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("epsilon", ["nan", "inf", "1e308"])
+def test_simulate_non_finite_epsilon_exits_2(capsys, epsilon):
+    code, out, err = run_cli(
+        capsys,
+        "simulate", "--n", "2", "--q", "3", "--candidates", "1,0;1,1",
+        "--v", "1", "--mode", "concrete", "--epsilon", epsilon,
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: payload length") and "not finite" in err
+
+
+# scipy may be installed; the child interpreter must run without importing it
+BLOCK_SCIPY = """
+import sys
+
+class BlockScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name == "scipy" or name.startswith("scipy."):
+            raise ImportError(f"{name} is blocked")
+
+sys.meta_path.insert(0, BlockScipy())
+from privcomp.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.parametrize("mode", ["symbolic", "concrete"])
+def test_simulate_runs_without_scipy(capsys, mode):
+    import subprocess
+    import sys
+
+    import privcomp
+
+    argv = (
+        "simulate", "--n", "2", "--q", "3", "--candidates", "1,0;0,1;1,1",
+        "--L", "16", "--v", "3", "--seed", "1", "--mode", mode,
+    )
+    src_root = os.path.dirname(os.path.dirname(os.path.abspath(privcomp.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-c", BLOCK_SCIPY, *argv],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src_root},
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    _, out, _ = run_cli(capsys, *argv)
+    assert proc.stdout == out
+
+
 # ------------------------------------------------------------------- parsing
 
 

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from privcomp import (
+    FixedCode,
     FunctionTable,
     MessageStore,
     ProtocolError,
@@ -24,7 +25,11 @@ from privcomp import (
     round_download,
     run_simulation,
 )
-from privcomp.protocol import evaluate_candidates
+from privcomp.protocol import (
+    CONCRETE_ALPHABET_CAP,
+    build_concrete_codes,
+    evaluate_candidates,
+)
 
 
 # the earlier generator, built from one object per tau-sum: the array
@@ -259,6 +264,33 @@ def test_recovery_randomized(n, v, seed):
 # -------------------------------------------------------------------- ledger
 
 
+# the earlier per-sum ledger rule, built one entry per sum: the charge arrays
+# must reproduce it
+def oracle_ledger(j, plan, cs, length, epsilon=None):
+    """(round, charge) of database j: the joint charge, then its later sums
+    in plan order.  epsilon None is symbolic mode, a number concrete mode."""
+    q, profile = cs.q, cs.profile
+    charge = length * profile.joint
+    if epsilon is not None:
+        image = {tuple(t.values[i] for t in cs.functions) for i in range(q**cs.f)}
+        if len(image) <= CONCRETE_ALPHABET_CAP:
+            code = FixedCode(q, len(image), length, profile.joint + epsilon)
+            charge = float(code.codeword_len)
+    ledger = [(1, charge)]
+    at = plan.db == j
+    for row, tau in zip(plan.sums[at].tolist(), plan.round[at].tolist()):
+        if tau == 1:
+            continue
+        type_ = tuple(w + 1 for w, t in enumerate(row) if t)
+        budget = max(profile.h[w - 1] for w in type_)
+        if epsilon is None:
+            charge = length * budget
+        else:
+            charge = float(FixedCode(q, q, length, budget + epsilon).codeword_len)
+        ledger.append((len(type_), charge))
+    return ledger
+
+
 @pytest.mark.parametrize("n", [2, 3])
 def test_ledger_equals_formula(n):
     for f, g, mu in [(2, 2, 3), (2, 3, 5), (3, 2, 4)]:
@@ -298,10 +330,25 @@ def test_symbolic_two_sum_charge_is_max_entropy():
     cs = candidate_set_from_exponents([(1, 0), (1, 1)], 3)
     store = MessageStore.generate(3, 2, beta=4, length=16, seed=0)
     plan = generate_query_plan(2, 2, 1, seed=0)
-    _, ledger = answer_queries(1, plan, store, cs)
-    two_sum = [e for e in ledger if e.round == 2]
+    _, charges = answer_queries(1, plan, store, cs)
+    two_sum = charges[plan.round[plan.db == 1] == 2]
     assert len(two_sum) == 1
-    assert two_sum[0].charge == pytest.approx(16 * 1.0, abs=1e-12)  # max(1, 0.9057)
+    assert two_sum[0] == pytest.approx(16 * 1.0, abs=1e-12)  # max(1, 0.9057)
+
+
+@pytest.mark.parametrize("epsilon", [None, 0.05])
+def test_charges_equal_oracle_ledger_n3_mu3(epsilon):
+    cs = candidate_set_from_exponents([(1, 0), (0, 1), (1, 1)], 3)
+    store = MessageStore.generate(3, 2, beta=27, length=12, seed=2)
+    codes = None if epsilon is None else build_concrete_codes(cs, 12, epsilon)
+    plan = generate_query_plan(3, 3, 2, seed=2)
+    for j in (1, 2, 3):
+        _, charges = answer_queries(j, plan, store, cs, codes=codes)
+        ledger = oracle_ledger(j, plan, cs, 12, epsilon)
+        first = plan.round[plan.db == j] == 1
+        assert charges[0] == ledger[0][1]
+        assert charges[first][1:].tolist() == [0.0] * (cs.mu - 1)
+        assert charges[~first].tolist() == [c for _, c in ledger[1:]]
 
 
 def test_simulation_examples():
@@ -366,6 +413,41 @@ def test_decode_rejects_inconsistent_plans_and_answers():
             decode(bad, answers, cs)
     with pytest.raises(ProtocolError, match="every database"):
         decode(plan, answers[:1], cs)
+
+
+def test_decode_rejects_answers_of_the_other_mode():
+    cs = candidate_set_from_exponents([(1, 0), (1, 1)], 3)
+    store = MessageStore.generate(3, 2, beta=4, length=16, seed=0)
+    plan = generate_query_plan(2, 2, 1, seed=0)
+    codes = build_concrete_codes(cs, 16)
+    symbolic = [answer_queries(j, plan, store, cs)[0] for j in (1, 2)]
+    concrete = [answer_queries(j, plan, store, cs, codes=codes)[0] for j in (1, 2)]
+    assert not decode(plan, concrete, cs, codes=codes).failed
+    with pytest.raises(ProtocolError, match="need the codes"):
+        decode(plan, concrete, cs)
+    with pytest.raises(ProtocolError, match="cannot be decoded with concrete codes"):
+        decode(plan, symbolic, cs, codes=codes)
+
+
+def test_simulation_rejects_unknown_mode():
+    cs = candidate_set_from_exponents([(1, 0), (1, 1)], 3)
+    with pytest.raises(UsageError, match="unknown mode 'bogus'"):
+        run_simulation(
+            SimulationConfig(n=2, candidate_set=cs, length=4, v=1, mode="bogus")
+        )
+
+
+def test_simulation_field_size_fits_int16_sums():
+    # a sum of two symbols must fit in int16 before it is reduced mod q
+    cs = candidate_set_from_exponents([(1,), (2,)], 16381)  # largest such prime
+    rep = run_simulation(SimulationConfig(n=2, candidate_set=cs, length=64, v=2))
+    assert rep.recovery_ok
+    for q in (16411, 32749, 32771):
+        with pytest.raises(UsageError, match="int16"):
+            MessageStore.generate(q, 1, beta=4, length=64)
+        cs = candidate_set_from_exponents([(1,), (2,)], q)
+        with pytest.raises(UsageError, match="int16"):
+            run_simulation(SimulationConfig(n=2, candidate_set=cs, length=64, v=2))
 
 
 def test_privacy_ok_is_null_when_relabeling_is_skipped():

@@ -1,0 +1,105 @@
+"""Property tests (hypothesis) of the protocol's charge arrays against the
+per-sum ledger oracle in test_protocol: charges, totals and per-round sums
+must be equal bit for bit, not approximately."""
+
+import itertools
+from unittest import mock
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from privcomp import (
+    MessageStore,
+    SimulationConfig,
+    answer_queries,
+    candidate_set_from_exponents,
+    d_one,
+    generate_query_plan,
+    protocol,
+    run_simulation,
+)
+from privcomp.protocol import build_concrete_codes
+from test_protocol import oracle_ledger
+
+
+@st.composite
+def simulations(draw):
+    """(n, exponent vectors, q, v, L, seed, epsilon); epsilon None = symbolic."""
+    concrete = draw(st.booleans())
+    n = draw(st.integers(2, 4))
+    beta_cap = 32 if concrete else 256
+    mu = draw(st.integers(1, max(m for m in range(1, 6) if n**m <= beta_cap)))
+    f = draw(st.integers(1, 3).filter(lambda f: 4**f - 1 >= mu))
+    # nonzero exponents: every candidate is a nonconstant monomial
+    nonzero = [e for e in itertools.product(range(4), repeat=f) if any(e)]
+    exps = draw(st.lists(st.sampled_from(nonzero), min_size=mu, max_size=mu, unique=True))
+    q = draw(st.sampled_from([2, 3, 5, 7]))
+    v = draw(st.integers(1, mu))
+    length = draw(st.integers(1, 8))
+    seed = draw(st.integers(0, 2**16))
+    epsilon = draw(st.sampled_from([0.0, 0.05, 0.3])) if concrete else None
+    return n, exps, q, v, length, seed, epsilon
+
+
+def config_of(case):
+    n, exps, q, v, length, seed, epsilon = case
+    return SimulationConfig(
+        n=n,
+        candidate_set=candidate_set_from_exponents(exps, q),
+        length=length,
+        v=v,
+        mode="symbolic" if epsilon is None else "concrete",
+        seed=seed,
+        epsilon=0.05 if epsilon is None else epsilon,
+        check_privacy=False,
+    )
+
+
+@settings(deadline=None, max_examples=60)
+@given(simulations())
+def test_charges_equal_oracle_ledger(case):
+    config = config_of(case)
+    n, cs, length, epsilon = config.n, config.candidate_set, config.length, case[-1]
+    recorded = []
+    real = protocol.answer_queries
+
+    def spy(j, plan, *args, **kwargs):
+        answers, charges = real(j, plan, *args, **kwargs)
+        recorded.append((j, plan, charges))
+        return answers, charges
+
+    with mock.patch.object(protocol, "answer_queries", spy):
+        rep = run_simulation(config)
+    assert [j for j, _, _ in recorded] == list(range(1, n + 1))
+    ledger = []  # database-major, as the earlier ledger was kept
+    for j, plan, charges in recorded:
+        oracle = oracle_ledger(j, plan, cs, length, epsilon)
+        first = plan.round[plan.db == j] == 1
+        assert charges.dtype == float and len(charges) == len(first)
+        assert charges[first].tolist() == [oracle[0][1]] + [0.0] * (first.sum() - 1)
+        assert charges[~first].tolist() == [c for _, c in oracle[1:]]
+        ledger += oracle
+    assert rep.total_download == sum(c for _, c in ledger)
+    assert rep.per_round == [
+        (tau, sum(c for r, c in ledger if r == tau)) for tau in range(1, cs.mu + 1)
+    ]
+    if epsilon is None:
+        expected = length * d_one(n, cs.profile)
+        assert rep.total_download == pytest.approx(expected, rel=1e-12)
+
+
+@settings(deadline=None, max_examples=30)
+@given(simulations())
+def test_sorted_charges_do_not_depend_on_v(case):
+    config = config_of(case)
+    n, cs, length, epsilon = config.n, config.candidate_set, config.length, case[-1]
+    store = MessageStore.generate(cs.q, cs.f, n**cs.mu, length, seed=config.seed)
+    codes = None if epsilon is None else build_concrete_codes(cs, length, epsilon)
+    views = set()
+    for v in range(1, cs.mu + 1):
+        plan = generate_query_plan(n, cs.mu, v, seed=config.seed)
+        views.add(tuple(
+            tuple(sorted(answer_queries(j, plan, store, cs, codes=codes)[1].tolist()))
+            for j in range(1, n + 1)
+        ))
+    assert len(views) == 1
