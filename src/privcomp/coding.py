@@ -149,6 +149,11 @@ class FixedCode:
                 f"payload length L * budget = {self.length * self.budget} "
                 "is not finite"
             )
+        # only A^L = q^(L log_q A) sequences exist: more budget buys nothing,
+        # and q**payload_len would grow without bound
+        cap = math.log(self.alphabet_size, self.q) + 1
+        if self.budget > cap:
+            raise UsageError(f"budget {self.budget} exceeds log_q(A) + 1 = {cap}")
 
     @cached_property
     def count_width(self) -> int:

@@ -12,13 +12,12 @@ subtraction.
 
 Subindex bookkeeping: the desired candidate consumes fresh subindices from a
 single global counter (exactly beta of them).  Undesired tau-sums reuse the
-desired subindices allocated in the same round at the same database - member
-w of an undesired sum of type T takes the subindex of a desired sum whose
-side-information type is T minus {w}, the copies matched by cycling the
-fastest-varying allocation digit.  This aliasing makes the per-database query
-view of every desired index a relabeling of every other (verified exactly by
-the privacy checker at small scale), while keeping each (candidate, subindex)
-pair fresh where freshness matters.
+desired subindices allocated in the same round at the same database - copy z
+of the undesired sum of type T gives member w the subindex of copy z of the
+desired sum whose side-information type is T minus {w}.  Every database view
+then has one shape, symmetric in the candidates, and the privacy certificate
+checks that symmetry on the plan itself, while each (candidate, subindex) pair
+stays fresh where freshness matters.
 
 Costs are charged per answered row, in one array per database.  Symbolic
 mode charges the information-theoretic costs (round 1: joint entropy of the
@@ -29,7 +28,6 @@ from the coding module and charges their actual lengths.
 """
 
 import itertools
-from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -70,7 +68,7 @@ class QueryPlan:
     mu: int
     v: int
     seed: int | None
-    permutation: tuple  # permutation[t-1] = actual segment index, 1-based
+    permutation: np.ndarray  # permutation[t-1] = actual segment index, 1-based
     sums: np.ndarray  # (S, mu) subindex matrix
     db: np.ndarray  # 1-based database index
     round: np.ndarray  # tau = number of constituents
@@ -103,7 +101,6 @@ def _plan_blocks(n: int, mu: int) -> list:
             list(itertools.combinations(range(1, mu), tau)), dtype=np.int64
         ).reshape(-1, tau)  # undesired types, as 0-based columns
         copies = (n - 1) ** (tau - 1)
-        k = np.arange(copies)
         new_undesired = {}
         for j in range(1, n + 1):
             if tau == 1:
@@ -115,21 +112,20 @@ def _plan_blocks(n: int, mu: int) -> list:
                 side_ref = np.concatenate([i + np.arange(len(s)) for i, s in prev])
             desired[:, 0] = counter + 1 + np.arange(len(desired))
             counter += len(desired)
-            # member w of an undesired sum of type T takes the subindex of a
-            # desired sum with side type T minus {w}, in generation order
+            # member w of copy z of an undesired sum of type T takes the
+            # subindex of copy z of the desired sum with side type T minus {w},
+            # copies counted in generation order
             side = (desired[:, 1:] != 0) @ bit[1:]
             order = np.argsort(side, kind="stable")
             side_types = side[order][::copies]
             donors = desired[order, 0].reshape(-1, copies)
             undesired = np.zeros((len(combos) * copies, mu), dtype=np.int32)
-            at = np.arange(len(combos))[:, None] * copies + k
+            at = np.arange(len(combos))[:, None] * copies + np.arange(copies)
             full = bit[combos].sum(axis=1)
-            for i in range(tau):
-                w = combos[:, i]
-                d = donors[np.searchsorted(side_types, full - bit[w])]
-                # cycle the fastest-varying digit of the copy index
-                idx = (k // (n - 1)) * (n - 1) + (k + i) % (n - 1)
-                undesired[at, w[:, None]] = d[:, idx]
+            for w in combos.T:
+                undesired[at, w[:, None]] = donors[
+                    np.searchsorted(side_types, full - bit[w])
+                ]
             for s, want, ref in ((desired, True, side_ref), (undesired, False, -1)):
                 m = len(s)
                 ref = np.broadcast_to(ref, m)
@@ -171,12 +167,13 @@ def generate_query_plan(
             f"beta = {n}^{mu} = {beta} exceeds the plan cap of {PLAN_SEGMENT_CAP}"
         )
     if permutation is not None:
-        permutation = tuple(permutation)
-        if sorted(permutation) != list(range(1, beta + 1)):
+        permutation = np.asarray(permutation, dtype=np.int64)
+        if permutation.shape != (beta,) or (
+            np.bincount(permutation.clip(0, beta + 1), minlength=beta + 2)[1:-1] != 1
+        ).any():
             raise UsageError("permutation must be a bijection on [beta]")
     else:
-        rng = np.random.default_rng(seed)
-        permutation = tuple(int(x) + 1 for x in rng.permutation(beta))
+        permutation = np.random.default_rng(seed).permutation(beta) + 1
     sums, db, rnd, desired, side_ref = (
         np.concatenate(col) for col in zip(*_plan_blocks(n, mu))
     )
@@ -333,7 +330,7 @@ def answer_queries(
         )
     if values is None:
         values = evaluate_candidates(store, candidate_set)
-    perm = np.asarray(plan.permutation) - 1
+    perm = plan.permutation - 1
     joint = length * profile.joint
     if codes is None:
         answers = _sum_segments(sums, perm, values, store.q)
@@ -415,7 +412,7 @@ def decode(
         | (plan.sums[ref] != expected).any(axis=1)
     ).any():
         raise ProtocolError("a side reference does not match its desired sum")
-    real = np.asarray(plan.permutation)[t - 1]
+    real = plan.permutation[t - 1]
     hits = np.bincount(real, minlength=beta + 1)[1:]
     if hits.max(initial=0) > 1:
         raise ProtocolError(f"segment {int(np.argmax(hits)) + 1} decoded twice")
@@ -473,140 +470,84 @@ def decode(
 # ----------------------------------------------------------- privacy checks
 
 
-def _bind(row_a: list, row_b: list, rho: dict, rho_inv: dict):
-    """Extend rho so it maps row_a onto row_b; the labels bound, or None."""
-    bound = []
-    for w, t in row_a:
-        t2 = row_b[w]
-        if t in rho:
-            if rho[t] == t2:
-                continue
-        elif t2 not in rho_inv:
-            rho[t] = t2
-            rho_inv[t2] = t
-            bound.append(t)
-            continue
-        for t in bound:
-            del rho_inv[rho.pop(t)]
-        return None
-    return bound
-
-
-def _find_relabeling(view_a: np.ndarray, view_b: np.ndarray) -> bool:
-    """Is one per-database view a subindex relabeling of the other?
-
-    Exact criterion for the query distributions (over the uniform permutation)
-    to coincide: backtracking search, on an explicit stack, for a bijection on
-    subindex labels that maps one view's rows onto the other's with candidates
-    fixed.  Row i of view_a is only tried on the rows of view_b with the same
-    candidate set.
-    """
-    keys_a, keys_b = _masks(view_a).tolist(), _masks(view_b).tolist()
-    if Counter(keys_a) != Counter(keys_b):
-        return False
-    a = [[(w, t) for w, t in enumerate(row) if t] for row in view_a.tolist()]
-    b = view_b.tolist()
-    bucket = {}
-    for k, key in enumerate(keys_b):
-        bucket.setdefault(key, []).append(k)
-    used = [False] * len(b)
-    rho, rho_inv = {}, {}
-    stack = []  # per matched row of view_a: (next bucket position, k, labels bound)
-    pos = 0
-    while len(stack) < len(a):
-        tries = bucket[keys_a[len(stack)]]
-        while pos < len(tries):
-            k = tries[pos]
-            pos += 1
-            if not used[k]:
-                bound = _bind(a[len(stack)], b[k], rho, rho_inv)
-                if bound is not None:
-                    used[k] = True
-                    stack.append((pos, k, bound))
-                    pos = 0
-                    break
-        else:
-            # no row fits: take back the previous match and try its next row
-            if not stack:
-                return False
-            pos, k, bound = stack.pop()
-            used[k] = False
-            for t in bound:
-                del rho_inv[rho.pop(t)]
-    return True
-
-
 @dataclass
 class PrivacyReport:
-    type_multisets_ok: bool
-    violations: list
-    relabeling_ok: bool | None  # None when skipped (scale cap)
+    violations: list  # empty when the certificate holds
 
     @property
     def ok(self) -> bool:
-        return self.type_multisets_ok and self.relabeling_ok is not False
+        return not self.violations
+
+    relabeling_ok = ok  # the certificate is the relabeling check
 
 
-# relabeling search is exponential in the worst case; verified envelope
-RELABEL_CHECK_CAP = 4000
+def _permute_masks(masks: np.ndarray, pi) -> np.ndarray:
+    """Bitmasks with member w moved to pi[w], 0-based."""
+    out = np.zeros_like(masks)
+    for w, to in enumerate(pi):
+        out |= (masks >> w & 1) << to
+    return out
 
 
-def verify_privacy_structure(plans) -> PrivacyReport:
-    """Check the structural symmetries privacy rests on, across all plans.
+def verify_privacy_structure(plan: QueryPlan) -> PrivacyReport:
+    """Certify that no database's view of the plan depends on the desired index.
 
-    plans must hold one QueryPlan per desired index 1..mu for one (n, mu).
-    Exact check: per database, the multiset of (round, type) must not depend
-    on the desired index.  Distribution check (small scale): per database,
-    each plan's subindex structure must be a relabeling of every other's,
-    which makes the wire views identically distributed under the uniform
-    permutation.
+    Database j sees its sums: rounds, members and subindices, not the desired
+    flags.  The plan for another desired index is this one with its candidate
+    columns permuted, so privacy holds when, for every column permutation pi,
+    each view permuted by pi is a relabeling of itself: some bijection rho on
+    subindices maps its rows onto the view's rows.  Such pi form a group, so
+    its generators, the cycle (1 2 ... mu) and the transposition (1 2),
+    cover every desired index.
+
+    For each generator, sigma maps row (db, round, mask, copy) to row (db,
+    round, pi(mask), copy), where copy is the row's rank in plan order within
+    its (db, round, mask) class, and rho is read off the entries:
+    sums[r, w] -> sums[sigma(r), pi(w)].  The certificate holds when sigma
+    exists and rho is well defined on every database; rho then maps the
+    view's subindices onto themselves, so it is a bijection.  It is sound for
+    any sigma; the copy rule of the generator is what makes this sigma work.
     """
-    plans = list(plans)
-    if not plans:
-        raise UsageError("need at least one plan")
-    n, mu = plans[0].n, plans[0].mu
-    if sorted(p.v for p in plans) != list(range(1, mu + 1)):
-        raise UsageError("need exactly one plan per desired index")
-    if any((p.n, p.mu) != (n, mu) for p in plans):
-        raise UsageError("plans disagree on (n, mu)")
-    plans = sorted(plans, key=lambda p: p.v)
-
-    def type_keys(p, j):
-        # (round, type) of database j's sums, sorted, as round * 2^mu + mask
-        at = p.db == j
-        return np.sort(p.round[at] * 2**mu + _masks(p.sums[at]))
-
+    mu, sums = plan.mu, plan.sums
+    if sums.min(initial=0) < 0 or sums.max(initial=0) > plan.beta:
+        raise ProtocolError(f"a subindex is outside [1, {plan.beta}]")
+    # rows sorted by (db, round, mask), plan order kept within each class
+    head = (plan.db.astype(np.int64) * (mu + 1) + plan.round) << mu
+    masks = _masks(sums)
+    order = np.argsort(head + masks, kind="stable")
+    view, head, masks = sums[order], head[order], masks[order]
+    key = head + masks
+    copy = np.arange(len(key)) - np.searchsorted(key, key)
+    bounds = np.searchsorted(plan.db[order], np.arange(1, plan.n + 2))
+    # shared by all databases: every entry read below was just written
+    rho = np.zeros(plan.beta + 1, dtype=sums.dtype)
+    cycle = np.roll(np.arange(mu), -1)  # w -> w + 1; for mu = 2 this is (1 2)
+    swap = np.r_[1, 0, 2:mu]
     violations = []
-    base = [type_keys(plans[0], j) for j in range(1, n + 1)]
-    for p in plans[1:]:
-        for j in range(1, n + 1):
-            got = type_keys(p, j)
-            if not np.array_equal(got, base[j - 1]):
-                a, b = Counter(got.tolist()), Counter(base[j - 1].tolist())
-                tau, mask = divmod(next(iter((a - b) + (b - a))), 2**mu)
+    for pi in [cycle, swap][: min(mu - 1, 2)]:
+        target = head + _permute_masks(masks, pi.tolist())
+        sigma = np.searchsorted(key, target) + copy
+        found = key[np.minimum(sigma, len(key) - 1)] == target
+        for j in range(1, plan.n + 1):
+            rows = slice(bounds[j - 1], bounds[j])
+            if not found[rows].all():
+                i = rows.start + int(np.argmin(found[rows]))
                 violations.append(
-                    f"db {j}: (round, type) multiset differs between v=1 and "
-                    f"v={p.v}, e.g. {(tau, _type_of(mask))}"
+                    f"db {j}: (round, type) multiset is not symmetric: round "
+                    f"{plan.round[order[i]]} has more sums of type "
+                    f"{_type_of(int(masks[i]))} than of type "
+                    f"{_type_of(int(target[i] - head[i]))}"
                 )
-    multisets_ok = not violations
-
-    relabeling_ok = None
-    if multisets_ok and len(plans[0].sums) <= RELABEL_CHECK_CAP:
-        relabeling_ok = True
-        a = plans[0]
-        for p in plans[1:]:
-            for j in range(1, n + 1):
-                if not _find_relabeling(a.sums[a.db == j], p.sums[p.db == j]):
-                    relabeling_ok = False
-                    violations.append(
-                        f"db {j}: view for v={p.v} is not a relabeling of v=1"
-                    )
-
-    return PrivacyReport(
-        type_multisets_ok=multisets_ok,
-        violations=violations,
-        relabeling_ok=relabeling_ok,
-    )
+                continue
+            a = view[rows]
+            b = view[sigma[rows]][:, pi]
+            rho[a] = b
+            if not (rho[a] == b).all():
+                violations.append(
+                    f"db {j}: view is not a relabeling of itself with "
+                    f"candidates 1..{mu} moved to {tuple((pi + 1).tolist())}"
+                )
+    return PrivacyReport(violations=violations)
 
 
 # --------------------------------------------------------------- simulation
@@ -631,7 +572,7 @@ class SimulationReport:
     rate_measured: float
     rate_formula: float
     recovery_ok: bool
-    privacy_ok: bool | None
+    privacy_ok: bool | None  # None when check_privacy is off
     per_round: list  # (tau, total charge in q-ary units)
     decode_failure_rate: float
     warnings: list
@@ -712,19 +653,7 @@ def run_simulation(config: SimulationConfig) -> SimulationReport:
 
     privacy_ok = None
     if config.check_privacy:
-        siblings = [
-            plan if w == config.v else
-            generate_query_plan(n, mu, w, permutation=plan.permutation)
-            for w in range(1, mu + 1)
-        ]
-        report = verify_privacy_structure(siblings)
-        privacy_ok = report.ok
-        if report.ok and report.relabeling_ok is None:
-            privacy_ok = None
-            warnings.append(
-                f"privacy relabeling check skipped: {len(plan.sums)} sums "
-                f"exceed the cap of {RELABEL_CHECK_CAP}"
-            )
+        privacy_ok = verify_privacy_structure(plan).ok
 
     # Python sums in database-major, then plan order: np.sum adds pairwise,
     # which can change the printed digits
@@ -734,6 +663,14 @@ def run_simulation(config: SimulationConfig) -> SimulationReport:
     per_round = [
         (tau, sum(charges[rounds == tau].tolist())) for tau in range(1, mu + 1)
     ]
+    if codes is None:
+        # the symbolic ledger must equal the closed form, up to the rounding
+        # of a sequential sum over len(charges) terms
+        expected = config.length * rates.d_one(n, cs.profile)
+        if abs(total - expected) > max(1e-12, len(charges) * 2**-52) * expected:
+            raise ProtocolError(
+                f"symbolic download {total} differs from L * d_one = {expected}"
+            )
     h_min = cs.profile.h_min
     rate_measured = beta * config.length * h_min / total if total else 0.0
     rate_formula = rates.achievable_rate(n, cs.profile)

@@ -172,18 +172,48 @@ def test_simulate_symbolic_example(capsys):
     assert data["rate_measured"] == pytest.approx(data["rate_formula"], abs=1e-9)
 
 
-def test_simulate_privacy_skipped_is_null_and_exits_0(capsys):
+def test_simulate_large_plans_print_privacy_true(capsys):
+    # (5, 6) and (2, 11) are past the 4000-sum reach of the earlier search
     exps = "1,0,0;0,1,0;0,0,1;1,1,0;1,0,1;0,1,1;1,1,1;2,1,0;2,0,1;0,2,1;1,2,0"
-    code, out, _ = run_cli(
-        capsys,
-        "simulate", "--n", "2", "--q", "3", "--candidates", exps,
-        "--L", "1", "--v", "1", "--seed", "0",
+    for n, mu in [("5", 6), ("2", 11)]:
+        code, out, err = run_cli(
+            capsys,
+            "simulate", "--n", n, "--q", "3",
+            "--candidates", ";".join(exps.split(";")[:mu]),
+            "--L", "1", "--v", "1", "--seed", "0",
+        )
+        assert code == 0
+        assert err == ""
+        data = json.loads(out)
+        assert data["recovery_ok"] is True
+        assert data["privacy_ok"] is True
+        assert "warnings" not in data
+
+
+def test_simulate_formerly_non_private_points_exit_0(capsys):
+    # (n, mu) = (4, 4), (5, 4), (4, 5), (5, 5) printed false under the
+    # earlier copy rule
+    exps = "1,0,0;0,1,0;0,0,1;1,1,0;1,0,1"
+    for n, mu in [("4", 4), ("5", 4), ("4", 5), ("5", 5)]:
+        code, out, _ = run_cli(
+            capsys,
+            "simulate", "--n", n, "--q", "3",
+            "--candidates", ";".join(exps.split(";")[:mu]), "--L", "4", "--v", "1",
+        )
+        assert code == 0
+        assert json.loads(out)["privacy_ok"] is True
+
+
+def test_simulate_huge_budget_is_usage_error():
+    # in a child with a timeout: such a budget once hung forming q**payload_len
+    proc = run_module(
+        "simulate", "--n", "2", "--q", "3", "--candidates", "1,0;1,1",
+        "--L", "1", "--v", "1", "--mode", "concrete", "--epsilon", "1e15",
+        timeout=60,
     )
-    assert code == 0
-    data = json.loads(out)
-    assert data["recovery_ok"] is True
-    assert data["privacy_ok"] is None
-    assert any("skipped" in w for w in data["warnings"])
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: budget") and "log_q" in proc.stderr
 
 
 def test_simulate_ten_candidates_n2_exits_0(capsys):

@@ -78,6 +78,15 @@ def test_code_lengths():
     assert code.header_len / 1024 < 0.03
 
 
+def test_budget_above_log_alphabet_plus_one_rejected():
+    # log_3 9 + 1 = 3: the boundary is accepted, anything above is a usage
+    # error raised before q**payload_len is ever formed
+    assert FixedCode(q=3, alphabet_size=9, length=4, budget=3.0).payload_len == 12
+    for budget in (3.01, 1e15):
+        with pytest.raises(UsageError, match="log_q"):
+            FixedCode(q=3, alphabet_size=9, length=4, budget=budget)
+
+
 def test_encode_constant_sequence_any_budget():
     for budget in (0.0, 0.3, 1.0):
         code = FixedCode(q=3, alphabet_size=3, length=16, budget=budget)

@@ -1,3 +1,4 @@
+import importlib.util
 import itertools
 from collections import Counter
 from dataclasses import replace
@@ -5,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from privcomp import generate_query_plan, verify_privacy_structure
+from privcomp import QueryPlan, generate_query_plan, verify_privacy_structure
 
 
 def db_rows(plan, j):
@@ -29,35 +30,39 @@ def sibling_plans(n, mu, permutation=None, seed=0):
     ]
 
 
+def type_multiset(plan, j):
+    """Sorted (round, candidate set) of database j's sums."""
+    return sorted((tau, tuple(w for w, _ in m)) for tau, m in db_rows(plan, j))
+
+
 # ------------------------------------------------------------- exact checks
 
 
 @pytest.mark.parametrize("n,mu", [(2, 1), (2, 2), (2, 3), (2, 4), (3, 2), (3, 3), (4, 2)])
 def test_type_multisets_equal_across_v(n, mu):
-    report = verify_privacy_structure(sibling_plans(n, mu))
-    assert report.type_multisets_ok
-    assert report.ok
+    plans = sibling_plans(n, mu)
+    for j in range(1, n + 1):
+        base = type_multiset(plans[0], j)
+        assert all(type_multiset(p, j) == base for p in plans[1:])
+    assert all(verify_privacy_structure(p).ok for p in plans)
 
 
 def test_negative_control_extra_desired_singleton():
-    plans = sibling_plans(2, 2)
-    tampered = plans[0]
-    extra = np.zeros((1, tampered.mu), dtype=tampered.sums.dtype)
-    extra[0, tampered.v - 1] = 3
-    plans[0] = replace(
-        tampered,
-        sums=np.vstack([tampered.sums, extra]),
-        db=np.append(tampered.db, 1),
-        round=np.append(tampered.round, 1),
-        desired=np.append(tampered.desired, True),
-        side_ref=np.append(tampered.side_ref, -1),
+    plan = generate_query_plan(2, 2, 1, seed=0)
+    extra = np.zeros((1, plan.mu), dtype=plan.sums.dtype)
+    extra[0, plan.v - 1] = 3
+    tampered = replace(
+        plan,
+        sums=np.vstack([plan.sums, extra]),
+        db=np.append(plan.db, 1),
+        round=np.append(plan.round, 1),
+        desired=np.append(plan.desired, True),
+        side_ref=np.append(plan.side_ref, -1),
     )
-    # relabeling is not searched once the type multisets differ
-    report = verify_privacy_structure(plans)
-    assert report.relabeling_ok is None
-    assert not report.type_multisets_ok
+    report = verify_privacy_structure(tampered)
+    assert report.relabeling_ok is False
     assert not report.ok
-    assert any("multiset differs" in v for v in report.violations)
+    assert any("multiset is not symmetric" in v for v in report.violations)
 
 
 # ----------------------------------------------- distribution (relabeling)
@@ -65,8 +70,8 @@ def test_negative_control_extra_desired_singleton():
 
 @pytest.mark.parametrize("n,mu", [(2, 2), (2, 3), (2, 4), (2, 5), (3, 2), (3, 3), (5, 2)])
 def test_views_are_relabelings_across_v(n, mu):
-    report = verify_privacy_structure(sibling_plans(n, mu))
-    assert report.relabeling_ok is True
+    for plan in sibling_plans(n, mu):
+        assert verify_privacy_structure(plan).relabeling_ok is True
 
 
 def test_relabeling_detects_breakage():
@@ -77,11 +82,38 @@ def test_relabeling_detects_breakage():
     i = np.flatnonzero(~plans[0].desired & (plans[0].round == 2))[0]
     (w1, w2) = np.flatnonzero(sums[i])
     sums[i, w1] = sums[i, w2]
-    plans[0] = replace(plans[0], sums=sums)
-    report = verify_privacy_structure(plans)
-    assert report.type_multisets_ok
+    tampered = replace(plans[0], sums=sums)
+    assert all(
+        type_multiset(tampered, j) == type_multiset(plans[1], j) for j in (1, 2)
+    )
+    report = verify_privacy_structure(tampered)
     assert report.relabeling_ok is False
     assert not report.ok
+    assert any("not a relabeling" in v for v in report.violations)
+
+
+def test_cyclic_symmetry_alone_is_not_privacy():
+    # candidate w + 1 of the pair {w, w + 1} reuses the subindex of the
+    # singleton w: the view is a relabeling of itself under the cycle
+    # (1 2 3) but not under the transposition (1 2)
+    sums = np.array(
+        [[1, 0, 0], [0, 2, 0], [0, 0, 3], [4, 1, 0], [0, 5, 2], [3, 0, 6]],
+        dtype=np.int32,
+    )
+    rows = len(sums)
+    plan = QueryPlan(
+        n=2, mu=3, v=1, seed=None, permutation=np.arange(1, 9), sums=sums,
+        db=np.ones(rows, dtype=int), round=(sums != 0).sum(axis=1),
+        desired=np.zeros(rows, dtype=bool), side_ref=np.full(rows, -1),
+    )
+    cycled = replace(plan, sums=sums[:, [2, 0, 1]])
+    swapped = replace(plan, sums=sums[:, [1, 0, 2]])
+    if importlib.util.find_spec("networkx"):
+        assert vf2_isomorphic(plan, cycled, 1)
+        assert not vf2_isomorphic(plan, swapped, 1)
+    report = verify_privacy_structure(plan)
+    assert report.relabeling_ok is False
+    assert any("not a relabeling" in v for v in report.violations)
 
 
 # -------------------------------------------------- exact law, brute force
@@ -148,14 +180,6 @@ def test_subindex_uniformity_chi_square():
     assert len(chi_square)
     for stat in chi_square:
         assert stat <= threshold
-
-
-def test_verify_requires_full_plan_family():
-    from privcomp import UsageError
-
-    plans = sibling_plans(2, 2)
-    with pytest.raises(UsageError):
-        verify_privacy_structure(plans[:1])
 
 
 # ------------------------------------- full joint law, exhaustive micro case
@@ -232,30 +256,34 @@ def incidence_graph(plan, j):
     return g
 
 
+def vf2_isomorphic(plan_a, plan_b, j):
+    import networkx as nx
+
+    return nx.is_isomorphic(
+        incidence_graph(plan_a, j),
+        incidence_graph(plan_b, j),
+        node_match=lambda a, b: a["label"] == b["label"],
+        edge_match=lambda a, b: a["w"] == b["w"],
+    )
+
+
 @pytest.mark.parametrize(
     "n,mu", [(2, 2), (2, 3), (2, 4), (3, 2), (3, 3), (4, 3), (3, 4), (4, 4), (5, 4)]
 )
 def test_relabeling_agrees_with_vf2(n, mu):
-    nx = pytest.importorskip("networkx")
+    pytest.importorskip("networkx")
     plans = sibling_plans(n, mu)
     isomorphic = all(
-        nx.is_isomorphic(
-            incidence_graph(plans[0], j),
-            incidence_graph(p, j),
-            node_match=lambda a, b: a["label"] == b["label"],
-            edge_match=lambda a, b: a["w"] == b["w"],
-        )
-        for p in plans[1:]
-        for j in range(1, n + 1)
+        vf2_isomorphic(plans[0], p, j) for p in plans[1:] for j in range(1, n + 1)
     )
-    report = verify_privacy_structure(plans)
-    assert report.relabeling_ok is isomorphic
-    if (n, mu) in {(4, 4), (5, 4)}:
-        assert report.relabeling_ok is False  # the known non-private plans
+    for p in plans:
+        assert verify_privacy_structure(p).relabeling_ok is isomorphic
+    # (4, 4) and (5, 4) were not private under the earlier copy rule
+    assert isomorphic
 
 
 def test_relabeling_search_is_not_recursive():
     # (2, 10): 2046 sums, past the recursion limit of a per-sum recursion
-    report = verify_privacy_structure(sibling_plans(2, 10))
+    report = verify_privacy_structure(generate_query_plan(2, 10, 1, seed=0))
     assert report.relabeling_ok is True
     assert report.ok

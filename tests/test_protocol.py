@@ -64,12 +64,11 @@ def oracle_plan(n, mu, v):
             for T in itertools.combinations(range(2, mu + 1), tau):
                 for k in range(copies):
                     members = []
-                    for i, w in enumerate(T):
+                    for w in T:
                         side = tuple(x for x in T if x != w)
                         donors = by_side[side]
-                        # cycle the fastest-varying digit of the copy index
-                        idx = (k // (n - 1)) * (n - 1) + (k + i) % (n - 1) if tau > 1 else 0
-                        members.append((w, dict(sums[donors[idx]][2])[1]))
+                        # copy k takes the subindex of the donors' copy k
+                        members.append((w, dict(sums[donors[k]][2])[1]))
                     new_undesired[j].append(len(sums))
                     sums.append([j, tau, tuple(sorted(members)), False, -1])
         undesired_prev = new_undesired
@@ -204,14 +203,15 @@ def test_plan_guards():
         generate_query_plan(2, 2, 3)
     with pytest.raises(ResourceLimitError):
         generate_query_plan(2, 21, 1)
-    with pytest.raises(UsageError):
-        generate_query_plan(2, 2, 1, permutation=(1, 1, 2, 3))
+    for bad in [(1, 1, 2, 3), (0, 1, 2, 3), (1, 2, 3, 5), (1, 2, 3), (1, 2, 3, 4, 5)]:
+        with pytest.raises(UsageError):
+            generate_query_plan(2, 2, 1, permutation=bad)
 
 
 def test_permutation_reproducible():
     a = generate_query_plan(2, 3, 1, seed=42)
     b = generate_query_plan(2, 3, 1, seed=42)
-    assert a.permutation == b.permutation
+    assert np.array_equal(a.permutation, b.permutation)
     assert plan_rows(a) == plan_rows(b)
 
 
@@ -437,6 +437,19 @@ def test_simulation_rejects_unknown_mode():
         )
 
 
+def test_simulation_checks_symbolic_ledger(monkeypatch):
+    cs = candidate_set_from_exponents([(1, 0), (0, 1), (1, 1)], 3)
+    config = SimulationConfig(n=2, candidate_set=cs, length=4, v=1)
+    expected = 4 * d_one(2, cs.profile)
+    assert run_simulation(config).total_download == pytest.approx(expected, abs=1e-12)
+    # a closed form one part in 10^9 away is a broken ledger
+    monkeypatch.setattr("privcomp.rates.d_one", lambda n, p: d_one(n, p) * (1 + 1e-9))
+    with pytest.raises(ProtocolError, match="d_one"):
+        run_simulation(config)
+    # concrete totals are code lengths, not L * d_one
+    run_simulation(replace(config, mode="concrete"))
+
+
 def test_simulation_field_size_fits_int16_sums():
     # a sum of two symbols must fit in int16 before it is reduced mod q
     cs = candidate_set_from_exponents([(1,), (2,)], 16381)  # largest such prime
@@ -450,17 +463,21 @@ def test_simulation_field_size_fits_int16_sums():
             run_simulation(SimulationConfig(n=2, candidate_set=cs, length=64, v=2))
 
 
-def test_privacy_ok_is_null_when_relabeling_is_skipped():
-    # (2, 11): 4094 sums, above RELABEL_CHECK_CAP, so only the type
-    # multisets are checked and the report must not claim privacy
+def test_privacy_ok_is_certified_at_scale():
+    # (5, 6): 19530 sums and (2, 11): 4094 sums, both beyond the 4000-sum
+    # reach of the earlier relabeling search; the certificate covers them
     exps = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0), (1, 0, 1), (0, 1, 1),
             (1, 1, 1), (2, 1, 0), (2, 0, 1), (0, 2, 1), (1, 2, 0)]
-    cs = candidate_set_from_exponents(exps, 3)
-    rep = run_simulation(SimulationConfig(n=2, candidate_set=cs, length=1, v=2, seed=1))
-    assert rep.recovery_ok
-    assert rep.privacy_ok is None
-    assert rep.as_dict()["privacy_ok"] is None
-    assert any("relabeling check skipped" in w for w in rep.warnings)
+    for n, mu in [(5, 6), (2, 11)]:
+        cs = candidate_set_from_exponents(exps[:mu], 3)
+        rep = run_simulation(
+            SimulationConfig(n=n, candidate_set=cs, length=1, v=2, seed=1)
+        )
+        assert rep.recovery_ok
+        assert rep.privacy_ok is True
+        assert rep.as_dict()["privacy_ok"] is True
+        assert rep.warnings == []
+        assert "warnings" not in rep.as_dict()
 
 
 def test_simulation_resource_guard():
