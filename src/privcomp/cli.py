@@ -118,8 +118,8 @@ def figure_rows(q: int, ns, gs, f_max: int):
                         "f": f,
                         "mu": profile.mu,
                         "h_min": profile.h_min,
-                        "achievable": rates.achievable_rate_messages(n, f, profile),
-                        "converse": rates.outer_bound_messages(profile.h_min, n, f),
+                        "achievable": rates.achievable_rate(n, profile),
+                        "converse": rates.outer_bound(n, profile),
                     }
                 )
     return rows
@@ -230,7 +230,7 @@ def cmd_simulate(args) -> int:
     )
     report = protocol.run_simulation(config)
     _emit_json(report.as_dict())
-    if not report.recovery_ok or report.privacy_ok is False:
+    if not (report.recovery_ok and report.privacy_ok):
         return EXIT_VERIFICATION
     return EXIT_OK
 

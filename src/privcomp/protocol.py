@@ -21,7 +21,8 @@ stays fresh where freshness matters.
 
 Costs are charged per answered row, in one array per database.  Symbolic
 mode charges the information-theoretic costs (round 1: joint entropy of the
-candidate tuple; a tau-sum: the largest constituent entropy) while
+candidate tuple; a tau-sum: the entropy of its lead member, the one in the
+lowest column, which is the largest since candidates are sorted) while
 transmitting raw sums so recovery can be checked exactly.  Concrete mode,
 used exactly when concrete codes are given, transmits fixed-length codewords
 from the coding module and charges their actual lengths.
@@ -217,18 +218,13 @@ class MessageStore:
             codes = codes * self.q + self.messages[m]
         return codes
 
-    def candidate_values(self, table, codes=None) -> np.ndarray:
-        """Evaluate one candidate function pointwise, shape (beta, L)."""
-        if codes is None:
-            codes = self.input_codes()
-        lut = np.asarray(table.values, dtype=np.int16)
-        return lut[codes]
-
 
 def evaluate_candidates(store: MessageStore, candidate_set: CandidateSet):
     """Images of all candidates on the stored messages, list of (beta, L)."""
     codes = store.input_codes()
-    return [store.candidate_values(t, codes) for t in candidate_set.functions]
+    return [
+        np.asarray(t.values, dtype=np.int16)[codes] for t in candidate_set.functions
+    ]
 
 
 # ------------------------------------------------------------------- answers
@@ -241,7 +237,7 @@ class ConcreteCodes:
     joint_code: FixedCode | None  # None when the joint alphabet is capped out
     image_tuples: tuple
     image_of_code: np.ndarray  # input code -> image index
-    type_codes: dict  # candidate-set bitmask of a tau-sum, tau >= 2 -> code
+    sum_codes: tuple  # lead member (0-based column) of a tau-sum, tau >= 2 -> code
 
     @property
     def joint_fallback(self) -> bool:
@@ -268,18 +264,16 @@ def build_concrete_codes(
             length=length,
             budget=profile.joint + epsilon,
         )
-    type_codes = {}
-    for mask in range(1, 2**profile.mu):
-        members = [h for w, h in enumerate(profile.h) if mask >> w & 1]
-        if len(members) > 1:
-            type_codes[mask] = FixedCode(
-                q=q, alphabet_size=q, length=length, budget=max(members) + epsilon
-            )
+    # the last candidate never leads a sum of two or more
+    sum_codes = tuple(
+        FixedCode(q=q, alphabet_size=q, length=length, budget=h + epsilon)
+        for h in profile.h[:-1]
+    )
     return ConcreteCodes(
         joint_code=joint_code,
         image_tuples=tuple(image),
         image_of_code=image_of_code,
-        type_codes=type_codes,
+        sum_codes=sum_codes,
     )
 
 
@@ -306,13 +300,13 @@ def answer_queries(
     is its cost in q-ary units; the joint round-1 charge sits on the first
     round-1 row, the other round-1 rows cost 0.0.  Without codes (symbolic
     mode) the answers are raw sums mod q, one (S_j, L) array whose round-1
-    rows are the joint bundle, and a later sum costs L times the largest
-    entropy among its members.  With codes (concrete mode) they are a list:
-    each later sum as a codeword, charged its length, and every round-1 row as
-    the one joint-bundle codeword, or as its raw segment when the joint
-    alphabet is capped out.  Only the queried sums, the replica, and the
-    public candidate tables are consulted; nothing here depends on which
-    candidate is desired.
+    rows are the joint bundle, and a later sum costs L times the entropy of
+    its lead member, the largest among its members.  With codes (concrete
+    mode) they are a list: each later sum as a codeword, charged its length,
+    and every round-1 row as the one joint-bundle codeword, or as its raw
+    segment when the joint alphabet is capped out.  Only the queried sums,
+    the replica, and the public candidate tables are consulted; nothing here
+    depends on which candidate is desired.
     """
     profile = candidate_set.profile
     length = store.length
@@ -332,9 +326,10 @@ def answer_queries(
         values = evaluate_candidates(store, candidate_set)
     perm = plan.permutation - 1
     joint = length * profile.joint
+    lead = (sums != 0).argmax(axis=1)
     if codes is None:
         answers = _sum_segments(sums, perm, values, store.q)
-        charges = length * np.where(sums != 0, profile.h, -np.inf).max(axis=1)
+        charges = length * np.asarray(profile.h)[lead]
     else:
         # raw round-1 segments, kept only when the joint alphabet is capped out
         answers = list(_sum_segments(sums * first[:, None], perm, values, store.q))
@@ -345,9 +340,9 @@ def answer_queries(
             answers = [bundle if f else a for f, a in zip(first, answers)]
             joint = float(codes.joint_code.codeword_len)
         charges = np.zeros(len(sums))
-        masks = _masks(sums).tolist()
+        leads = lead.tolist()
         for i in np.flatnonzero(~first).tolist():
-            code = codes.type_codes[masks[i]]
+            code = codes.sum_codes[leads[i]]
             segments = (values[w][perm[t - 1]] for w, t in enumerate(sums[i]) if t)
             parts = [encode_fixed(tuple(int(x) for x in seg), code) for seg in segments]
             answers[i] = sum_codewords(*parts)
@@ -443,10 +438,10 @@ def decode(
     value = (raw[desired] - raw[side]) % q
     failed = lost[desired]
     if codes is not None:
-        masks = _masks(plan.sums).tolist()
+        leads = (plan.sums[desired] != 0).argmax(axis=1).tolist()
         for k in np.flatnonzero(later).tolist():
             i, s = int(desired[k]), int(side[k])
-            code = codes.type_codes[masks[i]]
+            code = codes.sum_codes[leads[k]]
             failed[k] = True
             if coded[i].atypical or lost[s]:
                 continue
@@ -562,7 +557,6 @@ class SimulationConfig:
     mode: str = "symbolic"
     seed: int = 0
     epsilon: float = DEFAULT_EPSILON
-    check_privacy: bool = True
 
 
 @dataclass
@@ -572,7 +566,7 @@ class SimulationReport:
     rate_measured: float
     rate_formula: float
     recovery_ok: bool
-    privacy_ok: bool | None  # None when check_privacy is off
+    privacy_ok: bool
     per_round: list  # (tau, total charge in q-ary units)
     decode_failure_rate: float
     warnings: list
@@ -651,9 +645,7 @@ def run_simulation(config: SimulationConfig) -> SimulationReport:
     ok_rows[np.array(result.failed, dtype=np.int64) - 1] = False
     recovery_ok = bool(np.array_equal(result.segments[ok_rows], direct[ok_rows]))
 
-    privacy_ok = None
-    if config.check_privacy:
-        privacy_ok = verify_privacy_structure(plan).ok
+    privacy_ok = verify_privacy_structure(plan).ok
 
     # Python sums in database-major, then plan order: np.sum adds pairwise,
     # which can change the printed digits

@@ -12,7 +12,7 @@ function, no privacy constraint binds).
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .candidates import EntropyProfile
 from .errors import DegenerateInstanceError, UsageError
@@ -59,13 +59,6 @@ def outer_bound(n: int, profile: EntropyProfile) -> float:
     return n**profile.mu * profile.h_min / denom
 
 
-def outer_bound_messages(h_min: float, n: int, f: int) -> float:
-    """Outer bound when the candidates include all f messages: h_min * C_PIR."""
-    if not 0 <= h_min <= 1 + CAPACITY_TOL:
-        raise UsageError("h_min must lie in [0, 1] for single-symbol candidates")
-    return h_min * pir_capacity(n, f)
-
-
 def achievable_rate(n: int, profile: EntropyProfile) -> float:
     """Rate of the compress-then-sum scheme for an arbitrary candidate set.
 
@@ -82,33 +75,6 @@ def achievable_rate(n: int, profile: EntropyProfile) -> float:
     for v in range(mu - 1, 0, -1):
         acc = acc * x + h[v - 1]
     return profile.h_min / acc
-
-
-def achievable_rate_messages(n: int, f: int, profile: EntropyProfile) -> float:
-    """Achievable rate when the first f candidates are the f messages.
-
-    Two closed-form branches: mu <= f+1 gives h_min * C_PIR; otherwise the
-    denominator picks up the entropies of candidates f+1 .. mu-1.  Must agree
-    with achievable_rate evaluated with the joint entropy pinned to f.
-    """
-    _check_n(n)
-    mu = profile.mu
-    if mu < f:
-        raise UsageError("need mu >= f to include all messages")
-    for v in range(min(f, mu)):
-        if abs(profile.h[v] - 1.0) > 1e-9:
-            raise UsageError(
-                f"candidate {v + 1} has entropy {profile.h[v]!r}, "
-                "but the first f candidates must be the uniform messages"
-            )
-    h_min = profile.h_min
-    if mu <= f + 1:
-        return h_min * pir_capacity(n, f)
-    s = 0.0
-    for v in range(mu - 1, f, -1):  # small terms first
-        s += profile.h[v - 1] * (n ** (1 - v) - n ** (1 - mu))
-    denom = 1 - (1 / n) ** f + (1 - 1 / n) * s
-    return h_min * (1 - 1 / n) / denom
 
 
 def rate_lower_bound(n: int, mu: int, h_min: float, h_max: float) -> float:
@@ -184,21 +150,7 @@ class RateReport:
             raise UsageError("achievable rate exceeds outer bound")
 
     def as_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "mu": self.mu,
-            "f": self.f,
-            "h_min": self.h_min,
-            "achievable": self.achievable,
-            "outer_bound": self.outer_bound,
-            "lower_bound": self.lower_bound,
-            "baseline_pir": self.baseline_pir,
-            "baseline_pir_unnormalized": self.baseline_pir_unnormalized,
-            "d_opt": self.d_opt,
-            "d_one": self.d_one,
-            "capacity_met": self.capacity_met,
-            "degenerate": self.degenerate,
-        }
+        return asdict(self)
 
 
 def rate_report(n: int, candidate_set) -> RateReport:

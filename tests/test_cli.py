@@ -6,6 +6,7 @@ import pytest
 
 from privcomp.cli import main, parse_candidates
 from privcomp import UsageError
+from test_rates import achievable_messages_oracle, outer_messages_oracle
 
 
 def run_cli(capsys, *argv):
@@ -505,8 +506,8 @@ def test_figure_rows_build_each_candidate_set_once(monkeypatch):
                         "f": f,
                         "mu": profile.mu,
                         "h_min": profile.h_min,
-                        "achievable": rates.achievable_rate_messages(n, f, profile),
-                        "converse": rates.outer_bound_messages(profile.h_min, n, f),
+                        "achievable": rates.achievable_rate(n, profile),
+                        "converse": rates.outer_bound(n, profile),
                     }
                 )
     calls = []
@@ -520,3 +521,38 @@ def test_figure_rows_build_each_candidate_set_once(monkeypatch):
     assert cli.figure_rows(q, ns, gs, f_max) == expected
     assert len(calls) == len(gs) * f_max == 14
     assert len(set(calls)) == len(calls)
+
+
+# largest f under the enumeration cap, where that is below 7
+FIGURE_GRID_F_MAX = {(5, 4): 6, (7, 2): 6, (7, 3): 6, (7, 4): 5}
+
+
+def test_figure_rows_match_corollary_on_grid(monkeypatch):
+    # every set in the sweep holds all f messages, so the printed general
+    # formulas must equal the corollary's closed forms
+    import privcomp.cli as cli
+
+    profiles = {}
+    real = cli.cand.monomial_candidate_set
+
+    def recording(f, g, q):
+        cs = real(f, g, q)
+        profiles[f, g, q] = cs.profile
+        return cs
+
+    monkeypatch.setattr(cli.cand, "monomial_candidate_set", recording)
+    ns = [2, 3, 4, 5, 7]
+    checked = 0
+    for q in (2, 3, 5, 7):
+        for g in (1, 2, 3, 4):
+            f_max = FIGURE_GRID_F_MAX.get((q, g), 7)
+            for r in cli.figure_rows(q, ns, [g], f_max):
+                n, f, profile = r["n"], r["f"], profiles[r["f"], g, q]
+                oracle = (
+                    achievable_messages_oracle(n, f, profile),
+                    outer_messages_oracle(n, f, profile.h_min),
+                )
+                printed = (cli._fmt(r["achievable"]), cli._fmt(r["converse"]))
+                assert printed == tuple(map(cli._fmt, oracle)), (q, g, f, n)
+                checked += 1
+    assert checked == 535

@@ -532,8 +532,7 @@ def test_download_cost_independent_of_desired_index():
     totals = set()
     for v in range(1, cs.mu + 1):
         rep = run_simulation(
-            SimulationConfig(n=3, candidate_set=cs, length=4, v=v, seed=9,
-                             check_privacy=False)
+            SimulationConfig(n=3, candidate_set=cs, length=4, v=v, seed=9)
         )
         totals.add(round(rep.total_download, 9))
         assert rep.total_download == pytest.approx(

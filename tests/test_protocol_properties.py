@@ -51,7 +51,6 @@ def config_of(case):
         mode="symbolic" if epsilon is None else "concrete",
         seed=seed,
         epsilon=0.05 if epsilon is None else epsilon,
-        check_privacy=False,
     )
 
 

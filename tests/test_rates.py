@@ -1,5 +1,7 @@
+import ast
 import math
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,7 +11,6 @@ from privcomp import (
     FunctionTable,
     UsageError,
     achievable_rate,
-    achievable_rate_messages,
     asymptotic_rate,
     baseline_virtual_pir_rate,
     build_monomial,
@@ -19,13 +20,13 @@ from privcomp import (
     monomial_candidate_set,
     order_by_entropy,
     outer_bound,
-    outer_bound_messages,
     pir_capacity,
     rate_lower_bound,
     rate_report,
     round_download,
 )
 from privcomp.candidates import EntropyProfile
+from privcomp.rates import CAPACITY_TOL
 
 H_PRODUCT = 0.9057125980138373  # entropy of w1*w2 over F_3
 
@@ -51,6 +52,32 @@ def profile_oracle(tables):
         )
         joints.append(entropy(c))
     return EntropyProfile(h=tuple(hs), prefix_joint=tuple(joints))
+
+
+def pir_capacity_oracle(n, f):
+    return (1 - 1 / n) / (1 - (1 / n) ** f)
+
+
+def outer_messages_oracle(n, f, h_min):
+    """Corollary outer bound when the candidates hold all f messages."""
+    return h_min * pir_capacity_oracle(n, f)
+
+
+def achievable_messages_oracle(n, f, profile):
+    """Corollary achievable rate when the first f candidates are the messages.
+
+    Two closed-form branches: mu <= f+1 gives h_min * C_PIR; otherwise the
+    denominator picks up the entropies of candidates f+1 .. mu-1.
+    """
+    mu = profile.mu
+    assert mu >= f and all(abs(h - 1.0) <= 1e-9 for h in profile.h[:f])
+    if mu <= f + 1:
+        return outer_messages_oracle(n, f, profile.h_min)
+    s = 0.0
+    for v in range(mu - 1, f, -1):  # small terms first
+        s += profile.h[v - 1] * (n ** (1 - v) - n ** (1 - mu))
+    denom = 1 - (1 / n) ** f + (1 - 1 / n) * s
+    return profile.h_min * (1 - 1 / n) / denom
 
 
 def pair_set():
@@ -106,14 +133,22 @@ def test_outer_bound_figure_point():
 
 
 def test_outer_bound_messages_values():
-    assert outer_bound_messages(H_PRODUCT, 3, 2) == pytest.approx(
-        0.679284448510378, abs=1e-9
+    # the general outer bound on sets holding all f messages is h_min * C_PIR
+    two = monomial_candidate_set(2, 2, 3).profile
+    assert two.h_min == pytest.approx(H_PRODUCT, abs=1e-15)
+    assert outer_bound(3, two) == pytest.approx(0.679284448510378, abs=1e-9)
+    assert outer_bound(3, two) == pytest.approx(
+        outer_messages_oracle(3, 2, two.h_min), abs=1e-15
     )
     for n, f in [(2, 3), (4, 2)]:
-        assert outer_bound_messages(1.0, n, f) == pir_capacity(n, f)
-    h_min_g3 = monomial_candidate_set(3, 3, 3).profile.h_min
-    assert outer_bound_messages(h_min_g3, 3, 7) == pytest.approx(
-        0.493618066481006, abs=1e-9
+        messages = monomial_candidate_set(f, 1, 3).profile
+        assert outer_bound(n, messages) == pytest.approx(
+            pir_capacity(n, f), abs=1e-15
+        )
+    g3 = monomial_candidate_set(7, 3, 3).profile
+    assert outer_bound(3, g3) == pytest.approx(0.493618066481006, abs=1e-9)
+    assert outer_bound(3, g3) == pytest.approx(
+        outer_messages_oracle(3, 7, g3.h_min), abs=1e-14
     )
 
 
@@ -140,38 +175,42 @@ def test_achievable_figure_point_joint_pinned():
 
 
 def test_achievable_messages_branches():
-    # mu = f + 1: collapses to h_min * C_PIR
+    # the general rate on sets holding all f messages, against both branches
+    # of the corollary; mu = f + 1 collapses to h_min * C_PIR
     cs = triple_set()
-    assert achievable_rate_messages(2, 2, cs.profile) == pytest.approx(
+    assert achievable_rate(2, cs.profile) == pytest.approx(
         cs.profile.h_min * pir_capacity(2, 2), abs=1e-15
     )
     five = monomial_candidate_set(2, 3, 3)
-    assert achievable_rate_messages(5, 2, five.profile) == pytest.approx(
+    assert achievable_rate(5, five.profile) == pytest.approx(
         0.730074298724149, abs=1e-9
     )
     thirteen = monomial_candidate_set(3, 3, 3)
     assert thirteen.mu == 13
-    assert achievable_rate_messages(3, 3, thirteen.profile) == pytest.approx(
+    assert achievable_rate(3, thirteen.profile) == pytest.approx(
         0.495127314659448, abs=1e-9
     )
+    for n, f, profile in [(2, 2, cs.profile), (5, 2, five.profile),
+                          (3, 3, thirteen.profile)]:
+        assert achievable_rate(n, profile) == pytest.approx(
+            achievable_messages_oracle(n, f, profile), abs=1e-15
+        )
 
 
 def test_achievable_messages_equals_general_rate_with_joint_pinned():
+    # the joint entropy of a set holding all f messages is f
     for f, g, n in [(2, 2, 2), (2, 3, 3), (3, 2, 4), (3, 3, 2)]:
         cs = monomial_candidate_set(f, g, 3)
         pinned = EntropyProfile(
             h=cs.profile.h,
             prefix_joint=cs.profile.prefix_joint[:-1] + (float(f),),
         )
-        assert achievable_rate_messages(n, f, cs.profile) == pytest.approx(
+        assert achievable_messages_oracle(n, f, cs.profile) == pytest.approx(
             achievable_rate(n, pinned), abs=1e-12
         )
-
-
-def test_achievable_messages_precondition():
-    cs = pair_set()  # h = (1, 0.9057): candidate 2 is not a message
-    with pytest.raises(UsageError):
-        achievable_rate_messages(2, 2, cs.profile)
+        assert achievable_rate(n, cs.profile) == pytest.approx(
+            achievable_rate(n, pinned), abs=1e-12
+        )
 
 
 def test_mu_one_degenerate_rate():
@@ -327,6 +366,29 @@ def test_rate_report_fields():
     }
     single = rate_report(2, candidate_set_from_exponents([(1,)], 3))
     assert single.degenerate and single.achievable == 1.0
+
+
+def test_readme_library_snippet():
+    # run the README's Library block and check the values its comments show
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    block = readme.split("## Library", 1)[1].split("```python\n", 1)[1]
+    block = block.split("```", 1)[0]
+    namespace, shown = {}, {}
+    for stmt in ast.parse(block).body:
+        if isinstance(stmt, ast.Expr):
+            expr = compile(ast.Expression(stmt.value), "README.md", "eval")
+            shown[ast.get_source_segment(block, stmt)] = eval(expr, namespace)
+        else:
+            exec(compile(ast.Module([stmt], []), "README.md", "exec"), namespace)
+    assert "# 0.679284448510378" in block
+    achievable = shown["pc.achievable_rate(3, cs.profile)"]
+    assert achievable == pytest.approx(0.679284448510378, abs=1e-15)
+    outer = shown["pc.outer_bound(3, cs.profile)"]
+    assert outer == pytest.approx(0.679284448510378, abs=1e-15)
+    assert abs(achievable - outer) <= CAPACITY_TOL
+    report = namespace["report"]
+    assert shown["report.rate_measured"] == report.rate_formula
+    assert report.recovery_ok and report.privacy_ok
 
 
 def test_degenerate_all_constant():
