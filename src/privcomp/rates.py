@@ -52,11 +52,20 @@ def d_opt(n: int, profile: EntropyProfile) -> float:
 
 
 def outer_bound(n: int, profile: EntropyProfile) -> float:
-    """Upper bound on the private-computation rate for this profile."""
-    denom = d_opt(n, profile)
-    if denom <= 0.0:
+    """Upper bound on the private-computation rate for this profile.
+
+    n^mu h_min / d_opt, evaluated as h_min / sum_v n^-(v-1) [H(X^[v]) -
+    H(X^[v-1])] by Horner in 1/n, so it stays finite past the double range.
+    """
+    _check_n(n)
+    x = 1.0 / n
+    joint = profile.prefix_joint
+    acc = 0.0
+    for v in range(len(joint) - 1, -1, -1):
+        acc = acc * x + (joint[v] - (joint[v - 1] if v else 0.0))
+    if acc <= 0.0:
         raise DegenerateInstanceError("all candidates constant; no converse bound")
-    return n**profile.mu * profile.h_min / denom
+    return profile.h_min / acc
 
 
 def achievable_rate(n: int, profile: EntropyProfile) -> float:

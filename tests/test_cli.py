@@ -357,6 +357,19 @@ def test_figure_without_fixture_rows(tmp_path, capsys):
     assert len(out_path.read_text().splitlines()) == 3
 
 
+def test_figure_row_beyond_double_range(capsys):
+    # at f = 8, mu = 162 and 100^mu > 1e308: the converse still prints
+    code, out, _ = run_cli(
+        capsys, "figure", "--q", "2", "--n", "100", "--g", "4", "--f-max", "8"
+    )
+    assert code == 0
+    n, g, f, mu, h_min, _, converse = out.splitlines()[-1].split(",")
+    assert (n, g, f, mu) == ("100", "4", "8", "162")
+    assert float(converse) == pytest.approx(
+        outer_messages_oracle(100, 8, float(h_min)), rel=1e-11
+    )
+
+
 def test_simulate_byte_stable(capsys):
     args = (
         "simulate", "--n", "2", "--q", "3", "--candidates", "1,0;1,1",
@@ -523,31 +536,24 @@ def test_figure_rows_build_each_candidate_set_once(monkeypatch):
     assert len(set(calls)) == len(calls)
 
 
-# largest f under the enumeration cap, where that is below 7
-FIGURE_GRID_F_MAX = {(5, 4): 6, (7, 2): 6, (7, 3): 6, (7, 4): 5}
-
-
-def test_figure_rows_match_corollary_on_grid(monkeypatch):
+def test_figure_rows_match_corollary_on_grid():
     # every set in the sweep holds all f messages, so the printed general
     # formulas must equal the corollary's closed forms
     import privcomp.cli as cli
+    from privcomp import ResourceLimitError
 
-    profiles = {}
-    real = cli.cand.monomial_candidate_set
-
-    def recording(f, g, q):
-        cs = real(f, g, q)
-        profiles[f, g, q] = cs.profile
-        return cs
-
-    monkeypatch.setattr(cli.cand, "monomial_candidate_set", recording)
     ns = [2, 3, 4, 5, 7]
     checked = 0
     for q in (2, 3, 5, 7):
         for g in (1, 2, 3, 4):
-            f_max = FIGURE_GRID_F_MAX.get((q, g), 7)
-            for r in cli.figure_rows(q, ns, [g], f_max):
-                n, f, profile = r["n"], r["f"], profiles[r["f"], g, q]
+            profiles = {}  # f -> profile, up to 7 or the enumeration cap
+            for f in range(1, 8):
+                try:
+                    profiles[f] = cli.cand.monomial_candidate_set(f, g, q).profile
+                except ResourceLimitError:
+                    break
+            for r in cli.figure_rows(q, ns, [g], len(profiles)):
+                n, f, profile = r["n"], r["f"], profiles[r["f"]]
                 oracle = (
                     achievable_messages_oracle(n, f, profile),
                     outer_messages_oracle(n, f, profile.h_min),
@@ -555,4 +561,5 @@ def test_figure_rows_match_corollary_on_grid(monkeypatch):
                 printed = (cli._fmt(r["achievable"]), cli._fmt(r["converse"]))
                 assert printed == tuple(map(cli._fmt, oracle)), (q, g, f, n)
                 checked += 1
-    assert checked == 535
+    # q = 5 and 7 stop below f = 7 at the enumeration cap
+    assert checked == 535, f"{checked} rows: the cap moved, so did the grid"

@@ -152,6 +152,22 @@ def test_outer_bound_messages_values():
     )
 
 
+def test_rates_finite_beyond_double_range():
+    # ten messages and 375 functions of them: 7^385 > 1e308, so
+    # n^mu * h_min / d_opt cannot be formed in doubles
+    profile = EntropyProfile(
+        h=(1.0,) * 10 + (0.5,) * 375,
+        prefix_joint=tuple(range(1, 11)) + (10.0,) * 375,
+    )
+    assert 7**profile.mu > 10**308
+    assert outer_bound(7, profile) == pytest.approx(
+        outer_messages_oracle(7, 10, profile.h_min), rel=1e-12
+    )
+    assert achievable_rate(7, profile) == pytest.approx(
+        achievable_messages_oracle(7, 10, profile), rel=1e-12
+    )
+
+
 # ----------------------------------------------------------- achievable rate
 
 
