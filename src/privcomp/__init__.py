@@ -14,7 +14,6 @@ from .candidates import (
     build_monomial,
     candidate_set_from_exponents,
     count_all_monomials,
-    empirical_entropy,
     generate_nonparallel_monomials,
     joint_entropy_prefix,
     monomial_candidate_set,
@@ -94,7 +93,6 @@ __all__ = [
     "d_opt",
     "decode",
     "decode_fixed",
-    "empirical_entropy",
     "encode_fixed",
     "generate_nonparallel_monomials",
     "generate_query_plan",

@@ -3,9 +3,9 @@
 A candidate is any function GF(q)^f -> GF(q), stored as its full value table
 over all q^f input tuples (inputs enumerated in base-q lexicographic order,
 first variable most significant).  Under uniform i.i.d. inputs a value's
-probability is its exact preimage count over q^f.  Tables are built and
-counted on numpy arrays but stored as tuples of Python ints; entropies are
-summed from the counts in Python floats, in q-ary units, so ties stay exact.
+probability is its exact preimage count over q^f.  Tables are read-only
+int64 arrays, counted by np.unique; entropies are summed from the counts in
+Python floats, in q-ary units, so ties stay exact.
 
 The monomial generator produces the deduplicated "nonparallel" candidate sets
 used by the rate sweeps: exponent vectors are first reduced with x^q = x, and
@@ -29,18 +29,26 @@ ENUMERATION_CAP = 10**7
 FLOAT_TOL = 1e-9
 
 
+# Miller-Rabin on these bases is exact below 3.3 * 10^24 (above it, a strong
+# pseudoprime to all 13 would pass)
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
 def is_prime(n: int) -> bool:
     if n < 2:
         return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    for p in _PRIME_BASES:
+        if n % p == 0:
+            return n == p
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    # n = d * 2^s + 1 is a strong probable prime to base a when a^d = 1 or
+    # a^(d * 2^r) = -1 mod n for some r < s
+    for a in _PRIME_BASES:
+        x = pow(a, d, n)
+        if x != 1 and n - 1 not in [pow(x, 2**r, n) for r in range(s)]:
             return False
-        d += 2
     return True
 
 
@@ -85,13 +93,14 @@ def grlex_key(e: tuple) -> tuple:
     return (sum(e), tuple(-x for x in e))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FunctionTable:
-    """A candidate function as its value at every input of GF(q)^f."""
+    """A candidate function as its value at every input of GF(q)^f, held as
+    a read-only int64 array converted once from any integer sequence."""
 
     q: int
     f: int
-    values: tuple
+    values: np.ndarray
     exponents: tuple | None = None  # set when built from a monomial
 
     def __post_init__(self):
@@ -101,14 +110,20 @@ class FunctionTable:
             raise UsageError(
                 f"table has {len(self.values)} entries, expected {self.q}^{self.f}"
             )
-        if self.values and not (0 <= min(self.values) and max(self.values) < self.q):
+        try:
+            values = np.array(self.values, dtype=np.int64)
+        except OverflowError:  # past int64, so past the field too
+            raise UsageError("table value out of field range") from None
+        if values.min() < 0 or values.max() >= self.q:
             raise UsageError("table value out of field range")
+        values.flags.writeable = False
+        object.__setattr__(self, "values", values)
 
     def value_at(self, inputs: tuple) -> int:
         idx = 0
         for w in inputs:
             idx = idx * self.q + w
-        return self.values[idx]
+        return int(self.values[idx])
 
 
 def build_monomial(exponents: tuple, q: int) -> FunctionTable:
@@ -121,12 +136,21 @@ def build_monomial(exponents: tuple, q: int) -> FunctionTable:
         raise UsageError("monomial must involve at least one variable (wt >= 1)")
     require_prime(q)
     _check_enumeration_cap(q, f)
-    # outer product of per-variable power tables; the last variable varies fastest
+    # outer product of per-variable power tables; the last variable varies
+    # fastest.  The cap keeps q <= 10^7, so a product of two residues stays
+    # below 2^63.
     values = np.ones(1, dtype=np.int64)
     for e in exponents:
-        powers = np.array([pow(w, e, q) for w in range(q)], dtype=np.int64)
+        # w^e for every w at once, by square-and-multiply
+        powers = np.ones(q, dtype=np.int64)
+        base = np.arange(q, dtype=np.int64)
+        while e:
+            if e & 1:
+                powers = powers * base % q
+            base = base * base % q
+            e >>= 1
         values = np.multiply.outer(values, powers).ravel() % q
-    return FunctionTable(q=q, f=f, values=tuple(values.tolist()), exponents=exponents)
+    return FunctionTable(q=q, f=f, values=values, exponents=exponents)
 
 
 def generate_nonparallel_monomials(f: int, g: int, q: int) -> list:
@@ -149,6 +173,8 @@ def generate_nonparallel_monomials(f: int, g: int, q: int) -> list:
     for e in itertools.product(range(g + 1), repeat=f):
         if 1 <= sum(e) <= g:
             in_range.add(_reduce(e, q))
+    # each kept vector bans at most q - 2 others, so mu >= |in_range| / (q - 1)
+    _check_enumeration_cap(q, f, -(-len(in_range) // (q - 1)))
     kept = []
     banned = set()
     ks = np.arange(2, q, dtype=np.int64)[:, None]
@@ -164,43 +190,27 @@ def generate_nonparallel_monomials(f: int, g: int, q: int) -> list:
     return kept
 
 
-def _entropy_from_counts(counts, total: int, q: int) -> float:
-    """Plug-in entropy (base q) from integer counts; 0*log 0 = 0.
+def _entropy_and_labels(keys: np.ndarray, q: int):
+    """Entropy (base q) of nonempty integer keys, and each key's rank among
+    the distinct keys.
 
-    Counts are consumed in sorted order so that equal count multisets produce
-    bit-identical floats (entropy ties must compare exactly equal).
+    The plug-in entropy of the exact counts; counts are summed in sorted
+    order so that equal count multisets produce bit-identical floats (entropy
+    ties must compare exactly equal).
     """
-    s = 0.0
-    for c in sorted(counts):
-        if c:
-            s += c * math.log(c)
-    return (math.log(total) - s / total) / math.log(q)
-
-
-def empirical_entropy(samples, q: int) -> float:
-    """Plug-in entropy (base q) of the empirical distribution of samples."""
-    if len(samples) == 0:
-        raise UsageError("need at least one sample")
-    counts = {}
-    for s in samples:
-        counts[s] = counts.get(s, 0) + 1
-    return _entropy_from_counts(counts.values(), len(samples), q)
-
-
-def _entropy_and_labels(keys, q: int):
-    """Entropy of integer keys and each key's rank among the distinct keys."""
-    if len(keys) == 0:
-        raise UsageError("need at least one sample")
     distinct, counts = np.unique(keys, return_counts=True)
+    s = 0.0
     # a count of 1 adds 1*log(1) = 0.0 exactly, so only counts > 1 are summed
-    h = _entropy_from_counts(counts[counts > 1].tolist(), len(keys), q)
+    for c in sorted(counts[counts > 1].tolist()):
+        s += c * math.log(c)
+    h = (math.log(len(keys)) - s / len(keys)) / math.log(q)
     # searchsorted ranks keys in less memory than unique's return_inverse
     return h, np.searchsorted(distinct, keys)
 
 
 def table_entropy(table: FunctionTable) -> float:
     """Exact entropy of a candidate under uniform inputs, q-ary units."""
-    return _entropy_and_labels(np.asarray(table.values, dtype=np.int64), table.q)[0]
+    return _entropy_and_labels(table.values, table.q)[0]
 
 
 @dataclass(frozen=True)
@@ -294,8 +304,7 @@ def order_by_entropy(functions) -> CandidateSet:
     f = functions[0].f
     if any(t.q != q or t.f != f for t in functions):
         raise UsageError("all candidates must share the same q and f")
-    # the one tuple -> array conversion of every table
-    rows = np.array([t.values for t in functions], dtype=np.int64)
+    rows = np.stack([t.values for t in functions])
     entropies = [_entropy_and_labels(row, q)[0] for row in rows]
     all_monomial = all(t.exponents is not None for t in functions)
     if all_monomial:

@@ -10,10 +10,12 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
-from collections import Counter
 from fractions import Fraction
 from importlib import resources
+
+import numpy as np
 
 from . import candidates as cand
 from . import protocol, rates
@@ -37,8 +39,8 @@ def _fmt(x: float) -> str:
 
 
 def _round_floats(obj):
-    if isinstance(obj, float):
-        return float(_fmt(obj))
+    if isinstance(obj, float):  # JSON has no infinity or NaN: they print null
+        return float(_fmt(obj)) if math.isfinite(obj) else None
     if isinstance(obj, dict):
         return {k: _round_floats(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -202,16 +204,16 @@ def cmd_entropy(args) -> int:
             raise UsageError("--monomial takes a single exponent vector")
         table = cand.build_monomial(vec[0], args.q)
     else:
-        values = tuple(_parse_int_list(args.table, "--table"))
+        values = _parse_int_list(args.table, "--table")
         cand.require_prime(args.q)  # the search for f below needs q >= 2
         f = 0
         while args.q**f < len(values):
             f += 1
         table = cand.FunctionTable(q=args.q, f=f, values=values)
-    counts = Counter(table.values)
+    cand._check_enumeration_cap(args.q, 1)  # the pmf lists all q field values
     pmf = {}
-    for v in range(args.q):
-        p = Fraction(counts[v], len(table.values))
+    for v, c in enumerate(np.bincount(table.values, minlength=args.q).tolist()):
+        p = Fraction(c, len(table.values))
         pmf[str(v)] = f"{p.numerator}/{p.denominator}"
     _emit_json({"q": args.q, "entropy": cand.table_entropy(table), "pmf": pmf})
     return EXIT_OK

@@ -143,13 +143,7 @@ def _plan_blocks(n: int, mu: int) -> list:
     return blocks
 
 
-def generate_query_plan(
-    n: int,
-    mu: int,
-    v: int,
-    seed=None,
-    permutation=None,
-) -> QueryPlan:
+def generate_query_plan(n: int, mu: int, v: int, seed=None) -> QueryPlan:
     """Build the round-wise query plan for desired candidate v.
 
     The structure is generated for desired slot 1 and then the columns of
@@ -167,14 +161,7 @@ def generate_query_plan(
         raise ResourceLimitError(
             f"beta = {n}^{mu} = {beta} exceeds the plan cap of {PLAN_SEGMENT_CAP}"
         )
-    if permutation is not None:
-        permutation = np.asarray(permutation, dtype=np.int64)
-        if permutation.shape != (beta,) or (
-            np.bincount(permutation.clip(0, beta + 1), minlength=beta + 2)[1:-1] != 1
-        ).any():
-            raise UsageError("permutation must be a bijection on [beta]")
-    else:
-        permutation = np.random.default_rng(seed).permutation(beta) + 1
+    permutation = np.random.default_rng(seed).permutation(beta) + 1
     sums, db, rnd, desired, side_ref = (
         np.concatenate(col) for col in zip(*_plan_blocks(n, mu))
     )
@@ -222,9 +209,7 @@ class MessageStore:
 def evaluate_candidates(store: MessageStore, candidate_set: CandidateSet):
     """Images of all candidates on the stored messages, list of (beta, L)."""
     codes = store.input_codes()
-    return [
-        np.asarray(t.values, dtype=np.int16)[codes] for t in candidate_set.functions
-    ]
+    return [t.values.astype(np.int16)[codes] for t in candidate_set.functions]
 
 
 # ------------------------------------------------------------------- answers
@@ -235,7 +220,7 @@ class ConcreteCodes:
     """Shared deterministic code parameters for concrete answers/decoding."""
 
     joint_code: FixedCode | None  # None when the joint alphabet is capped out
-    image_tuples: tuple
+    image_tuples: np.ndarray  # (A, mu) distinct candidate tuples, lexicographic
     image_of_code: np.ndarray  # input code -> image index
     sum_codes: tuple  # lead member (0-based column) of a tau-sum, tau >= 2 -> code
 
@@ -249,13 +234,11 @@ def build_concrete_codes(
 ) -> ConcreteCodes:
     q = candidate_set.q
     profile = candidate_set.profile
-    n_inputs = q**candidate_set.f
-    tuples = [
-        tuple(t.values[i] for t in candidate_set.functions) for i in range(n_inputs)
-    ]
-    image = sorted(set(tuples))
-    index = {tup: i for i, tup in enumerate(image)}
-    image_of_code = np.array([index[tup] for tup in tuples], dtype=np.int64)
+    image, image_of_code = np.unique(
+        np.stack([t.values for t in candidate_set.functions], axis=1),
+        axis=0,
+        return_inverse=True,
+    )
     joint_code = None
     if len(image) <= CONCRETE_ALPHABET_CAP:
         joint_code = FixedCode(
@@ -271,7 +254,7 @@ def build_concrete_codes(
     )
     return ConcreteCodes(
         joint_code=joint_code,
-        image_tuples=tuple(image),
+        image_tuples=image,
         image_of_code=image_of_code,
         sum_codes=sum_codes,
     )
@@ -432,8 +415,7 @@ def decode(
             elif bundle.atypical:
                 lost[first] = True
             else:
-                seq = decode_fixed(bundle, codes.joint_code)
-                image = np.array([codes.image_tuples[s] for s in seq], dtype=np.int16)
+                image = codes.image_tuples[list(decode_fixed(bundle, codes.joint_code))]
                 raw[first] = image[:, plan.sums[first].argmax(axis=1)].T
     value = (raw[desired] - raw[side]) % q
     failed = lost[desired]

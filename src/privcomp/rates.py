@@ -37,7 +37,7 @@ def d_opt(n: int, profile: EntropyProfile) -> float:
     """Converse-bound download cost per segment length.
 
     Sum over v of n^(mu-v+1) * [H(X^[v]) - H(X^[v-1])], evaluated by Horner
-    from v = mu down to v = 1.
+    from v = mu down to v = 1; past the double range it is math.inf.
     """
     _check_n(n)
     acc = 0.0
@@ -115,7 +115,8 @@ def round_download(tau: int, n: int, profile: EntropyProfile) -> float:
     """Total round-tau download over all databases, per segment length.
 
     Round 1 sends the jointly compressed candidate tuple; later rounds charge
-    each sum at the largest entropy among its constituents.
+    each sum at the largest entropy among its constituents.  Past the double
+    range the cost is math.inf.
     """
     _check_n(n)
     mu = profile.mu
@@ -124,9 +125,12 @@ def round_download(tau: int, n: int, profile: EntropyProfile) -> float:
     if tau == 1:
         return n * profile.joint
     inner = 0.0
-    for v in range(mu - tau + 1, 0, -1):
-        inner += math.comb(mu - v, tau - 1) * profile.h[v - 1]
-    return n * (n - 1) ** (tau - 1) * inner
+    try:
+        for v in range(mu - tau + 1, 0, -1):
+            inner += math.comb(mu - v, tau - 1) * profile.h[v - 1]
+        return n * (n - 1) ** (tau - 1) * inner
+    except OverflowError:  # an integer factor is past the double range
+        return math.inf
 
 
 def d_one(n: int, profile: EntropyProfile) -> float:

@@ -111,8 +111,27 @@ def test_table_values_validated(values):
 
 
 def test_table_values_at_field_bounds_accepted():
-    assert FunctionTable(q=3, f=1, values=(2, 0, 2)).values == (2, 0, 2)
-    assert FunctionTable(q=5, f=0, values=(4,)).values == (4,)
+    table = FunctionTable(q=3, f=1, values=(2, 0, 2))
+    assert table.values.tolist() == [2, 0, 2]
+    assert table.values.dtype == np.int64
+    assert FunctionTable(q=5, f=0, values=(4,)).values.tolist() == [4]
+
+
+def test_table_values_past_int64_rejected():
+    for v in (2**63, -(2**63) - 1, 2**70):
+        with pytest.raises(UsageError, match="out of field range"):
+            FunctionTable(q=3, f=0, values=(v,))
+
+
+def test_table_values_read_only():
+    source = np.array([0, 1, 2], dtype=np.int64)
+    table = FunctionTable(q=3, f=1, values=source)
+    source[0] = 2  # the table holds its own copy
+    assert table.values.tolist() == [0, 1, 2]
+    with pytest.raises(ValueError, match="read-only"):
+        table.values[0] = 1
+    with pytest.raises(ValueError, match="read-only"):
+        build_monomial((1, 1), 3).values[:] = 0
 
 
 def test_table_field_size_below_int64_limit():
@@ -139,13 +158,26 @@ def test_nonprime_modulus_outranks_enumeration_cap():
 
 
 def test_is_prime_matches_sieve():
-    sieve = [False, False] + [True] * 2998
-    for d in range(2, 55):
-        for m in range(d * d, 3000, d):
+    limit = 10**5
+    sieve = [False, False] + [True] * (limit - 2)
+    for d in range(2, math.isqrt(limit) + 1):
+        for m in range(d * d, limit, d):
             sieve[m] = False
-    assert [n for n in range(-3, 3000) if is_prime(n)] == [
-        n for n in range(3000) if sieve[n]
+    assert [n for n in range(-3, limit) if is_prime(n)] == [
+        n for n in range(limit) if sieve[n]
     ]
+
+
+def test_is_prime_large_primes_and_carmichael_numbers():
+    # the largest primes below 2^31, 2^61, 2^63 and 10^7
+    primes = [2**31 - 1, 2**61 - 1, 9223372036854775783, 9999991]
+    carmichael = [561, 1105, 1729, 2465, 2821, 6601, 8911, 41041, 825265]
+    # strong pseudoprimes to the first 8 and to the first 9 prime bases
+    pseudoprimes = [341550071728321, 3825123056546413051]
+    # all below 3.3 * 10^24, where the test is exact
+    composites = [2**64 + 1, (2**31 - 1) * 9999991, 9999991**2]
+    assert [p for p in primes if is_prime(p)] == primes
+    assert [n for n in carmichael + pseudoprimes + composites if is_prime(n)] == []
 
 
 # ----------------------------------------------------------------- reduction
@@ -166,7 +198,7 @@ def test_reduce_preserves_table_exhaustive(q):
                 continue
             red = reduce_exponent_vector(e, q)
             assert reduce_exponent_vector(red, q) == red
-            assert build_monomial(e, q).values == build_monomial(red, q).values
+            assert np.array_equal(build_monomial(e, q).values, build_monomial(red, q).values)
 
 
 # ---------------------------------------------------------------- generation
@@ -216,7 +248,7 @@ def test_nonparallel_graded_lex_order():
 def test_nonparallel_deduplicates_as_functions():
     for f, g, q in [(2, 3, 3), (3, 3, 3), (2, 4, 5)]:
         vecs = generate_nonparallel_monomials(f, g, q)
-        tables = [build_monomial(e, q).values for e in vecs]
+        tables = [tuple(build_monomial(e, q).values.tolist()) for e in vecs]
         assert len(set(tables)) == len(tables)
         # every generated vector is already reduced
         assert all(reduce_exponent_vector(e, q) == e for e in vecs)

@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 import os
 
 import pytest
@@ -370,6 +371,42 @@ def test_figure_row_beyond_double_range(capsys):
     )
 
 
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+@pytest.mark.parametrize("n", [7, 13])
+def test_rates_past_double_range_print_null(capsys, n):
+    # n^mu passes the double range: the costs print null, the rates stay finite
+    code, out, _ = run_cli(
+        capsys, "rates", "--q", "2", "--n", str(n), "--g", "4", "--f", "10"
+    )
+    assert code == 0
+    data = json.loads(out, parse_constant=_reject_constant)
+    assert data["d_opt"] is None and data["d_one"] is None
+    for key in ("achievable", "outer_bound", "lower_bound", "baseline_pir"):
+        assert math.isfinite(data[key])
+
+
+def test_candidate_lower_bound_rejected_before_the_sort(capsys, monkeypatch):
+    # 501500 in-range vectors, each kept one banning at most q - 2 = 1997
+    # others: at least 252 tables of 1999^2 cells, known before any sort
+    import privcomp.candidates as cand
+
+    def grlex_key(e):
+        raise AssertionError("the in-range vectors were sorted")
+
+    monkeypatch.setattr(cand, "grlex_key", grlex_key)
+    code, out, err = run_cli(
+        capsys, "rates", "--n", "2", "--q", "1999", "--f", "2", "--g", "1000"
+    )
+    assert code == 3
+    assert out == ""
+    assert err == (
+        "resource guard: 252 x 1999^2 cells exceed the enumeration cap of 10000000\n"
+    )
+
+
 def test_simulate_byte_stable(capsys):
     args = (
         "simulate", "--n", "2", "--q", "3", "--candidates", "1,0;1,1",
@@ -474,6 +511,25 @@ def test_entropy_table_rejects_nonprime_modulus(q):
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert proc.stderr == f"error: field modulus must be prime, got {q}\n"
+
+
+@pytest.mark.parametrize(
+    "q,argv",
+    [
+        ("9223372036854775783", ("rates", "--n", "2", "--f", "1", "--g", "1")),
+        ("2147483647", ("entropy", "--table", "5")),
+    ],
+    ids=["rates-prime-below-2^63", "entropy-pmf-of-2^31-1-values"],
+)
+def test_huge_field_exits_3_quickly(q, argv):
+    # in a child with a timeout: the primality check and the pmf once ran
+    # over every field value
+    proc = run_module(*argv, "--q", q, timeout=60)
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    assert proc.stderr == (
+        f"resource guard: 1 x {q}^1 cells exceed the enumeration cap of 10000000\n"
+    )
 
 
 @pytest.mark.parametrize(

@@ -8,13 +8,14 @@ from privcomp import (
     CodecError,
     Codeword,
     FixedCode,
+    FunctionTable,
     UsageError,
     build_monomial,
     decode_fixed,
-    empirical_entropy,
     encode_fixed,
     rank_in_type,
     sum_codewords,
+    table_entropy,
     type_of,
     unrank_in_type,
     widen_codeword,
@@ -228,19 +229,21 @@ def test_decode_rejects_atypical():
 
 
 # --------------------------------------------------------- empirical entropy
+# a table of 3^11 samples has the plug-in entropy of the samples
 
 
 def test_empirical_entropy_constant_and_uniform():
-    assert empirical_entropy([2] * 100, 3) == 0.0
+    assert table_entropy(FunctionTable(q=3, f=4, values=[2] * 81)) == 0.0
     rng = np.random.default_rng(4)
-    samples = rng.integers(0, 3, size=200_000)
-    assert empirical_entropy(samples.tolist(), 3) == pytest.approx(1.0, abs=0.01)
+    samples = rng.integers(0, 3, size=3**11)
+    uniform = FunctionTable(q=3, f=11, values=samples)
+    assert table_entropy(uniform) == pytest.approx(1.0, abs=0.01)
 
 
 def test_empirical_entropy_matches_exact_product_pmf():
     rng = np.random.default_rng(8)
-    w = rng.integers(0, 3, size=(2, 100_000))
+    w = rng.integers(0, 3, size=(2, 3**11))
     table = build_monomial((1, 1), 3)
-    samples = [(a * b) % 3 for a, b in zip(w[0].tolist(), w[1].tolist())]
-    assert empirical_entropy(samples, 3) == pytest.approx(H_PRODUCT, abs=0.01)
+    samples = FunctionTable(q=3, f=11, values=w[0] * w[1] % 3)
+    assert table_entropy(samples) == pytest.approx(H_PRODUCT, abs=0.01)
     assert table.value_at((2, 2)) == 1

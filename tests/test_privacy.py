@@ -21,11 +21,11 @@ def db_rows(plan, j):
     ]
 
 
-def sibling_plans(n, mu, permutation=None, seed=0):
-    if permutation is None:
-        permutation = generate_query_plan(n, mu, 1, seed=seed).permutation
+def sibling_plans(n, mu, seed=0):
+    """Plans for every desired index, sharing one private permutation."""
+    permutation = generate_query_plan(n, mu, 1, seed=seed).permutation
     return [
-        generate_query_plan(n, mu, v, permutation=permutation)
+        replace(generate_query_plan(n, mu, v), permutation=permutation)
         for v in range(1, mu + 1)
     ]
 
@@ -123,7 +123,7 @@ def wire_distributions(n, mu):
     """Distribution of each database's wire view over all permutations."""
     beta = n**mu
     plans = [
-        generate_query_plan(n, mu, v, permutation=tuple(range(1, beta + 1)))
+        replace(generate_query_plan(n, mu, v), permutation=np.arange(1, beta + 1))
         for v in range(1, mu + 1)
     ]
     views = {
@@ -204,7 +204,7 @@ def test_full_joint_distribution_micro_exhaustive():
     beta = n**mu
     cs = candidate_set_from_exponents([(1, 0), (1, 1)], q)
     plans = {
-        (v, perm): generate_query_plan(n, mu, v, permutation=perm)
+        (v, perm): replace(generate_query_plan(n, mu, v), permutation=np.array(perm))
         for v in (1, 2)
         for perm in itertools.permutations(range(1, beta + 1))
     }
