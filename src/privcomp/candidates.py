@@ -190,27 +190,35 @@ def generate_nonparallel_monomials(f: int, g: int, q: int) -> list:
     return kept
 
 
-def _entropy_and_labels(keys: np.ndarray, q: int):
-    """Entropy (base q) of nonempty integer keys, and each key's rank among
-    the distinct keys.
+def _count_entropy(counts: np.ndarray, n: int, q: int) -> float:
+    """Entropy (base q) of the empirical distribution of n samples with
+    these counts.
 
-    The plug-in entropy of the exact counts; counts are summed in sorted
-    order so that equal count multisets produce bit-identical floats (entropy
-    ties must compare exactly equal).
+    Counts are summed in sorted order so that equal count multisets produce
+    bit-identical floats (entropy ties must compare exactly equal).
     """
-    distinct, counts = np.unique(keys, return_counts=True)
     s = 0.0
     # a count of 1 adds 1*log(1) = 0.0 exactly, so only counts > 1 are summed
     for c in sorted(counts[counts > 1].tolist()):
         s += c * math.log(c)
-    h = (math.log(len(keys)) - s / len(keys)) / math.log(q)
+    return (math.log(n) - s / n) / math.log(q)
+
+
+def _entropy(keys: np.ndarray, q: int) -> float:
+    """Plug-in entropy (base q) of nonempty integer keys."""
+    return _count_entropy(np.unique(keys, return_counts=True)[1], len(keys), q)
+
+
+def _entropy_and_labels(keys: np.ndarray, q: int):
+    """_entropy(keys, q), and each key's rank among the distinct keys."""
+    distinct, counts = np.unique(keys, return_counts=True)
     # searchsorted ranks keys in less memory than unique's return_inverse
-    return h, np.searchsorted(distinct, keys)
+    return _count_entropy(counts, len(keys), q), np.searchsorted(distinct, keys)
 
 
 def table_entropy(table: FunctionTable) -> float:
     """Exact entropy of a candidate under uniform inputs, q-ary units."""
-    return _entropy_and_labels(table.values, table.q)[0]
+    return _entropy(table.values, table.q)
 
 
 @dataclass(frozen=True)
@@ -268,15 +276,17 @@ class CandidateSet:
         return len(self.functions)
 
 
-def _prefix_joint_entropies(rows, order, q: int) -> tuple:
+def _prefix_joint_entropies(rows, order, q: int, first: float) -> tuple:
     """Joint entropy of each prefix of rows[order] by exact enumeration.
 
-    Each input's joint value tuple is a compact label, re-canonicalized after
-    every row, so keys labels*q + value stay below (distinct tuples so far)*q.
+    first is the entropy of rows[order[0]], the first prefix.  Each input's
+    joint value tuple is a compact label: the first row's values, which are
+    below q, then re-canonicalized after every further row, so keys
+    labels*q + value stay below (distinct tuples so far)*q.
     """
-    labels = np.zeros(rows.shape[1], dtype=np.int64)
-    joints = []
-    for i in order:
+    labels = rows[order[0]]
+    joints = [first]
+    for i in order[1:]:
         h, labels = _entropy_and_labels(labels * q + rows[i], q)
         joints.append(h)
     return tuple(joints)
@@ -305,7 +315,7 @@ def order_by_entropy(functions) -> CandidateSet:
     if any(t.q != q or t.f != f for t in functions):
         raise UsageError("all candidates must share the same q and f")
     rows = np.stack([t.values for t in functions])
-    entropies = [_entropy_and_labels(row, q)[0] for row in rows]
+    entropies = [_entropy(row, q) for row in rows]
     all_monomial = all(t.exponents is not None for t in functions)
     if all_monomial:
         order = sorted(
@@ -316,7 +326,8 @@ def order_by_entropy(functions) -> CandidateSet:
         order = sorted(range(len(functions)), key=lambda i: -entropies[i])
     tables = tuple(functions[i] for i in order)
     h = tuple(entropies[i] for i in order)
-    profile = EntropyProfile(h=h, prefix_joint=_prefix_joint_entropies(rows, order, q))
+    joints = _prefix_joint_entropies(rows, order, q, h[0])
+    profile = EntropyProfile(h=h, prefix_joint=joints)
     return CandidateSet(q=q, f=f, functions=tables, profile=profile)
 
 

@@ -13,17 +13,26 @@ subtracts.  Codes with the same alphabet and length but a larger budget are
 compatible after widening, since the payload is left-padded rank digits.
 """
 
+import itertools
 import math
+from bisect import bisect_right
+from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
+
+import numpy as np
 
 from .candidates import require_prime
 from .errors import CodecError, UsageError
 
-
-@lru_cache(maxsize=None)
-def _fact(n: int) -> int:
-    return math.factorial(n)
+# Ranking and unranking handle BLOCK positions per update of the big
+# integers (class size and rank, about L log2 A bits): within a block the
+# products of per-position counts stay a few hundred bits wide.
+BLOCK = 64
+# unranking guesses blocks while the class size's bits times the number of
+# symbols to scan exceed this; below it the big integers are short and an
+# exact scan per symbol is cheaper (about 2000 bits at A = 3, 800 at A = 9)
+GUESS_WORK = 8000
 
 
 @dataclass(frozen=True)
@@ -42,59 +51,147 @@ class TypeVector:
 
     def class_size(self) -> int:
         """Number of sequences sharing these counts (exact multinomial)."""
-        size = _fact(self.length)
-        for c in self.counts:
-            size //= _fact(c)
+        size = 1
+        for total, c in zip(itertools.accumulate(self.counts), self.counts):
+            size *= math.comb(total, c)
         return size
 
 
 def type_of(seq, alphabet_size: int) -> TypeVector:
-    counts = [0] * alphabet_size
-    for s in seq:
-        if not 0 <= s < alphabet_size:
-            raise UsageError(f"symbol {s} outside alphabet of size {alphabet_size}")
-        counts[s] += 1
-    return TypeVector(counts=tuple(counts))
+    tally = Counter(seq)
+    counts = tuple(tally[s] for s in range(alphabet_size))
+    if sum(counts) != len(seq):
+        bad = next(s for s in seq if s not in range(alphabet_size))
+        raise UsageError(f"symbol {bad} outside alphabet of size {alphabet_size}")
+    return TypeVector(counts=counts)
+
+
+def _shrink(size: int, s_acc: int, p_acc: int, q_acc: int) -> tuple:
+    """size * s_acc / q_acc and size * p_acc / q_acc, both known to be exact.
+
+    With size = whole * q_acc + part, part * s_acc / q_acc is exact too, so
+    one long division of size serves both.
+    """
+    whole, part = divmod(size, q_acc)
+    return (
+        whole * s_acc + part * s_acc // q_acc,
+        whole * p_acc + part * p_acc // q_acc,
+    )
+
+
+def _rank(seq, tv: TypeVector, size: int) -> int:
+    """Lexicographic rank of seq, of type tv, within its class of given size.
+
+    With t symbols left, c of them below the symbol taken and r equal to it,
+    the class members that start with a smaller symbol number size * c / t,
+    an integer, and the class shrinks to size * r / t.  Over a block these
+    fold into size * S / Q and size * P / Q, with P and Q the products of r
+    and t and S accumulated by Horner's rule.
+    """
+    x = np.array(seq, dtype=np.min_scalar_type(tv.alphabet_size))
+    count = np.min_scalar_type(len(x))
+    c = np.empty(len(x), dtype=count)
+    r = np.empty(len(x), dtype=count)
+    # below[k]: occurrences at positions k and after of the symbols below s
+    below = np.zeros(len(x), dtype=count)
+    for s in [s for s, n in enumerate(tv.counts) if n]:
+        hit = x == s
+        (at,) = np.nonzero(hit)
+        c[at] = below[at]
+        r[at] = np.arange(len(at), 0, -1, dtype=count)
+        below += np.cumsum(hit[::-1], dtype=count)[::-1]
+    rank = 0
+    for start in range(0, len(x), BLOCK):
+        t = top = len(x) - start
+        s_acc, p_acc = 0, 1
+        block = slice(start, start + BLOCK)
+        for ck, rk in zip(c[block].tolist(), r[block].tolist()):
+            s_acc = s_acc * t + ck * p_acc
+            p_acc *= rk
+            t -= 1
+        offset, size = _shrink(size, s_acc, p_acc, math.perm(top, top - t))
+        rank += offset
+    return rank
 
 
 def rank_in_type(seq, alphabet_size: int) -> int:
     """Lexicographic rank of seq among all sequences of its type."""
     tv = type_of(seq, alphabet_size)
-    remaining = list(tv.counts)
-    total = tv.length
-    size = tv.class_size()
-    rank = 0
-    for s in seq:
-        for smaller in range(s):
-            if remaining[smaller]:
-                # count of same-type sequences starting with the smaller symbol
-                rank += size * remaining[smaller] // total
-        size = size * remaining[s] // total
-        remaining[s] -= 1
-        total -= 1
-    return rank
+    return _rank(seq, tv, tv.class_size())
 
 
 def unrank_in_type(rank: int, tv: TypeVector) -> tuple:
-    """Inverse of rank_in_type for the given type."""
+    """Inverse of rank_in_type for the given type.
+
+    While the class size is wide (GUESS_WORK), symbols are guessed a block
+    at a time from rank / size, held as the interval [lo, hi) / 2^bits, which
+    each guessed symbol maps through and widens; the guess stops where the
+    interval straddles a symbol boundary.  A block whose exact offset, as in
+    _rank, brackets the rank is applied to the big integers, and the symbol
+    at the straddle is decoded exactly.  The tail is decoded exactly.
+    """
     size = tv.class_size()
     if not 0 <= rank < size:
         raise CodecError(f"rank {rank} out of range for class of size {size}")
-    remaining = list(tv.counts)
-    total = tv.length
+    # symbols are numbered by their index in present; cum[i] counts the
+    # symbols left below present[i], so cum[-1] = t, the symbols left
+    present = [s for s, n in enumerate(tv.counts) if n]
+    cum = [0, *itertools.accumulate(tv.counts[s] for s in present)]
+    t = tv.length
     out = []
-    for _ in range(tv.length):
-        for s in range(tv.alphabet_size):
-            if remaining[s] == 0:
+    while t and size.bit_length() * len(cum) > GUESS_WORK:
+        # room for about BLOCK symbols at the class's mean rate, and a margin
+        bits = BLOCK * size.bit_length() // t + 64
+        lo = (rank << bits) // size
+        hi = lo + 1
+        trial = cum[:]
+        guess = []
+        s_acc, p_acc = 0, 1
+        for left in range(t, max(t - BLOCK, 0), -1):
+            a, b = lo * left, hi * left
+            s = bisect_right(trial, a >> bits) - 1
+            c, e = trial[s], trial[s + 1]
+            if b > e << bits:
+                break
+            r = e - c
+            s_acc = s_acc * left + c * p_acc
+            p_acc *= r
+            c <<= bits
+            lo = (a - c) // r
+            hi = (b - c - 1) // r + 1
+            for i in range(s + 1, len(trial)):
+                trial[i] -= 1
+            guess.append(s)
+        offset, rest = _shrink(size, s_acc, p_acc, math.perm(t, len(guess)))
+        if offset <= rank < offset + rest:
+            rank -= offset
+            size = rest
+            cum = trial
+            t -= len(guess)
+            out += guess
+            if len(guess) == BLOCK or not t:
                 continue
-            block = size * remaining[s] // total
+        # at the straddle, the symbol whose range holds rank * t // size
+        s = bisect_right(cum, rank * t // size) - 1
+        offset, size = _shrink(size, cum[s], cum[s + 1] - cum[s], t)
+        rank -= offset
+        for i in range(s + 1, len(cum)):
+            cum[i] -= 1
+        out.append(s)
+        t -= 1
+    # the tail, on short big integers: scan the symbols' ranges for the rank
+    remaining = [e - c for c, e in zip(cum, cum[1:])]
+    for t in range(t, 0, -1):
+        for s, n in enumerate(remaining):
+            block = size * n // t
             if rank < block:
-                out.append(s)
-                size = block
-                remaining[s] -= 1
-                total -= 1
                 break
             rank -= block
+        size = block
+        remaining[s] -= 1
+        out.append(s)
+    if len(present) < tv.alphabet_size:
+        return tuple(present[i] for i in out)
     return tuple(out)
 
 
@@ -108,16 +205,68 @@ def _digit_width(q: int, values: int) -> int:
     return d
 
 
+def _leaf_width(q: int) -> int:
+    """Digits per leaf of the payload conversions: q^w < 2^62 fits int64,
+    and np.unravel_index takes at most 32 dimensions."""
+    return max(1, min(32, 62 // q.bit_length()))
+
+
 def _to_digits(value: int, q: int, width: int) -> list:
-    digits = [0] * width
-    for i in range(width - 1, -1, -1):
-        value, digits[i] = divmod(value, q)
-    if value:
+    """width base-q digits of value, most significant first.
+
+    A long value is split at powers of q, level by level, into leaves of
+    _leaf_width digits (the leading leaf may be shorter), and numpy expands
+    all leaves at once.  The levels mirror the merges of _from_digits.
+    """
+    w = _leaf_width(q)
+    if width <= w:
+        digits = [0] * width
+        for i in range(width - 1, -1, -1):
+            value, digits[i] = divmod(value, q)
+        if value:
+            raise CodecError(f"value does not fit in {width} base-{q} digits")
+        return digits
+    counts = [-(-width // w)]  # leaves per level, bottom up
+    while counts[-1] > 1:
+        counts.append((counts[-1] + 1) // 2)
+    powers = [q**w]
+    while len(powers) < len(counts) - 1:
+        powers.append(powers[-1] ** 2)
+    leaves = [value]
+    for count, power in zip(counts[-2::-1], powers[::-1]):
+        # with an odd count the leading part was not merged at this level
+        odd = count % 2
+        leaves[odd:] = [d for x in leaves[odd:] for d in divmod(x, power)]
+    if leaves[0] >= q ** (width - (counts[0] - 1) * w):
         raise CodecError(f"value does not fit in {width} base-{q} digits")
-    return digits
+    digits = np.stack(np.unravel_index(leaves, (q,) * w), axis=1).ravel()
+    return digits[digits.size - width :].tolist()
 
 
-def _from_digits(digits, q: int) -> int:
+def _from_digits(digits: np.ndarray, q: int) -> int:
+    """Inverse of _to_digits on an integer array: leaves of _leaf_width
+    digits, merged in pairs."""
+    w = _leaf_width(q)
+    head = len(digits) % w
+    rows = digits[head:].reshape(-1, w)
+    powers = q ** np.arange(w - 1, -1, -1, dtype=np.int64)
+    leaves = []
+    for i in range(0, len(rows), 64):  # 64 rows: a small int64 copy at a time
+        leaves += (rows[i : i + 64] @ powers).tolist()
+    if head:
+        leaves.insert(0, _from_digits_small(digits[:head].tolist(), q))
+    power = q**w
+    while len(leaves) > 1:
+        # pair from the right, so every part but the leading one is full
+        odd = len(leaves) % 2
+        pairs = zip(leaves[odd::2], leaves[odd + 1 :: 2])
+        leaves[odd:] = [a * power + b for a, b in pairs]
+        if len(leaves) > 1:
+            power *= power
+    return leaves[0] if leaves else 0
+
+
+def _from_digits_small(digits, q: int) -> int:
     value = 0
     for d in digits:
         value = value * q + d
@@ -140,6 +289,8 @@ class FixedCode:
 
     def __post_init__(self):
         require_prime(self.q)
+        if self.q >= 2**62:
+            raise UsageError(f"q = {self.q} is too large: digits are held in int64")
         if self.alphabet_size < 1 or self.length < 1:
             raise UsageError("alphabet size and length must be >= 1")
         if self.budget < 0:
@@ -197,13 +348,14 @@ def encode_fixed(seq, code: FixedCode) -> Codeword:
     if len(seq) != code.length:
         raise UsageError(f"sequence length {len(seq)} != code length {code.length}")
     tv = type_of(seq, code.alphabet_size)
-    if tv.class_size() > code.payload_capacity:
+    size = tv.class_size()
+    if size > code.payload_capacity:
         return atypical(code)
     header = []
     for c in tv.counts:
         header.extend(_to_digits(c, code.q, code.count_width))
-    payload = _to_digits(rank_in_type(seq, code.alphabet_size), code.q, code.payload_len)
-    return Codeword(code=code, symbols=tuple(header + payload))
+    payload = _to_digits(_rank(seq, tv, size), code.q, code.payload_len)
+    return Codeword(code=code, symbols=tuple(itertools.chain(header, payload)))
 
 
 def decode_fixed(codeword: Codeword, code: FixedCode) -> tuple:
@@ -212,16 +364,22 @@ def decode_fixed(codeword: Codeword, code: FixedCode) -> tuple:
         raise CodecError("cannot decode the Atypical marker")
     if codeword.code != code or len(codeword.symbols) != code.codeword_len:
         raise UsageError("codeword does not belong to this code")
-    counts = []
     w = code.count_width
-    for i in range(code.alphabet_size):
-        counts.append(_from_digits(codeword.symbols[i * w : (i + 1) * w], code.q))
+    counts = [
+        _from_digits_small(codeword.symbols[i * w : (i + 1) * w], code.q)
+        for i in range(code.alphabet_size)
+    ]
     tv = TypeVector(counts=tuple(counts))
     if tv.length != code.length:
         raise CodecError(
             f"corrupt header: counts sum to {tv.length}, expected {code.length}"
         )
-    rank = _from_digits(codeword.symbols[code.header_len :], code.q)
+    # the smallest signed dtype that holds the digits keeps this copy small
+    # (signed, so that adding them to int64 leaves stays int64)
+    payload = itertools.islice(codeword.symbols, code.header_len, None)
+    rank = _from_digits(
+        np.fromiter(payload, np.min_scalar_type(-code.q), code.payload_len), code.q
+    )
     return unrank_in_type(rank, tv)
 
 

@@ -50,6 +50,10 @@ PLAN_SEGMENT_CAP = 2**20
 SIMULATION_SYMBOL_CAP = 5 * 10**7
 
 CONCRETE_ALPHABET_CAP = 32
+# the coder's time per codeword grows about as L^2: at L = 16384 one joint
+# (A = 9) encode plus decode takes ~0.12 s and an n = 2, mu = 3 run ~1.4 s;
+# at L = 32768 they take ~0.4 s and ~4.3 s
+CONCRETE_LENGTH_CAP = 2**14
 DEFAULT_EPSILON = 0.05
 
 
@@ -318,8 +322,7 @@ def answer_queries(
         answers = list(_sum_segments(sums * first[:, None], perm, values, store.q))
         if not codes.joint_fallback:
             row = store.input_codes()[perm[round1_ts[0] - 1]]
-            seq = tuple(int(x) for x in codes.image_of_code[row])
-            bundle = encode_fixed(seq, codes.joint_code)
+            bundle = encode_fixed(codes.image_of_code[row].tolist(), codes.joint_code)
             answers = [bundle if f else a for f, a in zip(first, answers)]
             joint = float(codes.joint_code.codeword_len)
         charges = np.zeros(len(sums))
@@ -327,7 +330,7 @@ def answer_queries(
         for i in np.flatnonzero(~first).tolist():
             code = codes.sum_codes[leads[i]]
             segments = (values[w][perm[t - 1]] for w, t in enumerate(sums[i]) if t)
-            parts = [encode_fixed(tuple(int(x) for x in seg), code) for seg in segments]
+            parts = [encode_fixed(seg.tolist(), code) for seg in segments]
             answers[i] = sum_codewords(*parts)
             charges[i] = code.codeword_len
     charges[first] = 0.0
@@ -428,7 +431,7 @@ def decode(
             if coded[i].atypical or lost[s]:
                 continue
             if plan.round[s] == 1:
-                side_cw = encode_fixed(tuple(int(x) for x in raw[s]), code)
+                side_cw = encode_fixed(raw[s].tolist(), code)
             else:
                 side_cw = widen_codeword(coded[s], code)
             if side_cw.atypical:
@@ -596,6 +599,11 @@ def run_simulation(config: SimulationConfig) -> SimulationReport:
     if beta > PLAN_SEGMENT_CAP or footprint > SIMULATION_SYMBOL_CAP:
         raise ResourceLimitError(
             f"simulation footprint {footprint} symbols (beta = {beta}) exceeds cap"
+        )
+    if config.mode == "concrete" and config.length > CONCRETE_LENGTH_CAP:
+        raise ResourceLimitError(
+            f"segment length L = {config.length} exceeds the concrete-mode cap "
+            f"of {CONCRETE_LENGTH_CAP}"
         )
 
     rng = np.random.default_rng(config.seed)

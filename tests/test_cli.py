@@ -279,6 +279,29 @@ def test_simulate_field_size_bound(capsys, q, code):
         assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "mode,L,code",
+    [("concrete", 16384, 0), ("concrete", 16385, 3), ("symbolic", 16385, 0)],
+)
+def test_simulate_concrete_length_cap(capsys, mode, L, code):
+    # the coder's time per codeword grows about as L^2; symbolic mode has no
+    # coder and only the footprint cap
+    got, out, err = run_cli(
+        capsys,
+        "simulate", "--n", "2", "--q", "3", "--candidates", "1,0;1,1",
+        "--L", str(L), "--v", "1", "--mode", mode,
+    )
+    assert got == code
+    if code == 0:
+        assert json.loads(out)["recovery_ok"] is True
+    else:
+        assert out == ""
+        assert err == (
+            "resource guard: segment length L = 16385 exceeds the concrete-mode "
+            "cap of 16384\n"
+        )
+
+
 @pytest.mark.parametrize("epsilon", ["nan", "inf", "1e308"])
 def test_simulate_non_finite_epsilon_exits_2(capsys, epsilon):
     code, out, err = run_cli(
@@ -514,22 +537,52 @@ def test_entropy_table_rejects_nonprime_modulus(q):
 
 
 @pytest.mark.parametrize(
-    "q,argv",
+    "q,argv,guard",
     [
-        ("9223372036854775783", ("rates", "--n", "2", "--f", "1", "--g", "1")),
-        ("2147483647", ("entropy", "--table", "5")),
+        (
+            "9223372036854775783",
+            ("rates", "--n", "2", "--f", "1", "--g", "1"),
+            "1 x 9223372036854775783^1 cells exceed the enumeration cap of 10000000",
+        ),
+        (
+            "2147483647",
+            ("entropy", "--table", "5"),
+            "a pmf of 2147483647 field values exceeds the pmf cap of 100000",
+        ),
     ],
     ids=["rates-prime-below-2^63", "entropy-pmf-of-2^31-1-values"],
 )
-def test_huge_field_exits_3_quickly(q, argv):
+def test_huge_field_exits_3_quickly(q, argv, guard):
     # in a child with a timeout: the primality check and the pmf once ran
     # over every field value
     proc = run_module(*argv, "--q", q, timeout=60)
     assert proc.returncode == 3
     assert proc.stdout == ""
-    assert proc.stderr == (
-        f"resource guard: 1 x {q}^1 cells exceed the enumeration cap of 10000000\n"
-    )
+    assert proc.stderr == f"resource guard: {guard}\n"
+
+
+def test_entropy_pmf_cap(capsys, monkeypatch):
+    # 99991 is the largest prime the pmf cap of 10^5 admits
+    code, out, _ = run_cli(capsys, "entropy", "--q", "99991", "--table", "5")
+    assert code == 0
+    pmf = json.loads(out)["pmf"]
+    assert len(pmf) == 99991 and pmf["5"] == "1/1" and pmf["0"] == "0/1"
+    # above it the command stops before building any table
+    import privcomp.cli as cli
+
+    def build(*args, **kwargs):
+        raise AssertionError("a table was built")
+
+    monkeypatch.setattr(cli.cand, "build_monomial", build)
+    monkeypatch.setattr(cli.cand, "FunctionTable", build)
+    for argv in (("--monomial", "1"), ("--table", "5")):
+        code, out, err = run_cli(capsys, "entropy", "--q", "100003", *argv)
+        assert code == 3
+        assert out == ""
+        assert err == (
+            "resource guard: a pmf of 100003 field values exceeds the pmf cap "
+            "of 100000\n"
+        )
 
 
 @pytest.mark.parametrize(

@@ -1,5 +1,9 @@
+import bisect
+import contextlib
+import hashlib
 import itertools
 import math
+import random
 
 import numpy as np
 import pytest
@@ -20,9 +24,103 @@ from privcomp import (
     unrank_in_type,
     widen_codeword,
 )
-from privcomp.coding import subtract_codewords
+from privcomp import coding
+from privcomp.coding import _from_digits, _to_digits, subtract_codewords
 
 H_PRODUCT = 0.9057125980138373
+
+
+# ------------------------------------------------------------------- oracles
+# The per-symbol coder the blocked one replaced: every function of the
+# package's coder must agree with these exactly.
+
+
+def oracle_rank(seq, alphabet_size):
+    remaining = [0] * alphabet_size
+    for s in seq:
+        remaining[s] += 1
+    total = len(seq)
+    size = oracle_class_size(remaining)
+    rank = 0
+    for s in seq:
+        for smaller in range(s):
+            if remaining[smaller]:
+                rank += size * remaining[smaller] // total
+        size = size * remaining[s] // total
+        remaining[s] -= 1
+        total -= 1
+    return rank
+
+
+def oracle_unrank(rank, counts):
+    size = oracle_class_size(counts)
+    remaining = list(counts)
+    total = sum(counts)
+    out = []
+    for _ in range(sum(counts)):
+        for s in range(len(counts)):
+            if remaining[s] == 0:
+                continue
+            block = size * remaining[s] // total
+            if rank < block:
+                out.append(s)
+                size = block
+                remaining[s] -= 1
+                total -= 1
+                break
+            rank -= block
+    return tuple(out)
+
+
+def oracle_class_size(counts):
+    size = math.factorial(sum(counts))
+    for c in counts:
+        size //= math.factorial(c)
+    return size
+
+
+def oracle_to_digits(value, q, width):
+    digits = [0] * width
+    for i in range(width - 1, -1, -1):
+        value, digits[i] = divmod(value, q)
+    if value:
+        raise CodecError(f"value does not fit in {width} base-{q} digits")
+    return digits
+
+
+def oracle_from_digits(digits, q):
+    value = 0
+    for d in digits:
+        value = value * q + d
+    return value
+
+
+def oracle_encode(seq, code):
+    counts = [list(seq).count(s) for s in range(code.alphabet_size)]
+    if oracle_class_size(counts) > code.q**code.payload_len:
+        return None
+    header = [d for c in counts for d in oracle_to_digits(c, code.q, code.count_width)]
+    rank = oracle_rank(seq, code.alphabet_size)
+    return tuple(header + oracle_to_digits(rank, code.q, code.payload_len))
+
+
+@contextlib.contextmanager
+def guessing_always():
+    """Unrank by guessed blocks at every class size, not only wide ones."""
+    saved = coding.GUESS_WORK
+    coding.GUESS_WORK = 0
+    try:
+        yield
+    finally:
+        coding.GUESS_WORK = saved
+
+
+def unrank_both_ways(rank, tv):
+    """unrank_in_type as it runs, and with every step a guessed block."""
+    plain = unrank_in_type(rank, tv)
+    with guessing_always():
+        assert unrank_in_type(rank, tv) == plain
+    return plain
 
 
 # --------------------------------------------------------------------- types
@@ -60,10 +158,47 @@ def test_rank_unrank_roundtrip_exhaustive_small():
             assert unrank_in_type(r, tv) == seq
 
 
+def test_rank_unrank_match_oracle_at_block_boundaries():
+    # lengths around the 64-position block, uniform and skewed sources
+    rng = np.random.default_rng(13)
+    for A in (2, 3, 9, 32):
+        for L in (1, 63, 64, 65, 129, 300, 1000):
+            for p in (np.full(A, 1 / A), rng.dirichlet(np.full(A, 0.3))):
+                seq = tuple(rng.choice(A, size=L, p=p).tolist())
+                tv = type_of(seq, A)
+                assert tv.class_size() == oracle_class_size(tv.counts)
+                r = rank_in_type(seq, A)
+                assert r == oracle_rank(seq, A)
+                assert unrank_both_ways(r, tv) == seq == oracle_unrank(r, tv.counts)
+
+
+def test_type_of_rejects_symbols_outside_alphabet():
+    for bad in (3, -1, 2**70):
+        message = f"symbol {bad} outside alphabet of size 3"
+        with pytest.raises(UsageError, match=message):
+            type_of((0, 1, bad, 2), 3)
+
+
 def test_unrank_rejects_out_of_range():
     tv = type_of((0, 1, 2), 3)
     with pytest.raises(CodecError):
         unrank_in_type(6, tv)
+
+
+# ------------------------------------------------------------ digit strings
+
+
+@pytest.mark.parametrize("q", [2, 3, 5, 16381, 2**61 - 1])
+def test_digits_match_oracle(q):
+    rng = np.random.default_rng(q % 1000)
+    for width in (0, 1, 2, 30, 31, 32, 62, 63, 200, 1001):
+        cap = q**width
+        for value in {0, 1 % cap, cap - 1, int(rng.integers(0, 2**62)) % cap, cap // 3}:
+            digits = _to_digits(value, q, width)
+            assert digits == oracle_to_digits(value, q, width)
+            assert _from_digits(np.array(digits, dtype=np.int64), q) == value
+        with pytest.raises(CodecError):
+            _to_digits(cap, q, width)
 
 
 # ----------------------------------------------------------------- the code
@@ -77,6 +212,50 @@ def test_code_lengths():
     assert code.codeword_len == code.header_len + code.payload_len
     # header overhead per symbol stays small
     assert code.header_len / 1024 < 0.03
+
+
+def test_field_size_fits_int64_digits():
+    # digits are converted through int64 leaves: q must be below 2^62
+    code = FixedCode(q=2**61 - 1, alphabet_size=2, length=16, budget=1.0)
+    seq = (0, 1) * 8
+    cw = encode_fixed(seq, code)
+    assert cw.symbols == oracle_encode(seq, code)
+    assert decode_fixed(cw, code) == seq
+    with pytest.raises(UsageError, match="too large"):
+        FixedCode(q=2**63 - 25, alphabet_size=2, length=16, budget=1.0)
+
+
+# q, alphabet, length, skew of the source (1: mild, 8: a few symbols dominate)
+# and slack over its entropy (None: budget log_q A); lengths straddle the
+# 64-position block.  Sequences come from the stdlib generator, whose seeded
+# stream is stable across versions.
+GOLDEN_GRID = [
+    (q, A, L, skew, slack)
+    for q in (2, 3, 5)
+    for A in (2, 3, 9, 32)
+    for L in (1, 63, 64, 65, 129, 700)
+    for skew in (1, 8)
+    for slack in (0.05, None)
+]
+# SHA-256 of the codewords of GOLDEN_GRID as the per-symbol coder wrote them
+GOLDEN_DIGEST = "5fc3ce8c6dde3c60427fda540d612e5cca437687d1094088544b582f48b0dedd"
+
+
+def test_codewords_match_golden_digest():
+    digest = hashlib.sha256()
+    typical = 0
+    for q, A, L, skew, slack in GOLDEN_GRID:
+        rng = random.Random(f"{q}-{A}-{L}-{skew}")
+        weights = list(itertools.accumulate(rng.random() ** skew for _ in range(A)))
+        seq = [bisect.bisect(weights, rng.random() * weights[-1]) for _ in range(L)]
+        p = [(b - a) / weights[-1] for a, b in zip([0.0] + weights, weights)]
+        h = -sum(x * math.log(x, q) for x in p if x > 0)
+        budget = math.log(A, q) if slack is None else h + slack
+        cw = encode_fixed(seq, FixedCode(q=q, alphabet_size=A, length=L, budget=budget))
+        typical += not cw.atypical
+        digest.update(repr(cw.symbols).encode())
+    assert typical == 286
+    assert digest.hexdigest() == GOLDEN_DIGEST
 
 
 def test_budget_above_log_alphabet_plus_one_rejected():
