@@ -4,8 +4,9 @@ A candidate is any function GF(q)^f -> GF(q), stored as its full value table
 over all q^f input tuples (inputs enumerated in base-q lexicographic order,
 first variable most significant).  Under uniform i.i.d. inputs a value's
 probability is its exact preimage count over q^f.  Tables are read-only
-int64 arrays, counted by np.unique; entropies are summed from the counts in
-Python floats, in q-ary units, so ties stay exact.
+int64 arrays, counted by np.bincount (one table) or np.unique (a joint of
+several); entropies are summed from the counts in Python floats, in q-ary
+units, so ties stay exact.
 
 The monomial generator produces the deduplicated "nonparallel" candidate sets
 used by the rate sweeps: exponent vectors are first reduced with x^q = x, and
@@ -14,7 +15,6 @@ of another monomial in range, since retrieving the base monomial already
 determines it.
 """
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -95,8 +95,8 @@ def grlex_key(e: tuple) -> tuple:
 
 @dataclass(frozen=True, eq=False)
 class FunctionTable:
-    """A candidate function as its value at every input of GF(q)^f, held as
-    a read-only int64 array converted once from any integer sequence."""
+    """A candidate function as its value at every input of GF(q)^f, held as a
+    read-only int64 array: a read-only int64 one is kept as is, others copied."""
 
     q: int
     f: int
@@ -111,9 +111,11 @@ class FunctionTable:
                 f"table has {len(self.values)} entries, expected {self.q}^{self.f}"
             )
         try:
-            values = np.array(self.values, dtype=np.int64)
+            values = np.asarray(self.values, dtype=np.int64)
         except OverflowError:  # past int64, so past the field too
             raise UsageError("table value out of field range") from None
+        if values is self.values and values.flags.writeable:
+            values = values.copy()
         if values.min() < 0 or values.max() >= self.q:
             raise UsageError("table value out of field range")
         values.flags.writeable = False
@@ -126,31 +128,39 @@ class FunctionTable:
         return int(self.values[idx])
 
 
+def _monomial_tables(vectors: list, q: int) -> list:
+    """Tabulate the monomials prod_j w_j^{e_j} of vectors, all of length f, as
+    one read-only (mu, q^f) int64 matrix; each table is a view of its row."""
+    for e in vectors:
+        if not e or any(x < 0 for x in e):
+            raise UsageError("exponent vector must be nonempty and nonnegative")
+        if sum(e) < 1:
+            raise UsageError("monomial must involve at least one variable (wt >= 1)")
+    require_prime(q)
+    _check_enumeration_cap(q, len(vectors[0]), len(vectors))
+    # w^d for each distinct reduced exponent d, by square-and-multiply; the cap
+    # keeps q <= 10^7, so a product of two residues stays below 2^63
+    reduced = [_reduce(e, q) for e in vectors]
+    exps = np.array(sorted(set().union(*reduced)), dtype=np.int64)
+    cols = np.searchsorted(exps, reduced)  # (mu, f) power-table rows
+    powers, base = np.ones((len(exps), q), dtype=np.int64), np.arange(q, dtype=np.int64)
+    while exps.any():
+        powers[exps & 1 == 1] *= base
+        powers %= q
+        base = base * base % q
+        exps >>= 1
+    # outer products, one variable at a time, the last varying fastest
+    values = np.ones((len(vectors), 1), dtype=np.int64)
+    for col in cols.T:
+        values = (values[:, :, None] * powers[col, None, :]).reshape(len(vectors), -1)
+        values %= q
+    values.flags.writeable = False
+    return [FunctionTable(q, len(e), row, e) for row, e in zip(values, vectors)]
+
+
 def build_monomial(exponents: tuple, q: int) -> FunctionTable:
     """Tabulate the monomial prod_j w_j^{e_j} over all of GF(q)^f."""
-    exponents = tuple(exponents)
-    f = len(exponents)
-    if f < 1 or any(x < 0 for x in exponents):
-        raise UsageError("exponent vector must be nonempty and nonnegative")
-    if sum(exponents) < 1:
-        raise UsageError("monomial must involve at least one variable (wt >= 1)")
-    require_prime(q)
-    _check_enumeration_cap(q, f)
-    # outer product of per-variable power tables; the last variable varies
-    # fastest.  The cap keeps q <= 10^7, so a product of two residues stays
-    # below 2^63.
-    values = np.ones(1, dtype=np.int64)
-    for e in exponents:
-        # w^e for every w at once, by square-and-multiply
-        powers = np.ones(q, dtype=np.int64)
-        base = np.arange(q, dtype=np.int64)
-        while e:
-            if e & 1:
-                powers = powers * base % q
-            base = base * base % q
-            e >>= 1
-        values = np.multiply.outer(values, powers).ravel() % q
-    return FunctionTable(q=q, f=f, values=values, exponents=exponents)
+    return _monomial_tables([tuple(exponents)], q)[0]
 
 
 def generate_nonparallel_monomials(f: int, g: int, q: int) -> list:
@@ -168,11 +178,13 @@ def generate_nonparallel_monomials(f: int, g: int, q: int) -> list:
         raise UsageError("f and g must be >= 1")
     require_prime(q)
     _check_enumeration_cap(max(g + 1, q), f)  # the exponent grid, and one table
-    # reduction never raises an entry, so reduced in-range vectors stay in range
-    in_range = set()
-    for e in itertools.product(range(g + 1), repeat=f):
-        if 1 <= sum(e) <= g:
-            in_range.add(_reduce(e, q))
+    # reduction maps e_j into [1, min(e_j, q - 1)] and keeps zeros, so reduced
+    # in-range vectors are those of weight 1..g with entries up to min(g, q - 1)
+    top = min(g, q - 1)
+    vectors = [()]
+    for _ in range(f):
+        vectors = [e + (x,) for e in vectors for x in range(min(top, g - sum(e)) + 1)]
+    in_range = set(vectors[1:])  # vectors[0] is the zero vector
     # each kept vector bans at most q - 2 others, so mu >= |in_range| / (q - 1)
     _check_enumeration_cap(q, f, -(-len(in_range) // (q - 1)))
     kept = []
@@ -204,21 +216,11 @@ def _count_entropy(counts: np.ndarray, n: int, q: int) -> float:
     return (math.log(n) - s / n) / math.log(q)
 
 
-def _entropy(keys: np.ndarray, q: int) -> float:
-    """Plug-in entropy (base q) of nonempty integer keys."""
-    return _count_entropy(np.unique(keys, return_counts=True)[1], len(keys), q)
-
-
-def _entropy_and_labels(keys: np.ndarray, q: int):
-    """_entropy(keys, q), and each key's rank among the distinct keys."""
-    distinct, counts = np.unique(keys, return_counts=True)
-    # searchsorted ranks keys in less memory than unique's return_inverse
-    return _count_entropy(counts, len(keys), q), np.searchsorted(distinct, keys)
-
-
 def table_entropy(table: FunctionTable) -> float:
     """Exact entropy of a candidate under uniform inputs, q-ary units."""
-    return _entropy(table.values, table.q)
+    if table.f == 0:  # one cell: entropy 0; else bincount's q slots fit in q^f
+        return 0.0
+    return _count_entropy(np.bincount(table.values), len(table.values), table.q)
 
 
 @dataclass(frozen=True)
@@ -282,14 +284,21 @@ def _prefix_joint_entropies(rows, order, q: int, first: float) -> tuple:
     first is the entropy of rows[order[0]], the first prefix.  Each input's
     joint value tuple is a compact label: the first row's values, which are
     below q, then re-canonicalized after every further row, so keys
-    labels*q + value stay below (distinct tuples so far)*q.
+    labels*q + value stay below (distinct tuples so far)*q.  Once a prefix is
+    injective on the inputs, so is every longer one: same counts, same entropy.
     """
+    cells = len(rows[0])
     labels = rows[order[0]]
     joints = [first]
     for i in order[1:]:
-        h, labels = _entropy_and_labels(labels * q + rows[i], q)
-        joints.append(h)
-    return tuple(joints)
+        keys = labels * q + rows[i]
+        distinct, counts = np.unique(keys, return_counts=True)
+        joints.append(_count_entropy(counts, cells, q))
+        if len(distinct) == cells:
+            break
+        # searchsorted ranks keys in less memory than unique's return_inverse
+        labels = np.searchsorted(distinct, keys)
+    return tuple(joints + joints[-1:] * (len(order) - len(joints)))
 
 
 def joint_entropy_prefix(candidate_set: CandidateSet, v: int) -> float:
@@ -310,14 +319,11 @@ def order_by_entropy(functions) -> CandidateSet:
     functions = list(functions)
     if not functions:
         raise UsageError("candidate set must be nonempty")
-    q = functions[0].q
-    f = functions[0].f
+    q, f = functions[0].q, functions[0].f
     if any(t.q != q or t.f != f for t in functions):
         raise UsageError("all candidates must share the same q and f")
-    rows = np.stack([t.values for t in functions])
-    entropies = [_entropy(row, q) for row in rows]
-    all_monomial = all(t.exponents is not None for t in functions)
-    if all_monomial:
+    entropies = [table_entropy(t) for t in functions]
+    if all(t.exponents is not None for t in functions):
         order = sorted(
             range(len(functions)),
             key=lambda i: (-entropies[i],) + grlex_key(functions[i].exponents),
@@ -326,7 +332,7 @@ def order_by_entropy(functions) -> CandidateSet:
         order = sorted(range(len(functions)), key=lambda i: -entropies[i])
     tables = tuple(functions[i] for i in order)
     h = tuple(entropies[i] for i in order)
-    joints = _prefix_joint_entropies(rows, order, q, h[0])
+    joints = _prefix_joint_entropies([t.values for t in functions], order, q, h[0])
     profile = EntropyProfile(h=h, prefix_joint=joints)
     return CandidateSet(q=q, f=f, functions=tables, profile=profile)
 
@@ -334,8 +340,7 @@ def order_by_entropy(functions) -> CandidateSet:
 def monomial_candidate_set(f: int, g: int, q: int) -> CandidateSet:
     """Entropy-ordered candidate set of all nonparallel monomials (f, g, q)."""
     vectors = generate_nonparallel_monomials(f, g, q)
-    _check_enumeration_cap(q, f, len(vectors))
-    return order_by_entropy([build_monomial(e, q) for e in vectors])
+    return order_by_entropy(_monomial_tables(vectors, q))
 
 
 def candidate_set_from_exponents(vectors, q: int) -> CandidateSet:
@@ -349,7 +354,7 @@ def candidate_set_from_exponents(vectors, q: int) -> CandidateSet:
         raise UsageError("duplicate exponent vectors in candidate list")
     require_prime(q)  # a usage error outranks the cap below
     _check_enumeration_cap(q, len(vectors[0]), len(vectors))
-    return order_by_entropy([build_monomial(e, q) for e in vectors])
+    return order_by_entropy(_monomial_tables(vectors, q))
 
 
 def require_nondegenerate(candidate_set: CandidateSet):

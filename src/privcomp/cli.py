@@ -179,12 +179,7 @@ def cmd_figure(args) -> int:
 
 def cmd_monomials(args) -> int:
     vectors = cand.generate_nonparallel_monomials(args.f, args.g, args.q)
-    entries = []
-    entropies = []
-    for e in vectors:
-        h = cand.table_entropy(cand.build_monomial(e, args.q))
-        entropies.append(h)
-        entries.append({"exponents": list(e), "entropy": h})
+    entropies = [cand.table_entropy(cand.build_monomial(e, args.q)) for e in vectors]
     _emit_json(
         {
             "q": args.q,
@@ -193,7 +188,9 @@ def cmd_monomials(args) -> int:
             "count": len(vectors),
             "h_min": min(entropies),
             "h_max": max(entropies),
-            "monomials": entries,
+            "monomials": [
+                {"exponents": list(e), "entropy": h} for e, h in zip(vectors, entropies)
+            ],
         }
     )
     return EXIT_OK

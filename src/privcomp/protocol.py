@@ -54,6 +54,10 @@ CONCRETE_ALPHABET_CAP = 32
 # (A = 9) encode plus decode takes ~0.12 s and an n = 2, mu = 3 run ~1.4 s;
 # at L = 32768 they take ~0.4 s and ~4.3 s
 CONCRETE_LENGTH_CAP = 2**14
+# concrete footprints, beta * L * (f + mu): at 2^21 an n = 2, mu = 5, f = 1
+# run takes ~6 s at q = 11 and ~10 s at q = 101 (L = 10922), n = 4, mu = 3 at
+# q = 3 ~3 s; n = 2, mu = 8, f = 2 at L = 16384 (42M symbols) took 84 s
+CONCRETE_SYMBOL_CAP = 2**21
 DEFAULT_EPSILON = 0.05
 
 
@@ -596,7 +600,8 @@ def run_simulation(config: SimulationConfig) -> SimulationReport:
         raise UsageError(f"unknown mode {config.mode!r}")
     beta = n**mu
     footprint = beta * config.length * (cs.f + mu)
-    if beta > PLAN_SEGMENT_CAP or footprint > SIMULATION_SYMBOL_CAP:
+    cap = CONCRETE_SYMBOL_CAP if config.mode == "concrete" else SIMULATION_SYMBOL_CAP
+    if beta > PLAN_SEGMENT_CAP or footprint > cap:
         raise ResourceLimitError(
             f"simulation footprint {footprint} symbols (beta = {beta}) exceeds cap"
         )
@@ -621,12 +626,10 @@ def run_simulation(config: SimulationConfig) -> SimulationReport:
                 "symbolically"
             )
 
-    answers = []
-    charges = []
-    for j in range(1, n + 1):
-        a, c = answer_queries(j, plan, store, cs, values=values, codes=codes)
-        answers.append(a)
-        charges.append(c)
+    answers, charges = zip(
+        *(answer_queries(j, plan, store, cs, values=values, codes=codes)
+          for j in range(1, n + 1))
+    )
 
     result = decode(plan, answers, cs, codes=codes)
     # only concrete decoding can fail on a segment

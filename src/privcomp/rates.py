@@ -40,14 +40,9 @@ def d_opt(n: int, profile: EntropyProfile) -> float:
     from v = mu down to v = 1; past the double range it is math.inf.
     """
     _check_n(n)
-    acc = 0.0
-    prev = 0.0
-    deltas = []
+    acc = prev = 0.0
     for jv in profile.prefix_joint:
-        deltas.append(jv - prev)
-        prev = jv
-    for delta in deltas:
-        acc = acc * n + delta
+        acc, prev = acc * n + (jv - prev), jv
     return n * acc
 
 

@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
@@ -533,3 +534,18 @@ def test_monomial_candidate_set_equals_oracle(q):
         assert [t.exponents for t in cs.functions] == vectors
         assert cs.profile.h == h
         assert cs.profile.prefix_joint == joints
+
+
+@pytest.mark.parametrize("f,g,q", [(7, 3, 3), (10, 2, 3)])
+def test_candidate_set_peak_memory_near_its_tables(f, g, q):
+    # one (mu, q^f) matrix, beside it at most the last product step's 1/q-size
+    # operand; separate tables stacked into a copy had peaked at 2.1x
+    monomial_candidate_set(f, g, q)  # imports and first-call allocations
+    tracemalloc.start()
+    try:
+        cs = monomial_candidate_set(f, g, q)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    table_bytes = sum(t.values.nbytes for t in cs.functions)
+    assert peak <= 1.6 * table_bytes, peak / table_bytes

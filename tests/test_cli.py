@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import math
 import os
@@ -95,6 +96,35 @@ def test_figure_byte_stable(tmp_path, capsys):
     assert a.read_bytes() == b.read_bytes()
     assert a.read_bytes().endswith(b"\n")
     assert b"\r" not in a.read_bytes()
+
+
+# SHA-256 of stdout for sweeps and listings away from the q = 3 reference
+# figure; captured before the candidate tables were built one matrix per set
+GOLDEN_STDOUT = {
+    "figure --q 5 --n 2,3 --g 2,3,4 --f-max 4":
+        "fde4da54529d2616fc548bd2ec2c461d90250b0c44875da7d5c787a7849ad2ff",
+    "figure --q 7 --n 2 --g 2,3 --f-max 3":
+        "9cdba52b23ee3c5e8fa4920c185dfe29e50e84b541de789f30c119d1c1e2a2fe",
+    "rates --n 3 --q 2 --f 6 --g 3":
+        "2101781c3e4fe8b22c196bee7fe87b106be10c1a046ceddecaa50422c93b328e",
+    "rates --n 2 --q 5 --f 3 --g 4":
+        "427f63792bf9f7c1374387d11c6ebf0be379c1401da6201548f6e70c9d828540",
+    "rates --n 4 --q 7 --f 3 --g 3":
+        "61312e412d11c6e573abb9eaf8261adf0c9ed37dc83b9bf3bf7103cdab67dc32",
+    "monomials --q 2 --f 5 --g 3":
+        "ec7dec087f1f908bb90b5b8cf7120fbe683166c340bf9d43f3f30290b3a9749c",
+    "monomials --q 5 --f 3 --g 4":
+        "3ea01ba6e36ca7941cfbdcf8b59c85d8f47bb374412840b1b3df4b6dd9140a4f",
+    "monomials --q 7 --f 3 --g 6":
+        "6e7af34ba86b34be3bad7226594cc87e30b3a7a7cd61133af30fa16b6bf37eba",
+}
+
+
+@pytest.mark.parametrize("command", sorted(GOLDEN_STDOUT))
+def test_stdout_matches_golden_digest(capsys, command):
+    code, out, err = run_cli(capsys, *command.split())
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_STDOUT[command]
 
 
 # ----------------------------------------------------------------- monomials
@@ -300,6 +330,37 @@ def test_simulate_concrete_length_cap(capsys, mode, L, code):
             "resource guard: segment length L = 16385 exceeds the concrete-mode "
             "cap of 16384\n"
         )
+
+
+@pytest.mark.parametrize(
+    "mode,L,capped",
+    [("concrete", 6553, False), ("concrete", 6554, True), ("symbolic", 6554, False)],
+)
+def test_simulate_concrete_footprint_cap(capsys, monkeypatch, mode, L, capped):
+    # n = 4, mu = 3, f = 2: beta * L * (f + mu) = 320 L against the concrete
+    # cap of 2^21 = 2097152; the store is the first allocation past the guards
+    import privcomp.protocol as protocol
+
+    class Started(Exception):
+        pass
+
+    def generate(*args, **kwargs):
+        raise Started
+
+    monkeypatch.setattr(protocol.MessageStore, "generate", generate)
+    argv = [
+        "simulate", "--n", "4", "--q", "3", "--candidates", "1,0;0,1;1,1",
+        "--L", str(L), "--v", "1", "--mode", mode,
+    ]
+    if not capped:
+        with pytest.raises(Started):
+            main(argv)
+        return
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (3, "")
+    assert err == (
+        "resource guard: simulation footprint 2097280 symbols (beta = 64) exceeds cap\n"
+    )
 
 
 @pytest.mark.parametrize("epsilon", ["nan", "inf", "1e308"])
@@ -596,10 +657,10 @@ def test_candidate_set_cap_counts_every_table(capsys, monkeypatch, q, f, accepte
     class Built(Exception):
         pass
 
-    def build_monomial(exponents, q):
+    def monomial_tables(vectors, q):
         raise Built
 
-    monkeypatch.setattr(cli.cand, "build_monomial", build_monomial)
+    monkeypatch.setattr(cli.cand, "_monomial_tables", monomial_tables)
     argv = ["rates", "--n", "2", "--q", str(q), "--f", str(f), "--g", "1"]
     if accepted:
         with pytest.raises(Built):
