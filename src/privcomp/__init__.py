@@ -15,10 +15,8 @@ from .candidates import (
     candidate_set_from_exponents,
     count_all_monomials,
     generate_nonparallel_monomials,
-    joint_entropy_prefix,
     monomial_candidate_set,
     order_by_entropy,
-    reduce_exponent_vector,
     table_entropy,
 )
 from .coding import (
@@ -96,7 +94,6 @@ __all__ = [
     "encode_fixed",
     "generate_nonparallel_monomials",
     "generate_query_plan",
-    "joint_entropy_prefix",
     "monomial_candidate_set",
     "order_by_entropy",
     "outer_bound",
@@ -104,7 +101,6 @@ __all__ = [
     "rank_in_type",
     "rate_lower_bound",
     "rate_report",
-    "reduce_exponent_vector",
     "round_download",
     "run_simulation",
     "sum_codewords",

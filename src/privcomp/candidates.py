@@ -12,11 +12,14 @@ The monomial generator produces the deduplicated "nonparallel" candidate sets
 used by the rate sweeps: exponent vectors are first reduced with x^q = x, and
 a monomial is dropped when it is a componentwise k-th power (k >= 2, reduced)
 of another monomial in range, since retrieving the base monomial already
-determines it.
+determines it.  Such a set is profiled from its exponent vectors alone and
+tabulated only on demand.
 """
 
 import math
-from dataclasses import dataclass
+from collections.abc import Callable
+from dataclasses import dataclass, field
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -73,18 +76,9 @@ def count_all_monomials(m: int, g: int) -> int:
     return math.comb(g + m, g) - 1
 
 
-def reduce_exponent_vector(e: tuple, q: int) -> tuple:
-    """Map each positive exponent into [1, q-1] without changing the function.
-
-    Uses x^q = x: for x != 0 the exponent only matters mod q-1, and exponent 0
-    must stay 0 (absent variable).  The reduced table equals the input table.
-    """
-    require_prime(q)
-    return _reduce(e, q)
-
-
 def _reduce(e: tuple, q: int) -> tuple:
-    # reduce_exponent_vector for a q already checked prime
+    """Map each positive exponent into [1, q-1], q checked prime, keeping the
+    table: x^q = x, so for x != 0 only the exponent mod q-1 matters; 0 stays 0."""
     return tuple(((x - 1) % (q - 1)) + 1 if x >= 1 else 0 for x in e)
 
 
@@ -120,12 +114,6 @@ class FunctionTable:
             raise UsageError("table value out of field range")
         values.flags.writeable = False
         object.__setattr__(self, "values", values)
-
-    def value_at(self, inputs: tuple) -> int:
-        idx = 0
-        for w in inputs:
-            idx = idx * self.q + w
-        return int(self.values[idx])
 
 
 def _monomial_tables(vectors: list, q: int) -> list:
@@ -203,12 +191,8 @@ def generate_nonparallel_monomials(f: int, g: int, q: int) -> list:
 
 
 def _count_entropy(counts: np.ndarray, n: int, q: int) -> float:
-    """Entropy (base q) of the empirical distribution of n samples with
-    these counts.
-
-    Counts are summed in sorted order so that equal count multisets produce
-    bit-identical floats (entropy ties must compare exactly equal).
-    """
+    """Entropy (base q) of n samples with these counts, summed in sorted order
+    so equal count multisets give bit-identical floats (ties compare equal)."""
     s = 0.0
     # a count of 1 adds 1*log(1) = 0.0 exactly, so only counts > 1 are summed
     for c in sorted(counts[counts > 1].tolist()):
@@ -225,12 +209,9 @@ def table_entropy(table: FunctionTable) -> float:
 
 @dataclass(frozen=True)
 class EntropyProfile:
-    """Sorted candidate entropies plus prefix joint entropies, q-ary units.
-
-    h[v-1] is the entropy of the v-th candidate (descending order);
-    prefix_joint[v-1] is the joint entropy of candidates 1..v, with the empty
-    prefix having entropy 0.
-    """
+    """Sorted candidate entropies plus prefix joint entropies, q-ary units:
+    h[v-1] is the entropy of the v-th candidate (descending order) and
+    prefix_joint[v-1] the joint entropy of candidates 1..v."""
 
     h: tuple
     prefix_joint: tuple
@@ -264,18 +245,23 @@ class EntropyProfile:
         return self.prefix_joint[-1]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CandidateSet:
-    """Candidates ordered descendingly by entropy, with their profile."""
+    """Candidates ordered descendingly by entropy, with their profile; the
+    ordered tables, functions, are built by tabulate on their first read."""
 
     q: int
     f: int
-    functions: tuple  # tuple of FunctionTable
     profile: EntropyProfile
+    tabulate: Callable = field(repr=False)
+
+    @cached_property
+    def functions(self) -> tuple:
+        return tuple(self.tabulate())
 
     @property
     def mu(self) -> int:
-        return len(self.functions)
+        return self.profile.mu
 
 
 def _prefix_joint_entropies(rows, order, q: int, first: float) -> tuple:
@@ -301,15 +287,6 @@ def _prefix_joint_entropies(rows, order, q: int, first: float) -> tuple:
     return tuple(joints + joints[-1:] * (len(order) - len(joints)))
 
 
-def joint_entropy_prefix(candidate_set: CandidateSet, v: int) -> float:
-    """Joint entropy of the first v candidates; v = 0 gives 0."""
-    if v == 0:
-        return 0.0
-    if not 1 <= v <= candidate_set.mu:
-        raise UsageError(f"prefix length {v} out of range [0, {candidate_set.mu}]")
-    return candidate_set.profile.prefix_joint[v - 1]
-
-
 def order_by_entropy(functions) -> CandidateSet:
     """Sort candidates by descending entropy and build their profile.
 
@@ -323,24 +300,46 @@ def order_by_entropy(functions) -> CandidateSet:
     if any(t.q != q or t.f != f for t in functions):
         raise UsageError("all candidates must share the same q and f")
     entropies = [table_entropy(t) for t in functions]
-    if all(t.exponents is not None for t in functions):
-        order = sorted(
-            range(len(functions)),
-            key=lambda i: (-entropies[i],) + grlex_key(functions[i].exponents),
-        )
-    else:
-        order = sorted(range(len(functions)), key=lambda i: -entropies[i])
+    grlex = all(t.exponents is not None for t in functions)
+    order = sorted(
+        range(len(functions)),
+        key=lambda i: (-entropies[i],) + (grlex_key(functions[i].exponents) if grlex else ()),
+    )
     tables = tuple(functions[i] for i in order)
     h = tuple(entropies[i] for i in order)
     joints = _prefix_joint_entropies([t.values for t in functions], order, q, h[0])
     profile = EntropyProfile(h=h, prefix_joint=joints)
-    return CandidateSet(q=q, f=f, functions=tables, profile=profile)
+    return CandidateSet(q, f, profile, lambda: tables)
+
+
+def monomial_entropy(e: tuple, q: int) -> float:
+    """table_entropy of the monomial prod_j w_j^{e_j}, bit for bit, from e.
+
+    With k active variables and d = gcd(q-1, e_1..e_k) its table is 0 at
+    q^f - (q-1)^k q^(f-k) inputs and each of the (q-1)/d values of the
+    index-d subgroup of GF(q)* at d (q-1)^(k-1) q^(f-k): bincount's counts.
+    """
+    active = [x for x in e if x]
+    f, k, d = len(e), len(active), math.gcd(q - 1, *active)
+    zero, nonzero = q**f - (q - 1) ** k * q ** (f - k), d * (q - 1) ** (k - 1) * q ** (f - k)
+    return _count_entropy(np.repeat([zero, nonzero], [1, (q - 1) // d]), q**f, q)
 
 
 def monomial_candidate_set(f: int, g: int, q: int) -> CandidateSet:
-    """Entropy-ordered candidate set of all nonparallel monomials (f, g, q)."""
+    """Entropy-ordered set of all nonparallel monomials (f, g, q), profiled
+    from its exponent vectors (ties by graded lex).  The messages w_1..w_f must
+    lead, as every other univariate bijection is a power of one: the first
+    v <= f are jointly uniform on q^v values, the first f fix the input."""
     vectors = generate_nonparallel_monomials(f, g, q)
-    return order_by_entropy(_monomial_tables(vectors, q))
+    _check_enumeration_cap(q, f, len(vectors))
+    h = {e: monomial_entropy(e, q) for e in vectors}
+    order = sorted(vectors, key=lambda e: (-h[e],) + grlex_key(e))
+    if order[:f] != [tuple(int(i == j) for j in range(f)) for i in range(f)]:
+        raise AssertionError(f"the messages do not lead the set ({f}, {g}, {q})")
+    joints = [_count_entropy(np.full(q**v, q ** (f - v)), q**f, q) for v in range(1, f + 1)]
+    joints += joints[-1:] * (len(order) - f)
+    profile = EntropyProfile(tuple(h[e] for e in order), tuple(joints))
+    return CandidateSet(q, f, profile, partial(_monomial_tables, order, q))
 
 
 def candidate_set_from_exponents(vectors, q: int) -> CandidateSet:

@@ -134,6 +134,8 @@ def figure_rows(q: int, ns, gs, f_max: int):
 def cmd_figure(args) -> int:
     ns = _parse_int_list(args.n, "--n")
     gs = _parse_int_list(args.g, "--g")
+    if args.f_max < 1:
+        raise UsageError("--f-max must be >= 1")
     rows = figure_rows(args.q, ns, gs, args.f_max)
     lines = ["n,g,f,mu,h_min,achievable,converse"]
     for r in rows:
@@ -179,7 +181,7 @@ def cmd_figure(args) -> int:
 
 def cmd_monomials(args) -> int:
     vectors = cand.generate_nonparallel_monomials(args.f, args.g, args.q)
-    entropies = [cand.table_entropy(cand.build_monomial(e, args.q)) for e in vectors]
+    entropies = [cand.monomial_entropy(e, args.q) for e in vectors]
     _emit_json(
         {
             "q": args.q,

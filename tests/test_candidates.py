@@ -16,13 +16,11 @@ from privcomp import (
     candidate_set_from_exponents,
     count_all_monomials,
     generate_nonparallel_monomials,
-    joint_entropy_prefix,
     monomial_candidate_set,
     order_by_entropy,
-    reduce_exponent_vector,
     table_entropy,
 )
-from privcomp.candidates import is_prime
+from privcomp.candidates import _reduce, is_prime, require_prime
 from privcomp.cli import main
 
 H_PRODUCT = 0.905712598  # entropy of w1*w2 over F_3, q-ary units
@@ -83,13 +81,14 @@ def brute_force_joint_entropy(tables):
 
 
 def test_build_monomial_values():
+    # input (w1, w2) sits at index 3 * w1 + w2, the first variable most significant
     t = build_monomial((1, 1), 3)
-    assert t.value_at((2, 2)) == 1
+    assert t.values[3 * 2 + 2] == 1
     t = build_monomial((2, 1), 3)
-    assert t.value_at((2, 2)) == 2
+    assert t.values[3 * 2 + 2] == 2
     proj = build_monomial((1, 0), 3)
     for w1, w2 in itertools.product(range(3), repeat=2):
-        assert proj.value_at((w1, w2)) == w1
+        assert proj.values[3 * w1 + w2] == w1
 
 
 def test_build_monomial_rejects_weight_zero():
@@ -185,20 +184,22 @@ def test_is_prime_large_primes_and_carmichael_numbers():
 
 
 def test_reduce_examples():
-    assert reduce_exponent_vector((3, 0), 3) == (1, 0)
-    assert reduce_exponent_vector((4, 1), 3) == (2, 1)
-    assert reduce_exponent_vector((1, 2), 3) == (1, 2)
+    require_prime(3)  # _reduce takes a q already checked prime
+    assert _reduce((3, 0), 3) == (1, 0)
+    assert _reduce((4, 1), 3) == (2, 1)
+    assert _reduce((1, 2), 3) == (1, 2)
 
 
 @pytest.mark.parametrize("q", [3, 5])
 def test_reduce_preserves_table_exhaustive(q):
     # every raw vector up to f=3 with entries past the wrap point
+    require_prime(q)
     for f in (1, 2, 3):
         for e in itertools.product(range(2 * q), repeat=f):
             if sum(e) < 1:
                 continue
-            red = reduce_exponent_vector(e, q)
-            assert reduce_exponent_vector(red, q) == red
+            red = _reduce(e, q)
+            assert _reduce(red, q) == red
             assert np.array_equal(build_monomial(e, q).values, build_monomial(red, q).values)
 
 
@@ -252,7 +253,7 @@ def test_nonparallel_deduplicates_as_functions():
         tables = [tuple(build_monomial(e, q).values.tolist()) for e in vecs]
         assert len(set(tables)) == len(tables)
         # every generated vector is already reduced
-        assert all(reduce_exponent_vector(e, q) == e for e in vecs)
+        assert all(_reduce(e, q) == e for e in vecs)
 
 
 # ---------------------------------------------------------------------- pmfs
@@ -324,7 +325,7 @@ def test_entropy_and_pmf_match_exact_oracle_exhaustive(capsys, q, f, option, vec
 
 def test_joint_entropy_chain_rule_example():
     cs = order_by_entropy([build_monomial((1, 0), 3), build_monomial((1, 1), 3)])
-    joint = joint_entropy_prefix(cs, 2)
+    joint = cs.profile.prefix_joint[1]
     assert joint == pytest.approx(5 / 3, abs=1e-12)
     assert joint == pytest.approx(brute_force_joint_entropy(cs.functions), abs=1e-12)
 
@@ -333,12 +334,12 @@ def test_joint_entropy_independent_and_duplicate():
     w1 = build_monomial((1, 0), 3)
     w2 = build_monomial((0, 1), 3)
     cs = order_by_entropy([w1, w2])
-    assert joint_entropy_prefix(cs, 2) == pytest.approx(2.0, abs=1e-12)
+    assert cs.profile.prefix_joint[1] == pytest.approx(2.0, abs=1e-12)
     dup = order_by_entropy([w1, build_monomial((1, 0), 3)])
-    assert joint_entropy_prefix(dup, 2) == pytest.approx(1.0, abs=1e-12)
-    assert joint_entropy_prefix(cs, 0) == 0.0
-    with pytest.raises(UsageError):
-        joint_entropy_prefix(cs, 3)
+    assert dup.profile.prefix_joint[1] == pytest.approx(1.0, abs=1e-12)
+    # one prefix per candidate, the first being the first candidate alone
+    assert len(cs.profile.prefix_joint) == 2
+    assert cs.profile.prefix_joint[0] == cs.profile.h[0]
 
 
 # ------------------------------------------------------------------ ordering
@@ -539,11 +540,13 @@ def test_monomial_candidate_set_equals_oracle(q):
 @pytest.mark.parametrize("f,g,q", [(7, 3, 3), (10, 2, 3)])
 def test_candidate_set_peak_memory_near_its_tables(f, g, q):
     # one (mu, q^f) matrix, beside it at most the last product step's 1/q-size
-    # operand; separate tables stacked into a copy had peaked at 2.1x
-    monomial_candidate_set(f, g, q)  # imports and first-call allocations
+    # operand; separate tables stacked into a copy had peaked at 2.1x.  The
+    # profile builds no table, so the tables are read inside the traced region
+    monomial_candidate_set(f, g, q).functions  # imports and first-call allocations
     tracemalloc.start()
     try:
         cs = monomial_candidate_set(f, g, q)
+        cs.functions
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

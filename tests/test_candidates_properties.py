@@ -6,13 +6,15 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from privcomp import (
     FunctionTable,
+    ResourceLimitError,
     build_monomial,
     candidate_set_from_exponents,
     generate_nonparallel_monomials,
+    monomial_candidate_set,
     order_by_entropy,
     table_entropy,
 )
@@ -143,3 +145,23 @@ def test_candidate_set_profile_equals_oracle(injective):
 @given(st.sampled_from(PRIMES_TO_13), st.integers(1, 4), st.integers(1, 8))
 def test_nonparallel_enumeration_equals_oracle(q, f, g):
     assert generate_nonparallel_monomials(f, g, q) == oracle_nonparallel(f, g, q)
+
+
+# --------------------- nonparallel sets profiled from structure, against tables
+
+
+@settings(deadline=None, max_examples=60, derandomize=True)
+@given(st.sampled_from(PRIMES_TO_13), st.integers(1, 5), st.integers(1, 5))
+def test_structural_profile_equals_enumeration(q, f, g):
+    try:
+        cs = monomial_candidate_set(f, g, q)
+    except ResourceLimitError:
+        assume(False)  # over the enumeration cap: no tables to compare with
+    vectors = generate_nonparallel_monomials(f, g, q)
+    enumerated = order_by_entropy(_monomial_tables(vectors, q))
+    assert cs.profile == enumerated.profile
+    # the messages lead, read off the tables: candidate i is input digit i
+    inputs = np.arange(q**f)
+    for i, table in enumerate(enumerated.functions[:f]):
+        assert np.array_equal(table.values, inputs // q ** (f - 1 - i) % q)
+    assert [t.exponents for t in cs.functions] == [t.exponents for t in enumerated.functions]

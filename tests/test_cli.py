@@ -157,6 +157,21 @@ def test_monomials_f1(capsys):
     assert data["count"] == 1
 
 
+@pytest.mark.parametrize("q,f,g", [(2, 4, 3), (3, 3, 3), (5, 3, 4), (7, 2, 6), (13, 2, 5)])
+def test_monomials_entropies_equal_their_tables(capsys, q, f, g):
+    # the listing counts from exponents alone; the tables must agree exactly
+    from privcomp import build_monomial, table_entropy
+    import privcomp.cli as cli
+
+    code, out, _ = run_cli(capsys, "monomials", "--q", str(q), "--f", str(f), "--g", str(g))
+    assert code == 0
+    listed = json.loads(out)["monomials"]
+    for m in listed:
+        e = tuple(m["exponents"])
+        assert cli.cand.monomial_entropy(e, q) == table_entropy(build_monomial(e, q))
+        assert m["entropy"] == cli._round_floats(table_entropy(build_monomial(e, q)))
+
+
 # ------------------------------------------------------------------- entropy
 
 
@@ -571,6 +586,15 @@ def test_figure_bad_comma_list_is_usage_error(capsys, option, value):
     assert err == f"error: {option} must be a comma list of integers\n"
 
 
+@pytest.mark.parametrize("f_max", ["0", "-1"])
+def test_figure_f_max_below_one_is_usage_error(capsys, f_max):
+    # an empty sweep once printed a header-only CSV and "all 0 rows matched"
+    code, out, err = run_cli(capsys, "figure", "--f-max", f_max)
+    assert code == 2
+    assert out == ""
+    assert err == "error: --f-max must be >= 1\n"
+
+
 @pytest.mark.parametrize("error", [RecursionError, MemoryError])
 def test_resource_exhaustion_exits_three(capsys, monkeypatch, error):
     import privcomp.cli as cli
@@ -651,22 +675,20 @@ def test_entropy_pmf_cap(capsys, monkeypatch):
 )
 def test_candidate_set_cap_counts_every_table(capsys, monkeypatch, q, f, accepted):
     # g=1 holds f tables of q^f cells: 12 * 3^12 fits 10^7, 13 * 3^13 does not,
-    # and neither does one table of the first prime above 10^7
+    # and neither does one table of the first prime above 10^7; the cap counts
+    # them although `rates` profiles the set from structure and tabulates none
     import privcomp.cli as cli
 
-    class Built(Exception):
-        pass
-
     def monomial_tables(vectors, q):
-        raise Built
+        raise AssertionError("a table was built")
 
     monkeypatch.setattr(cli.cand, "_monomial_tables", monomial_tables)
     argv = ["rates", "--n", "2", "--q", str(q), "--f", str(f), "--g", "1"]
-    if accepted:
-        with pytest.raises(Built):
-            main(argv)
-        return
     code, out, err = run_cli(capsys, *argv)
+    if accepted:
+        assert (code, err) == (0, "")
+        assert json.loads(out)["mu"] == f
+        return
     assert code == 3
     assert out == ""
     assert err.startswith("resource guard: ")

@@ -425,4 +425,4 @@ def test_empirical_entropy_matches_exact_product_pmf():
     table = build_monomial((1, 1), 3)
     samples = FunctionTable(q=3, f=11, values=w[0] * w[1] % 3)
     assert table_entropy(samples) == pytest.approx(H_PRODUCT, abs=0.01)
-    assert table.value_at((2, 2)) == 1
+    assert table.values[3 * 2 + 2] == 1  # input (2, 2)

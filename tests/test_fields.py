@@ -16,10 +16,9 @@ from privcomp import (
     build_monomial,
     generate_nonparallel_monomials,
     order_by_entropy,
-    reduce_exponent_vector,
     sum_codewords,
 )
-from privcomp.candidates import is_prime, require_prime
+from privcomp.candidates import _reduce, is_prime, require_prime
 from privcomp.coding import subtract_codewords
 
 SMALL_PRIMES = [2, 3, 5, 7, 11, 13, 17]
@@ -45,35 +44,38 @@ def test_modular_add_examples():
 
 
 def test_modular_mul_examples():
+    # input (a, b) sits at index q * a + b, the first variable most significant
     product = build_monomial((1, 1), 3)
-    assert product.value_at((2, 2)) == 1
+    assert product.values[3 * 2 + 2] == 1
     for x in range(3):
-        assert product.value_at((x, 1)) == x
-    assert build_monomial((1, 1), 7).value_at((3, 5)) == 1
+        assert product.values[3 * x + 1] == x
+    assert build_monomial((1, 1), 7).values[7 * 3 + 5] == 1
 
 
 def test_pow_examples():
     assert build_monomial((2,), 3).values.tolist() == [0, 1, 1]
     # 0^0 = 1: exponent zero means the variable is absent from a monomial
-    assert build_monomial((0, 1), 3).value_at((0, 1)) == 1
+    assert build_monomial((0, 1), 3).values[3 * 0 + 1] == 1
     assert build_monomial((3,), 3).values.tolist() == [0, 1, 2]
 
 
 def test_fermat_identity():
     for q in SMALL_PRIMES:
         assert build_monomial((q,), q).values.tolist() == list(range(q))
-        assert reduce_exponent_vector((q,), q) == (1,)
+        require_prime(q)  # _reduce takes a q already checked prime
+        assert _reduce((q,), q) == (1,)
 
 
 @pytest.mark.parametrize("q", SMALL_PRIMES)
 def test_field_axioms_exhaustive(q):
-    pair = build_monomial((1, 1), q)
-    triple = build_monomial((1, 1, 1), q)
+    # the product of a and b is pair.values[q * a + b]
+    pair = build_monomial((1, 1), q).values
+    triple = build_monomial((1, 1, 1), q).values
     for a, b, c in itertools.product(range(q), repeat=3):
-        left = pair.value_at((pair.value_at((a, b)), c))
-        right = pair.value_at((a, pair.value_at((b, c))))
-        assert triple.value_at((a, b, c)) == left == right
-        assert pair.value_at((a, b)) == pair.value_at((b, a))
+        left = pair[q * pair[q * a + b] + c]
+        right = pair[q * a + pair[q * b + c]]
+        assert triple[q * q * a + q * b + c] == left == right
+        assert pair[q * a + b] == pair[q * b + a]
     # every nonzero element has a multiplicative inverse: a^(q-2) * a = 1
     assert build_monomial((q - 1,), q).values.tolist() == [0] + [1] * (q - 1)
     code = symbol_code(q, q)
@@ -112,8 +114,9 @@ def test_nonprime_modulus_rejected():
         FixedCode(q=4, alphabet_size=2, length=4, budget=1.0)
     with pytest.raises(UsageError, match="must be prime"):
         generate_nonparallel_monomials(2, 2, 4)
+    # exponents reduce mod q - 1 only over a field: q = 4 stops first
     with pytest.raises(UsageError, match="must be prime"):
-        reduce_exponent_vector((1, 2), 4)
+        build_monomial((1, 2), 4)
 
 
 def test_negative_exponent_rejected():
