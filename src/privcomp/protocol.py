@@ -30,6 +30,7 @@ from the coding module and charges their actual lengths.
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -74,34 +75,45 @@ class QueryPlan:
     """
 
     n: int
-    mu: int
     v: int
-    seed: int | None
     permutation: np.ndarray  # permutation[t-1] = actual segment index, 1-based
     sums: np.ndarray  # (S, mu) subindex matrix
     db: np.ndarray  # 1-based database index
-    round: np.ndarray  # tau = number of constituents
-    desired: np.ndarray  # bool
     side_ref: np.ndarray
+
+    @property
+    def mu(self) -> int:
+        return self.sums.shape[1]
 
     @property
     def beta(self) -> int:
         return self.n**self.mu
 
+    @cached_property
+    def round(self) -> np.ndarray:  # tau = number of members
+        return np.count_nonzero(self.sums, axis=1)
+
+    @cached_property
+    def desired(self) -> np.ndarray:  # bool: candidate v is a member
+        return self.sums[:, self.v - 1] != 0
+
 
 def _masks(sums: np.ndarray) -> np.ndarray:
     """Candidate set of each row as a bitmask, bit w-1 for candidate w."""
-    return (sums != 0) @ (1 << np.arange(sums.shape[1], dtype=np.int64))
+    bit = 1 << np.arange(sums.shape[1], dtype=np.int64)
+    masks = np.empty(len(sums), dtype=np.int64)
+    for i in range(0, len(sums), 4096):  # blocks: no int64 copy of all of sums
+        masks[i : i + 4096] = (sums[i : i + 4096] != 0) @ bit
+    return masks
 
 
 def _type_of(mask: int) -> tuple:
     return tuple(w + 1 for w in range(mask.bit_length()) if mask >> w & 1)
 
 
-def _plan_blocks(n: int, mu: int) -> list:
-    """Blocks (sums, db, round, desired, side_ref) of the plan for v = 1."""
+def _plan_blocks(n: int, mu: int):
+    """Blocks (sums, db, side_ref) of the plan for v = 1."""
     bit = 1 << np.arange(mu, dtype=np.int64)
-    blocks = []
     rows = 0  # sum id of the next row
     counter = 0  # global fresh-subindex counter for the desired candidate
     undesired_prev = {}  # db -> (first sum id, sums) of the previous round
@@ -124,7 +136,7 @@ def _plan_blocks(n: int, mu: int) -> list:
             # member w of copy z of an undesired sum of type T takes the
             # subindex of copy z of the desired sum with side type T minus {w},
             # copies counted in generation order
-            side = (desired[:, 1:] != 0) @ bit[1:]
+            side = _masks(desired) - 1  # every desired row has member 1
             order = np.argsort(side, kind="stable")
             side_types = side[order][::copies]
             donors = desired[order, 0].reshape(-1, copies)
@@ -135,12 +147,8 @@ def _plan_blocks(n: int, mu: int) -> list:
                 undesired[at, w[:, None]] = donors[
                     np.searchsorted(side_types, full - bit[w])
                 ]
-            for s, want, ref in ((desired, True, side_ref), (undesired, False, -1)):
-                m = len(s)
-                ref = np.broadcast_to(ref, m)
-                blocks.append(
-                    (s, np.full(m, j), np.full(m, tau), np.full(m, want), ref)
-                )
+            for s, ref in ((desired, side_ref), (undesired, -1)):
+                yield s, np.full(len(s), j), np.broadcast_to(ref, len(s))
             new_undesired[j] = (rows + len(desired), undesired)
             rows += len(desired) + len(undesired)
         undesired_prev = new_undesired
@@ -148,7 +156,6 @@ def _plan_blocks(n: int, mu: int) -> list:
         raise ProtocolError(
             f"desired coverage is {counter} segments, expected beta = {n**mu}"
         )
-    return blocks
 
 
 def generate_query_plan(n: int, mu: int, v: int, seed=None) -> QueryPlan:
@@ -170,13 +177,10 @@ def generate_query_plan(n: int, mu: int, v: int, seed=None) -> QueryPlan:
             f"beta = {n}^{mu} = {beta} exceeds the plan cap of {PLAN_SEGMENT_CAP}"
         )
     permutation = np.random.default_rng(seed).permutation(beta) + 1
-    sums, db, rnd, desired, side_ref = (
-        np.concatenate(col) for col in zip(*_plan_blocks(n, mu))
-    )
+    sums, db, side_ref = (np.concatenate(col) for col in zip(*_plan_blocks(n, mu)))
     sums[:, [0, v - 1]] = sums[:, [v - 1, 0]]
     return QueryPlan(
-        n=n, mu=mu, v=v, seed=seed, permutation=permutation, sums=sums,
-        db=db, round=rnd, desired=desired, side_ref=side_ref,
+        n=n, v=v, permutation=permutation, sums=sums, db=db, side_ref=side_ref
     )
 
 
@@ -188,11 +192,11 @@ class MessageStore:
     """f uniform messages of beta*L symbols each, replicated at every database."""
 
     q: int
-    f: int
-    beta: int
-    length: int
-    seed: int | None
     messages: np.ndarray  # shape (f, beta, L), values in [0, q)
+
+    @property
+    def length(self) -> int:
+        return self.messages.shape[2]
 
     @classmethod
     def generate(cls, q: int, f: int, beta: int, length: int, seed=None):
@@ -204,13 +208,13 @@ class MessageStore:
             )
         rng = np.random.default_rng(seed)
         msgs = rng.integers(0, q, size=(f, beta, length), dtype=np.int16)
-        return cls(q=q, f=f, beta=beta, length=length, seed=seed, messages=msgs)
+        return cls(q=q, messages=msgs)
 
     def input_codes(self) -> np.ndarray:
         """Message tuples packed as base-q integers, shape (beta, L)."""
-        codes = np.zeros((self.beta, self.length), dtype=np.int64)
-        for m in range(self.f):
-            codes = codes * self.q + self.messages[m]
+        codes = np.zeros(self.messages.shape[1:], dtype=np.int64)
+        for message in self.messages:
+            codes = codes * self.q + message
         return codes
 
 
@@ -231,10 +235,6 @@ class ConcreteCodes:
     image_tuples: np.ndarray  # (A, mu) distinct candidate tuples, lexicographic
     image_of_code: np.ndarray  # input code -> image index
     sum_codes: tuple  # lead member (0-based column) of a tau-sum, tau >= 2 -> code
-
-    @property
-    def joint_fallback(self) -> bool:
-        return self.joint_code is None
 
 
 def build_concrete_codes(
@@ -282,7 +282,7 @@ def answer_queries(
     plan: QueryPlan,
     store: MessageStore,
     candidate_set: CandidateSet,
-    values=None,
+    values,
     codes: ConcreteCodes | None = None,
 ):
     """Database j's answers and charges for its part of the plan.
@@ -295,9 +295,10 @@ def answer_queries(
     its lead member, the largest among its members.  With codes (concrete
     mode) they are a list: each later sum as a codeword, charged its length,
     and every round-1 row as the one joint-bundle codeword, or as its raw
-    segment when the joint alphabet is capped out.  Only the queried sums,
-    the replica, and the public candidate tables are consulted; nothing here
-    depends on which candidate is desired.
+    segment when the joint alphabet is capped out.  values holds the
+    candidates' images on the replica, as evaluate_candidates returns them.
+    Only the queried sums, the replica, and the public candidate tables are
+    consulted; nothing here depends on which candidate is desired.
     """
     profile = candidate_set.profile
     length = store.length
@@ -313,8 +314,6 @@ def answer_queries(
         raise ProtocolError(
             f"database {j} has round-1 singletons at several subindices"
         )
-    if values is None:
-        values = evaluate_candidates(store, candidate_set)
     perm = plan.permutation - 1
     joint = length * profile.joint
     lead = (sums != 0).argmax(axis=1)
@@ -324,7 +323,7 @@ def answer_queries(
     else:
         # raw round-1 segments, kept only when the joint alphabet is capped out
         answers = list(_sum_segments(sums * first[:, None], perm, values, store.q))
-        if not codes.joint_fallback:
+        if codes.joint_code is not None:
             row = store.input_codes()[perm[round1_ts[0] - 1]]
             bundle = encode_fixed(codes.image_of_code[row].tolist(), codes.joint_code)
             answers = [bundle if f else a for f, a in zip(first, answers)]
@@ -349,10 +348,6 @@ def answer_queries(
 class DecodeResult:
     segments: np.ndarray  # recovered desired image, shape (beta, L), real order
     failed: list  # real segment indices (1-based) that could not be decoded
-
-    @property
-    def failure_rate(self) -> float:
-        return len(self.failed) / self.segments.shape[0]
 
 
 def decode(
@@ -393,7 +388,7 @@ def decode(
     expected = plan.sums[desired[later]]
     expected[:, v - 1] = 0
     if (
-        plan.desired[ref] | (plan.db[ref] == plan.db[desired[later]])
+        (plan.db[ref] == plan.db[desired[later]])
         | (plan.sums[ref] != expected).any(axis=1)
     ).any():
         raise ProtocolError("a side reference does not match its desired sum")
@@ -417,7 +412,7 @@ def decode(
         for r in rows:
             first = r[plan.round[r] == 1]
             bundle = coded[first[0]]
-            if codes.joint_fallback:
+            if codes.joint_code is None:
                 raw[first] = [coded[i] for i in first]
             elif bundle.atypical:
                 lost[first] = True
@@ -598,6 +593,10 @@ def run_simulation(config: SimulationConfig) -> SimulationReport:
         raise UsageError("segment length must be >= 1")
     if config.mode not in ("symbolic", "concrete"):
         raise UsageError(f"unknown mode {config.mode!r}")
+    if n < 2:
+        raise UsageError("replication requires at least 2 databases")
+    if config.seed < 0:
+        raise UsageError(f"seed {config.seed} must be >= 0")
     beta = n**mu
     footprint = beta * config.length * (cs.f + mu)
     cap = CONCRETE_SYMBOL_CAP if config.mode == "concrete" else SIMULATION_SYMBOL_CAP
@@ -620,7 +619,7 @@ def run_simulation(config: SimulationConfig) -> SimulationReport:
     warnings = []
     if config.mode == "concrete":
         codes = build_concrete_codes(cs, config.length, config.epsilon)
-        if codes.joint_fallback:
+        if codes.joint_code is None:
             warnings.append(
                 "joint alphabet exceeds the concrete cap; round 1 charged "
                 "symbolically"
@@ -667,6 +666,6 @@ def run_simulation(config: SimulationConfig) -> SimulationReport:
         recovery_ok=recovery_ok,
         privacy_ok=privacy_ok,
         per_round=per_round,
-        decode_failure_rate=result.failure_rate,
+        decode_failure_rate=len(result.failed) / beta,
         warnings=warnings,
     )

@@ -212,8 +212,6 @@ def test_criterion_4_recovery_and_privacy():
         plan,
         sums=np.vstack([plan.sums, extra]),
         db=np.append(plan.db, 1),
-        round=np.append(plan.round, 1),
-        desired=np.append(plan.desired, True),
         side_ref=np.append(plan.side_ref, -1),
     )
     control = verify_privacy_structure(tampered)

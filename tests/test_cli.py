@@ -117,6 +117,16 @@ GOLDEN_STDOUT = {
         "3ea01ba6e36ca7941cfbdcf8b59c85d8f47bb374412840b1b3df4b6dd9140a4f",
     "monomials --q 7 --f 3 --g 6":
         "6e7af34ba86b34be3bad7226594cc87e30b3a7a7cd61133af30fa16b6bf37eba",
+    "simulate --n 3 --q 3 --candidates 1,0;0,1;1,1 --v 2":
+        "4813c4d5b329b00e79acdf2b31b9bccf5e4973b08520cadf582ea27aac794fa5",
+    # concrete with decode failures (rate 0.0625)
+    "simulate --n 2 --q 3 --candidates 2,0;0,2;1,1;2,2 --v 2 --mode concrete"
+    " --epsilon 0 --L 64":
+        "6e3378b633069e46fffaa6cf895553d94b77cc06dd8e20a6c8031d9c148996be",
+    # joint alphabet past the concrete cap: round 1 sent raw
+    "simulate --n 2 --q 3 --candidates 1,1,1,1;1,0,0,0;0,1,0,0;0,0,1,0;0,0,0,1"
+    " --v 1 --mode concrete --L 32":
+        "106f977c819b0a225697d7c62d5a68dde59dbdb99d1a90800b6b800cfb8ca806",
 }
 
 
@@ -294,6 +304,24 @@ def test_simulate_v_out_of_range(capsys):
     )
     assert code == 2
     assert "out of range" in err
+
+
+@pytest.mark.parametrize(
+    "option,value,message",
+    [
+        # an odd mu makes beta = n^mu negative
+        ("--n", "-3", "error: replication requires at least 2 databases"),
+        ("--seed", "-1", "error: seed -1 must be >= 0"),
+    ],
+    ids=["negative-n", "negative-seed"],
+)
+def test_simulate_bad_n_or_seed_is_usage_error(capsys, option, value, message):
+    code, out, err = run_cli(
+        capsys,
+        "simulate", "--n", "3", "--q", "3", "--candidates", "1,0;0,1;1,1",
+        "--v", "1", option, value,
+    )
+    assert (code, out, err) == (2, "", message + "\n")
 
 
 def test_simulate_resource_guard(capsys):

@@ -1,5 +1,6 @@
 import importlib.util
 import itertools
+import tracemalloc
 from collections import Counter
 from dataclasses import replace
 
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 
 from privcomp import QueryPlan, generate_query_plan, verify_privacy_structure
+from privcomp.protocol import _masks
 
 
 def db_rows(plan, j):
@@ -55,8 +57,6 @@ def test_negative_control_extra_desired_singleton():
         plan,
         sums=np.vstack([plan.sums, extra]),
         db=np.append(plan.db, 1),
-        round=np.append(plan.round, 1),
-        desired=np.append(plan.desired, True),
         side_ref=np.append(plan.side_ref, -1),
     )
     report = verify_privacy_structure(tampered)
@@ -102,9 +102,8 @@ def test_cyclic_symmetry_alone_is_not_privacy():
     )
     rows = len(sums)
     plan = QueryPlan(
-        n=2, mu=3, v=1, seed=None, permutation=np.arange(1, 9), sums=sums,
-        db=np.ones(rows, dtype=int), round=(sums != 0).sum(axis=1),
-        desired=np.zeros(rows, dtype=bool), side_ref=np.full(rows, -1),
+        n=2, v=1, permutation=np.arange(1, 9), sums=sums,
+        db=np.ones(rows, dtype=int), side_ref=np.full(rows, -1),
     )
     cycled = replace(plan, sums=sums[:, [2, 0, 1]])
     swapped = replace(plan, sums=sums[:, [1, 0, 2]])
@@ -211,7 +210,7 @@ def test_full_joint_distribution_micro_exhaustive():
     dists = {(v, j): Counter() for v in (1, 2) for j in (1, 2)}
     for msg_bits in itertools.product(range(q), repeat=f * beta * L):
         msgs = np.array(msg_bits, dtype=np.int16).reshape(f, beta, L)
-        store = MessageStore(q=q, f=f, beta=beta, length=L, seed=None, messages=msgs)
+        store = MessageStore(q=q, messages=msgs)
         values = evaluate_candidates(store, cs)
         images = tuple(tuple(int(x) for x in val.ravel()) for val in values)
         for (v, perm), plan in plans.items():
@@ -287,3 +286,18 @@ def test_relabeling_search_is_not_recursive():
     report = verify_privacy_structure(generate_query_plan(2, 10, 1, seed=0))
     assert report.relabeling_ok is True
     assert report.ok
+
+
+def test_masks_build_no_copy_of_the_membership_matrix():
+    # (2, 16): 131,070 sums; an int64 copy of (sums != 0) alone is 16.8 MB
+    sums = generate_query_plan(2, 16, 1, seed=0).sums
+    rows = len(sums)
+    expected = (sums != 0) @ (1 << np.arange(sums.shape[1], dtype=np.int64))
+    tracemalloc.start()
+    try:
+        masks = _masks(sums)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(masks, expected)
+    assert peak <= 3 * rows * 8, peak / (rows * 8)

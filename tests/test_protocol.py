@@ -327,7 +327,7 @@ def test_symbolic_two_sum_charge_is_max_entropy():
     cs = candidate_set_from_exponents([(1, 0), (1, 1)], 3)
     store = MessageStore.generate(3, 2, beta=4, length=16, seed=0)
     plan = generate_query_plan(2, 2, 1, seed=0)
-    _, charges = answer_queries(1, plan, store, cs)
+    _, charges = answer_queries(1, plan, store, cs, evaluate_candidates(store, cs))
     two_sum = charges[plan.round[plan.db == 1] == 2]
     assert len(two_sum) == 1
     assert two_sum[0] == pytest.approx(16 * 1.0, abs=1e-12)  # max(1, 0.9057)
@@ -339,8 +339,9 @@ def test_charges_equal_oracle_ledger_n3_mu3(epsilon):
     store = MessageStore.generate(3, 2, beta=27, length=12, seed=2)
     codes = None if epsilon is None else build_concrete_codes(cs, 12, epsilon)
     plan = generate_query_plan(3, 3, 2, seed=2)
+    values = evaluate_candidates(store, cs)
     for j in (1, 2, 3):
-        _, charges = answer_queries(j, plan, store, cs, codes=codes)
+        _, charges = answer_queries(j, plan, store, cs, values, codes=codes)
         ledger = oracle_ledger(j, plan, cs, 12, epsilon)
         first = plan.round[plan.db == j] == 1
         assert charges[0] == ledger[0][1]
@@ -371,14 +372,15 @@ def test_answer_unknown_subindex():
     bad_sums[(plan.round == 2) & (plan.db == 1), 0] = 99
     bad = replace(plan, sums=bad_sums)
     with pytest.raises(ProtocolError):
-        answer_queries(1, bad, store, cs)
+        answer_queries(1, bad, store, cs, evaluate_candidates(store, cs))
 
 
 def test_decode_missing_side_information():
     cs = candidate_set_from_exponents([(1, 0), (1, 1)], 3)
     store = MessageStore.generate(3, 2, beta=4, length=4, seed=0)
     plan = generate_query_plan(2, 2, 1, seed=0)
-    answers = [answer_queries(j, plan, store, cs)[0] for j in (1, 2)]
+    values = evaluate_candidates(store, cs)
+    answers = [answer_queries(j, plan, store, cs, values)[0] for j in (1, 2)]
     broken_refs = np.where(plan.desired & (plan.round == 2), -1, plan.side_ref)
     broken = replace(plan, side_ref=broken_refs)
     with pytest.raises(ProtocolError):
@@ -389,7 +391,8 @@ def test_decode_rejects_inconsistent_plans_and_answers():
     cs = candidate_set_from_exponents([(1, 0), (1, 1)], 3)
     store = MessageStore.generate(3, 2, beta=4, length=4, seed=0)
     plan = generate_query_plan(2, 2, 1, seed=0)
-    answers = [answer_queries(j, plan, store, cs)[0] for j in (1, 2)]
+    values = evaluate_candidates(store, cs)
+    answers = [answer_queries(j, plan, store, cs, values)[0] for j in (1, 2)]
     desired = np.flatnonzero(plan.desired)
     later = desired[plan.round[desired] == 2]
     # side reference pointing at the desired sum itself
@@ -399,12 +402,12 @@ def test_decode_rejects_inconsistent_plans_and_answers():
     twice = plan.sums.copy()
     twice[desired[1], 0] = twice[desired[0], 0]
     # one desired sum dropped: a segment is never decoded
-    dropped = plan.desired.copy()
-    dropped[desired[0]] = False
+    dropped = plan.sums.copy()
+    dropped[desired[0], plan.v - 1] = 0
     for bad, message in [
         (replace(plan, side_ref=refs), "does not match"),
         (replace(plan, sums=twice), "decoded twice"),
-        (replace(plan, desired=dropped), "did not cover"),
+        (replace(plan, sums=dropped), "did not cover"),
     ]:
         with pytest.raises(ProtocolError, match=message):
             decode(bad, answers, cs)
@@ -417,8 +420,9 @@ def test_decode_rejects_answers_of_the_other_mode():
     store = MessageStore.generate(3, 2, beta=4, length=16, seed=0)
     plan = generate_query_plan(2, 2, 1, seed=0)
     codes = build_concrete_codes(cs, 16)
-    symbolic = [answer_queries(j, plan, store, cs)[0] for j in (1, 2)]
-    concrete = [answer_queries(j, plan, store, cs, codes=codes)[0] for j in (1, 2)]
+    values = evaluate_candidates(store, cs)
+    symbolic = [answer_queries(j, plan, store, cs, values)[0] for j in (1, 2)]
+    concrete = [answer_queries(j, plan, store, cs, values, codes)[0] for j in (1, 2)]
     assert not decode(plan, concrete, cs, codes=codes).failed
     with pytest.raises(ProtocolError, match="need the codes"):
         decode(plan, concrete, cs)

@@ -94,11 +94,12 @@ def test_sorted_charges_do_not_depend_on_v(case):
     n, cs, length, epsilon = config.n, config.candidate_set, config.length, case[-1]
     store = MessageStore.generate(cs.q, cs.f, n**cs.mu, length, seed=config.seed)
     codes = None if epsilon is None else build_concrete_codes(cs, length, epsilon)
+    values = protocol.evaluate_candidates(store, cs)
     views = set()
     for v in range(1, cs.mu + 1):
         plan = generate_query_plan(n, cs.mu, v, seed=config.seed)
         views.add(tuple(
-            tuple(sorted(answer_queries(j, plan, store, cs, codes=codes)[1].tolist()))
+            tuple(sorted(answer_queries(j, plan, store, cs, values, codes)[1].tolist()))
             for j in range(1, n + 1)
         ))
     assert len(views) == 1
