@@ -29,6 +29,7 @@ from the coding module and charges their actual lengths.
 """
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -60,6 +61,9 @@ CONCRETE_LENGTH_CAP = 2**14
 # q = 3 ~3 s; n = 2, mu = 8, f = 2 at L = 16384 (42M symbols) took 84 s
 CONCRETE_SYMBOL_CAP = 2**21
 DEFAULT_EPSILON = 0.05
+# rows of sums gathered, compared or counted at once: no stage of a run
+# holds a copy of all of sums
+BLOCK = 2**13
 
 
 # ---------------------------------------------------------------- query plans
@@ -91,19 +95,28 @@ class QueryPlan:
 
     @cached_property
     def round(self) -> np.ndarray:  # tau = number of members
-        return np.count_nonzero(self.sums, axis=1)
+        tau = np.empty(len(self.sums), dtype=np.intp)
+        for blk in _blocks(len(tau)):
+            tau[blk] = np.count_nonzero(self.sums[blk], axis=1)
+        return tau
 
     @cached_property
     def desired(self) -> np.ndarray:  # bool: candidate v is a member
         return self.sums[:, self.v - 1] != 0
 
 
+def _blocks(size: int):
+    """Slices of BLOCK rows covering range(size): a gather or comparison of
+    whole sums rows is done one block at a time, never over all of sums."""
+    return (slice(i, i + BLOCK) for i in range(0, size, BLOCK))
+
+
 def _masks(sums: np.ndarray) -> np.ndarray:
     """Candidate set of each row as a bitmask, bit w-1 for candidate w."""
     bit = 1 << np.arange(sums.shape[1], dtype=np.int64)
     masks = np.empty(len(sums), dtype=np.int64)
-    for i in range(0, len(sums), 4096):  # blocks: no int64 copy of all of sums
-        masks[i : i + 4096] = (sums[i : i + 4096] != 0) @ bit
+    for blk in _blocks(len(sums)):
+        masks[blk] = (sums[blk] != 0) @ bit
     return masks
 
 
@@ -111,28 +124,45 @@ def _type_of(mask: int) -> tuple:
     return tuple(w + 1 for w in range(mask.bit_length()) if mask >> w & 1)
 
 
-def _plan_blocks(n: int, mu: int):
-    """Blocks (sums, db, side_ref) of the plan for v = 1."""
+def _build_plan(n: int, mu: int):
+    """The plan's (sums, db, side_ref) for v = 1, each block written in place.
+
+    Rows come round by round, then database by database: the desired block,
+    then the undesired block.  A desired tau-sum extends an undesired
+    (tau-1)-sum of one of the n - 1 other databases, so a database's round
+    tau holds (n-1)^(tau-1) copies of each type: C(mu-1, tau-1) desired
+    types and C(mu-1, tau) undesired ones, n (n^mu - 1) / (n - 1) rows in all.
+    """
+    total = n * (n**mu - 1) // (n - 1)
+    sums = np.zeros((total, mu), dtype=np.int32)
+    db = np.empty(total, dtype=np.int32)
+    side_ref = np.full(total, -1, dtype=np.int32)
     bit = 1 << np.arange(mu, dtype=np.int64)
     rows = 0  # sum id of the next row
     counter = 0  # global fresh-subindex counter for the desired candidate
-    undesired_prev = {}  # db -> (first sum id, sums) of the previous round
+    undesired_prev = {}  # db -> first sum id of its undesired block, last round
     for tau in range(1, mu + 1):
-        combos = np.array(
-            list(itertools.combinations(range(1, mu), tau)), dtype=np.int64
+        combos = np.fromiter(
+            itertools.chain.from_iterable(itertools.combinations(range(1, mu), tau)),
+            dtype=np.int64,
+            count=math.comb(mu - 1, tau) * tau,
         ).reshape(-1, tau)  # undesired types, as 0-based columns
         copies = (n - 1) ** (tau - 1)
+        n_desired = copies * math.comb(mu - 1, tau - 1)
+        n_undesired = copies * len(combos)
         new_undesired = {}
         for j in range(1, n + 1):
-            if tau == 1:
-                desired = np.zeros((1, mu), dtype=np.int32)
-                side_ref = np.array([-1])
-            else:
-                prev = [undesired_prev[jp] for jp in range(1, n + 1) if jp != j]
-                desired = np.concatenate([s for _, s in prev])
-                side_ref = np.concatenate([i + np.arange(len(s)) for i, s in prev])
-            desired[:, 0] = counter + 1 + np.arange(len(desired))
-            counter += len(desired)
+            start, split, end = rows, rows + n_desired, rows + n_desired + n_undesired
+            desired, undesired = sums[start:split], sums[split:end]
+            if tau > 1:
+                # each desired sum extends an undesired sum of another database
+                size = n_desired // (n - 1)
+                for k, jp in enumerate(jp for jp in range(1, n + 1) if jp != j):
+                    ref, at = undesired_prev[jp], start + k * size
+                    sums[at : at + size] = sums[ref : ref + size]
+                    side_ref[at : at + size] = np.arange(ref, ref + size)
+            desired[:, 0] = counter + 1 + np.arange(n_desired)
+            counter += n_desired
             # member w of copy z of an undesired sum of type T takes the
             # subindex of copy z of the desired sum with side type T minus {w},
             # copies counted in generation order
@@ -140,22 +170,21 @@ def _plan_blocks(n: int, mu: int):
             order = np.argsort(side, kind="stable")
             side_types = side[order][::copies]
             donors = desired[order, 0].reshape(-1, copies)
-            undesired = np.zeros((len(combos) * copies, mu), dtype=np.int32)
             at = np.arange(len(combos))[:, None] * copies + np.arange(copies)
-            full = bit[combos].sum(axis=1)
+            full = np.bitwise_or.reduce(bit[combos.T], axis=0)
             for w in combos.T:
                 undesired[at, w[:, None]] = donors[
                     np.searchsorted(side_types, full - bit[w])
                 ]
-            for s, ref in ((desired, side_ref), (undesired, -1)):
-                yield s, np.full(len(s), j), np.broadcast_to(ref, len(s))
-            new_undesired[j] = (rows + len(desired), undesired)
-            rows += len(desired) + len(undesired)
+            db[start:end] = j
+            new_undesired[j] = split
+            rows = end
         undesired_prev = new_undesired
     if counter != n**mu:
         raise ProtocolError(
             f"desired coverage is {counter} segments, expected beta = {n**mu}"
         )
+    return sums, db, side_ref
 
 
 def generate_query_plan(n: int, mu: int, v: int, seed=None) -> QueryPlan:
@@ -176,9 +205,11 @@ def generate_query_plan(n: int, mu: int, v: int, seed=None) -> QueryPlan:
         raise ResourceLimitError(
             f"beta = {n}^{mu} = {beta} exceeds the plan cap of {PLAN_SEGMENT_CAP}"
         )
-    permutation = np.random.default_rng(seed).permutation(beta) + 1
-    sums, db, side_ref = (np.concatenate(col) for col in zip(*_plan_blocks(n, mu)))
-    sums[:, [0, v - 1]] = sums[:, [v - 1, 0]]
+    permutation = np.random.default_rng(seed).permutation(beta)
+    permutation += 1
+    sums, db, side_ref = _build_plan(n, mu)
+    for blk in _blocks(len(sums)):
+        sums[blk, [0, v - 1]] = sums[blk, [v - 1, 0]]
     return QueryPlan(
         n=n, v=v, permutation=permutation, sums=sums, db=db, side_ref=side_ref
     )
@@ -211,10 +242,12 @@ class MessageStore:
         return cls(q=q, messages=msgs)
 
     def input_codes(self) -> np.ndarray:
-        """Message tuples packed as base-q integers, shape (beta, L)."""
+        """Message tuples packed as base-q integers, shape (beta, L), built in
+        place: int64, which numpy gathers with no index cast."""
         codes = np.zeros(self.messages.shape[1:], dtype=np.int64)
         for message in self.messages:
-            codes = codes * self.q + message
+            codes *= self.q
+            codes += message
         return codes
 
 
@@ -302,11 +335,9 @@ def answer_queries(
     """
     profile = candidate_set.profile
     length = store.length
-    sums = plan.sums[plan.db == j]
-    if sums.min(initial=0) < 0 or sums.max(initial=0) > plan.beta:
-        raise ProtocolError(f"database {j}: subindex outside [1, {plan.beta}]")
-    first = plan.round[plan.db == j] == 1
-    round1_ts = sums[first].max(axis=1)
+    rows = np.flatnonzero(plan.db == j)
+    first = plan.round[rows] == 1
+    round1_ts = plan.sums[rows[first]].max(axis=1)
     if len(round1_ts) == 0:
         raise ProtocolError(f"database {j} has no round-1 sums")
     if (round1_ts != round1_ts[0]).any():
@@ -316,11 +347,22 @@ def answer_queries(
         )
     perm = plan.permutation - 1
     joint = length * profile.joint
-    lead = (sums != 0).argmax(axis=1)
+    # the rows' sums, one block at a time: range check, lead member, and the
+    # raw answers in symbolic mode
+    lead = np.empty(len(rows), dtype=np.intp)
     if codes is None:
-        answers = _sum_segments(sums, perm, values, store.q)
+        answers = np.empty((len(rows), length), dtype=np.int16)
+    for blk in _blocks(len(rows)):
+        sums = plan.sums[rows[blk]]
+        if sums.min(initial=0) < 0 or sums.max(initial=0) > plan.beta:
+            raise ProtocolError(f"database {j}: subindex outside [1, {plan.beta}]")
+        lead[blk] = (sums != 0).argmax(axis=1)
+        if codes is None:
+            answers[blk] = _sum_segments(sums, perm, values, store.q)
+    if codes is None:
         charges = length * np.asarray(profile.h)[lead]
     else:
+        sums = plan.sums[rows]
         # raw round-1 segments, kept only when the joint alphabet is capped out
         answers = list(_sum_segments(sums * first[:, None], perm, values, store.q))
         if codes.joint_code is not None:
@@ -382,16 +424,16 @@ def decode(
         raise ProtocolError(f"a desired sum has no subindex in [1, {beta}]")
     later = plan.round[desired] > 1
     side = np.where(later, plan.side_ref[desired], -1)
-    ref = side[later]
+    ref, extended = side[later], desired[later]
     if ref.min(initial=0) < 0 or ref.max(initial=0) >= len(plan.sums):
         raise ProtocolError("a desired sum is missing its side information")
-    expected = plan.sums[desired[later]]
-    expected[:, v - 1] = 0
-    if (
-        (plan.db[ref] == plan.db[desired[later]])
-        | (plan.sums[ref] != expected).any(axis=1)
-    ).any():
-        raise ProtocolError("a side reference does not match its desired sum")
+    for blk in _blocks(len(ref)):
+        expected = plan.sums[extended[blk]]
+        expected[:, v - 1] = 0
+        if (plan.db[ref[blk]] == plan.db[extended[blk]]).any() or (
+            plan.sums[ref[blk]] != expected
+        ).any():
+            raise ProtocolError("a side reference does not match its desired sum")
     real = plan.permutation[t - 1]
     hits = np.bincount(real, minlength=beta + 1)[1:]
     if hits.max(initial=0) > 1:
@@ -404,11 +446,12 @@ def decode(
     # raw row values; the extra last row is the zero side information of round 1
     raw = np.zeros((len(plan.sums) + 1, length), dtype=np.int16)
     lost = np.zeros(len(plan.sums) + 1, dtype=bool)
-    order = np.concatenate(rows)  # sum ids in the order the answers arrive
     if codes is None:
-        raw[order] = np.concatenate(answers)
+        for r, a in zip(rows, answers):
+            raw[r] = a
     else:
-        coded = dict(zip(order.tolist(), itertools.chain(*answers)))
+        # sum id -> codeword, in the order the answers arrive
+        coded = dict(zip(np.concatenate(rows).tolist(), itertools.chain(*answers)))
         for r in rows:
             first = r[plan.round[r] == 1]
             bundle = coded[first[0]]
@@ -419,7 +462,9 @@ def decode(
             else:
                 image = codes.image_tuples[list(decode_fixed(bundle, codes.joint_code))]
                 raw[first] = image[:, plan.sums[first].argmax(axis=1)].T
-    value = (raw[desired] - raw[side]) % q
+    value = raw[desired]
+    value -= raw[side]
+    value %= q
     failed = lost[desired]
     if codes is not None:
         leads = (plan.sums[desired] != 0).argmax(axis=1).tolist()
@@ -486,46 +531,69 @@ def verify_privacy_structure(plan: QueryPlan) -> PrivacyReport:
     exists and rho is well defined on every database; rho then maps the
     view's subindices onto themselves, so it is a bijection.  It is sound for
     any sigma; the copy rule of the generator is what makes this sigma work.
+    Rows are gathered one block at a time, so the check holds no copy of sums.
     """
     mu, sums = plan.mu, plan.sums
     if sums.min(initial=0) < 0 or sums.max(initial=0) > plan.beta:
         raise ProtocolError(f"a subindex is outside [1, {plan.beta}]")
-    # rows sorted by (db, round, mask), plan order kept within each class
-    head = (plan.db.astype(np.int64) * (mu + 1) + plan.round) << mu
-    masks = _masks(sums)
-    order = np.argsort(head + masks, kind="stable")
-    view, head, masks = sums[order], head[order], masks[order]
-    key = head + masks
-    copy = np.arange(len(key)) - np.searchsorted(key, key)
-    bounds = np.searchsorted(plan.db[order], np.arange(1, plan.n + 2))
-    # shared by all databases: every entry read below was just written
-    rho = np.zeros(plan.beta + 1, dtype=sums.dtype)
+    # key = (db, round, mask) of each row; rows sorted by key, plan order kept
+    # within each class
+    key = np.empty(len(sums), dtype=np.int64)
+    for blk in _blocks(len(sums)):
+        tau = np.count_nonzero(sums[blk], axis=1)
+        head = plan.db[blk].astype(np.int64) * (mu + 1) + tau
+        key[blk] = (head << mu) + _masks(sums[blk])
+    order = np.argsort(key, kind="stable")
+    key.sort()  # the sorted keys, key[order], without a second array
+    bounds = np.searchsorted(key, np.arange(1, plan.n + 2) * (mu + 1) << mu)
+    low = (1 << mu) - 1  # the mask bits of a key
     cycle = np.roll(np.arange(mu), -1)  # w -> w + 1; for mu = 2 this is (1 2)
     swap = np.r_[1, 0, 2:mu]
+    pis = [cycle, swap][: min(mu - 1, 2)]
+    # rho[g][t] for generator g on the database being checked: a member's
+    # subindex maps to a member's, and a non-member's 0 to 0.  owner[t] is the
+    # database whose rows last set entry t; any other database reads it as
+    # unset, so rho is never cleared
+    rho = [np.zeros(plan.beta + 1, dtype=sums.dtype) for _ in pis]
+    owner = np.zeros(plan.beta + 1, dtype=np.int32)
     violations = []
-    for pi in [cycle, swap][: min(mu - 1, 2)]:
-        target = head + _permute_masks(masks, pi.tolist())
-        sigma = np.searchsorted(key, target) + copy
-        found = key[np.minimum(sigma, len(key) - 1)] == target
-        for j in range(1, plan.n + 1):
-            rows = slice(bounds[j - 1], bounds[j])
-            if not found[rows].all():
-                i = rows.start + int(np.argmin(found[rows]))
-                violations.append(
-                    f"db {j}: (round, type) multiset is not symmetric: round "
-                    f"{plan.round[order[i]]} has more sums of type "
-                    f"{_type_of(int(masks[i]))} than of type "
-                    f"{_type_of(int(target[i] - head[i]))}"
-                )
-                continue
-            a = view[rows]
-            b = view[sigma[rows]][:, pi]
-            rho[a] = b
-            if not (rho[a] == b).all():
-                violations.append(
-                    f"db {j}: view is not a relabeling of itself with "
-                    f"candidates 1..{mu} moved to {tuple((pi + 1).tolist())}"
-                )
+    for j in range(1, plan.n + 1):
+        live = list(range(len(pis)))  # generators with no violation on db j
+        for start in range(bounds[j - 1], bounds[j], BLOCK):
+            rows = slice(start, min(start + BLOCK, bounds[j]))
+            k = key[rows]
+            copy = np.arange(rows.start, rows.stop) - np.searchsorted(key, k)
+            a = sums[order[rows]]
+            known = owner[a] == j
+            for g in list(live):
+                pi = pis[g]
+                target = (k & ~low) + _permute_masks(k & low, pi.tolist())
+                sigma = np.searchsorted(key, target) + copy
+                # a copy past the last row of its target class has no image
+                inside = np.minimum(sigma, len(key) - 1)
+                found = (sigma < len(key)) & (key[inside] == target)
+                if not found.all():
+                    p = int(np.argmin(found))
+                    violations.append(
+                        f"db {j}: (round, type) multiset is not symmetric: round "
+                        f"{np.count_nonzero(a[p])} has more sums of type "
+                        f"{_type_of(int(k[p] & low))} than of type "
+                        f"{_type_of(int(target[p] & low))}"
+                    )
+                    live.remove(g)
+                    continue
+                b = sums[order[inside]][:, pi]
+                clash = (known & (rho[g][a] != b)).any()  # with an earlier block
+                rho[g][a] = b
+                if clash or (rho[g][a] != b).any():
+                    violations.append(
+                        f"db {j}: view is not a relabeling of itself with "
+                        f"candidates 1..{mu} moved to {tuple((pi + 1).tolist())}"
+                    )
+                    live.remove(g)
+            owner[a] = j
+            if not live:
+                break
     return PrivacyReport(violations=violations)
 
 
@@ -612,8 +680,10 @@ def run_simulation(config: SimulationConfig) -> SimulationReport:
 
     rng = np.random.default_rng(config.seed)
     message_seed, perm_seed = (int(x) for x in rng.integers(0, 2**31, size=2))
-    store = MessageStore.generate(q, cs.f, beta, config.length, seed=message_seed)
     plan = generate_query_plan(n, mu, config.v, seed=perm_seed)
+    # the certificate reads only the plan, so it runs before any data exists
+    privacy_ok = verify_privacy_structure(plan).ok
+    store = MessageStore.generate(q, cs.f, beta, config.length, seed=message_seed)
     values = evaluate_candidates(store, cs)
     codes = None
     warnings = []
@@ -630,19 +700,24 @@ def run_simulation(config: SimulationConfig) -> SimulationReport:
           for j in range(1, n + 1))
     )
 
-    result = decode(plan, answers, cs, codes=codes)
-    # only concrete decoding can fail on a segment
+    # recovery is checked against the desired image alone
     direct = values[config.v - 1]
+    del store, values
+    result = decode(plan, answers, cs, codes=codes)
+    # the ledger needs only the round of each charge, in answer order
+    rounds = np.concatenate([plan.round[plan.db == j] for j in range(1, n + 1)])
+    del plan, answers
+    # only concrete decoding can fail on a segment, and a run that decodes
+    # none has recovered nothing
     ok_rows = np.ones(beta, dtype=bool)
     ok_rows[np.array(result.failed, dtype=np.int64) - 1] = False
-    recovery_ok = bool(np.array_equal(result.segments[ok_rows], direct[ok_rows]))
-
-    privacy_ok = verify_privacy_structure(plan).ok
+    recovery_ok = bool(ok_rows.any()) and np.array_equal(
+        result.segments[ok_rows], direct[ok_rows]
+    )
 
     # Python sums in database-major, then plan order: np.sum adds pairwise,
     # which can change the printed digits
     charges = np.concatenate(charges)
-    rounds = np.concatenate([plan.round[plan.db == j] for j in range(1, n + 1)])
     total = sum(charges.tolist())
     per_round = [
         (tau, sum(charges[rounds == tau].tolist())) for tau in range(1, mu + 1)

@@ -296,6 +296,21 @@ def test_simulate_concrete(capsys):
     assert data["D_total_qary"] > 0
 
 
+def test_simulate_concrete_that_decodes_nothing_exits_1(capsys):
+    # epsilon -1 puts every budget below its entropy: every codeword is
+    # atypical and no desired segment decodes, so nothing was recovered
+    code, out, err = run_cli(
+        capsys,
+        "simulate", "--n", "2", "--q", "3", "--candidates", "1,0;0,1;1,1",
+        "--v", "1", "--mode", "concrete", "--epsilon", "-1",
+    )
+    assert (code, err) == (1, "")
+    data = json.loads(out)
+    assert data["decode_failure_rate"] == 1.0
+    assert data["recovery_ok"] is False
+    assert data["privacy_ok"] is True
+
+
 def test_simulate_v_out_of_range(capsys):
     code, _, err = run_cli(
         capsys,

@@ -301,3 +301,31 @@ def test_masks_build_no_copy_of_the_membership_matrix():
         tracemalloc.stop()
     assert np.array_equal(masks, expected)
     assert peak <= 3 * rows * 8, peak / (rows * 8)
+
+
+def test_certificate_holds_no_copy_of_sums():
+    # (2, 16): 131,070 sums; a sorted copy of sums alone is 8.4 MB, so the
+    # rows must be gathered one block at a time
+    plan = generate_query_plan(2, 16, 1, seed=0)
+    verify_privacy_structure(generate_query_plan(2, 3, 1, seed=0))
+    tracemalloc.start()
+    try:
+        report = verify_privacy_structure(plan)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.ok
+    assert peak < plan.sums.nbytes, peak / plan.sums.nbytes
+
+
+def test_certificate_rejects_a_class_that_runs_past_the_last_row():
+    # database 2's round-2 sum (4, 1) loses candidate 2 and becomes a second
+    # round-1 singleton of candidate 1; the transposition maps it to copy 1
+    # of type (2,), which does not exist and would sort past the last row
+    plan = generate_query_plan(2, 2, 1, seed=0)
+    sums = plan.sums.copy()
+    sums[5, 1] = 0
+    assert (plan.db[5], plan.round[5], sums[5, 0]) == (2, 2, 4)
+    report = verify_privacy_structure(replace(plan, sums=sums))
+    assert report.relabeling_ok is False
+    assert any("multiset is not symmetric" in v for v in report.violations)

@@ -1,11 +1,10 @@
 """Property test (hypothesis) of the privacy certificate against networkx VF2
-on plans with one subindex changed: the certificate may only certify private
+on plans with one entry changed: the certificate may only certify private
 plans, and at n = 2, where every (database, round, type) class holds one sum,
 it must certify every private plan."""
 
 from dataclasses import replace
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,12 +16,14 @@ pytest.importorskip("networkx")
 
 @st.composite
 def mutated_plans(draw):
+    """A plan with one entry of sums changed: a subindex moved, a member added
+    (0 -> t) or a member removed (t -> 0)."""
     n, mu = draw(st.sampled_from([(2, 2), (2, 3), (2, 4), (2, 5), (3, 2), (3, 3), (4, 2)]))
-    plan = generate_query_plan(n, mu, draw(st.integers(1, mu)), seed=0)
-    entries = np.argwhere(plan.sums != 0)
-    r, w = entries[draw(st.integers(0, len(entries) - 1))]
+    plan = generate_query_plan(n, mu, draw(st.integers(1, mu)), seed=draw(st.integers(0, 3)))
+    r = draw(st.integers(0, len(plan.sums) - 1))
+    w = draw(st.integers(0, mu - 1))
     sums = plan.sums.copy()
-    sums[r, w] = draw(st.integers(1, plan.beta))
+    sums[r, w] = draw(st.integers(0, plan.beta).filter(lambda t: t != sums[r, w]))
     return replace(plan, sums=sums)
 
 
@@ -37,10 +38,13 @@ def vf2_private(plan):
     return True
 
 
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=150, deadline=None)
 @given(mutated_plans())
 def test_certificate_agrees_with_vf2_on_mutated_plans(plan):
-    certified = verify_privacy_structure(plan).ok
+    # at n >= 3 the copy rule's sigma may miss the relabeling of a changed
+    # plan that is still private (24 of the 432 single-entry changes of the
+    # (3, 2) plans), never the other way
+    certified = verify_privacy_structure(plan).relabeling_ok
     private = vf2_private(plan)
     if certified:
         assert private

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 from collections import Counter
 from dataclasses import replace
 
@@ -25,6 +26,7 @@ from privcomp import (
     round_download,
     run_simulation,
 )
+from privcomp import protocol
 from privcomp.protocol import (
     CONCRETE_ALPHABET_CAP,
     build_concrete_codes,
@@ -158,6 +160,22 @@ def test_plan_matches_oracle(n, mu):
         plan = generate_query_plan(n, mu, v, seed=0)
         assert plan_rows(plan) == oracle_plan(n, mu, v)
         assert len(plan.sums) == plan.sums.shape[0] == len(plan.side_ref)
+
+
+def test_plan_is_built_in_place():
+    # (2, 16): 131,070 sums; a list of blocks joined by np.concatenate holds
+    # the plan twice
+    generate_query_plan(2, 3, 1, seed=0)  # numpy's first-call allocations
+    tracemalloc.start()
+    try:
+        plan = generate_query_plan(2, 16, 2, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    size = sum(
+        a.nbytes for a in (plan.permutation, plan.sums, plan.db, plan.side_ref)
+    )
+    assert peak <= 1.3 * size, peak / size
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
@@ -479,6 +497,28 @@ def test_privacy_ok_is_certified_at_scale():
         assert rep.as_dict()["privacy_ok"] is True
         assert rep.warnings == []
         assert "warnings" not in rep.as_dict()
+
+
+def test_simulation_certifies_the_plan_before_any_data_exists(monkeypatch):
+    stages = []
+
+    def recorded(name, fn):
+        def call(*args, **kwargs):
+            stages.append(name)
+            return fn(*args, **kwargs)
+
+        return call
+
+    for name in ("generate_query_plan", "verify_privacy_structure", "evaluate_candidates"):
+        monkeypatch.setattr(protocol, name, recorded(name, getattr(protocol, name)))
+    generate = recorded("store", protocol.MessageStore.generate)
+    monkeypatch.setattr(protocol.MessageStore, "generate", staticmethod(generate))
+    cs = candidate_set_from_exponents([(1, 0), (0, 1), (1, 1)], 3)
+    rep = run_simulation(SimulationConfig(n=2, candidate_set=cs, length=4, v=2))
+    assert rep.privacy_ok and rep.recovery_ok
+    assert stages == [
+        "generate_query_plan", "verify_privacy_structure", "store", "evaluate_candidates"
+    ]
 
 
 def test_simulation_resource_guard():
