@@ -153,10 +153,12 @@ def cmd_figure(args) -> int:
     reference = load_reference_figure() if args.q == 3 else {}
     worst = 0.0
     failures = []
+    checked = 0
     for r in rows:
         key = (r["n"], r["g"], r["f"])
         if key not in reference:
             continue
+        checked += 1
         ref_ach, ref_conv = reference[key]
         dev = max(abs(r["achievable"] - ref_ach), abs(r["converse"] - ref_conv))
         worst = max(worst, dev)
@@ -170,10 +172,18 @@ def cmd_figure(args) -> int:
         for line in failures:
             print("  " + line, file=sys.stderr)
         return EXIT_VERIFICATION
-    if reference:
+    if reference and not checked:
         print(
-            f"all {sum(1 for r in rows if (r['n'], r['g'], r['f']) in reference)} "
-            f"reference rows matched (worst deviation {worst:.3e})",
+            f"0 of {len(rows)} printed rows have a reference value; "
+            f"nothing was checked",
+            file=sys.stderr,
+        )
+    elif reference:
+        unchecked = len(rows) - checked
+        print(
+            f"all {checked} reference rows matched (worst deviation {worst:.3e})"
+            + (f"; {unchecked} of {len(rows)} printed rows have no reference "
+               f"value and were not checked" if unchecked else ""),
             file=sys.stderr,
         )
     return EXIT_OK

@@ -95,7 +95,8 @@ class QueryPlan:
 
     @cached_property
     def round(self) -> np.ndarray:  # tau = number of members
-        tau = np.empty(len(self.sums), dtype=np.intp)
+        # int8: the plan cap bounds mu by 20
+        tau = np.empty(len(self.sums), dtype=np.int8)
         for blk in _blocks(len(tau)):
             tau[blk] = np.count_nonzero(self.sums[blk], axis=1)
         return tau
@@ -218,6 +219,18 @@ def generate_query_plan(n: int, mu: int, v: int, seed=None) -> QueryPlan:
 # ------------------------------------------------------------- message store
 
 
+def symbol_dtype(q: int) -> np.dtype:
+    """The narrowest of int8 and int16 in which two symbols of F_q add
+    without overflow before they are reduced: int8 up to q = 61."""
+    for dtype in (np.int8, np.int16):
+        if 2 * (q - 1) <= np.iinfo(dtype).max:
+            return np.dtype(dtype)
+    raise UsageError(
+        f"q = {q} is too large for the simulator's int16 symbols "
+        f"(need 2(q-1) <= 32767, so q <= 16384)"
+    )
+
+
 @dataclass
 class MessageStore:
     """f uniform messages of beta*L symbols each, replicated at every database."""
@@ -231,15 +244,12 @@ class MessageStore:
 
     @classmethod
     def generate(cls, q: int, f: int, beta: int, length: int, seed=None):
-        # symbols are int16, and the answers add two of them before reducing
-        if 2 * (q - 1) > np.iinfo(np.int16).max:
-            raise UsageError(
-                f"q = {q} is too large for the simulator's int16 symbols "
-                f"(need 2(q-1) <= 32767, so q <= 16384)"
-            )
+        dtype = symbol_dtype(q)
+        # drawn as int16 whatever the dtype: numpy's bounded draws depend on
+        # the dtype, and int8 draws would give other messages for the seed
         rng = np.random.default_rng(seed)
         msgs = rng.integers(0, q, size=(f, beta, length), dtype=np.int16)
-        return cls(q=q, messages=msgs)
+        return cls(q=q, messages=msgs.astype(dtype, copy=False))
 
     def input_codes(self) -> np.ndarray:
         """Message tuples packed as base-q integers, shape (beta, L), built in
@@ -254,7 +264,8 @@ class MessageStore:
 def evaluate_candidates(store: MessageStore, candidate_set: CandidateSet):
     """Images of all candidates on the stored messages, list of (beta, L)."""
     codes = store.input_codes()
-    return [t.values.astype(np.int16)[codes] for t in candidate_set.functions]
+    dtype = symbol_dtype(store.q)
+    return [t.values.astype(dtype)[codes] for t in candidate_set.functions]
 
 
 # ------------------------------------------------------------------- answers
@@ -303,7 +314,7 @@ def build_concrete_codes(
 
 def _sum_segments(sums: np.ndarray, perm: np.ndarray, values, q: int) -> np.ndarray:
     """Raw answer of each row of sums: its members' segments added mod q."""
-    total = np.zeros((len(sums), values[0].shape[1]), dtype=np.int16)
+    total = np.zeros((len(sums), values[0].shape[1]), dtype=symbol_dtype(q))
     for w, col in enumerate(sums.T):
         (rows,) = np.nonzero(col)
         total[rows] = (total[rows] + values[w][perm[col[rows] - 1]]) % q
@@ -351,7 +362,7 @@ def answer_queries(
     # raw answers in symbolic mode
     lead = np.empty(len(rows), dtype=np.intp)
     if codes is None:
-        answers = np.empty((len(rows), length), dtype=np.int16)
+        answers = np.empty((len(rows), length), dtype=symbol_dtype(store.q))
     for blk in _blocks(len(rows)):
         sums = plan.sums[rows[blk]]
         if sums.min(initial=0) < 0 or sums.max(initial=0) > plan.beta:
@@ -444,7 +455,7 @@ def decode(
     probe = answers[0][0]
     length = probe.shape[-1] if isinstance(probe, np.ndarray) else probe.code.length
     # raw row values; the extra last row is the zero side information of round 1
-    raw = np.zeros((len(plan.sums) + 1, length), dtype=np.int16)
+    raw = np.zeros((len(plan.sums) + 1, length), dtype=symbol_dtype(q))
     lost = np.zeros(len(plan.sums) + 1, dtype=bool)
     if codes is None:
         for r, a in zip(rows, answers):
@@ -486,7 +497,7 @@ def decode(
                 continue
             failed[k] = False
         value[failed] = 0
-    segments = np.zeros((beta, length), dtype=np.int16)
+    segments = np.zeros((beta, length), dtype=raw.dtype)
     segments[real - 1] = value
     return DecodeResult(segments=segments, failed=sorted(real[failed].tolist()))
 
@@ -582,7 +593,7 @@ def verify_privacy_structure(plan: QueryPlan) -> PrivacyReport:
                     )
                     live.remove(g)
                     continue
-                b = sums[order[inside]][:, pi]
+                b = sums[order[inside][:, None], pi]
                 clash = (known & (rho[g][a] != b)).any()  # with an earlier block
                 rho[g][a] = b
                 if clash or (rho[g][a] != b).any():
@@ -650,6 +661,16 @@ class SimulationReport:
         return out
 
 
+def _running_sum(values: np.ndarray) -> float:
+    """values added one by one from the left, a block at a time.  np.sum adds
+    pairwise and Python 3.12's sum compensates; either can change the
+    printed digits."""
+    total = np.zeros(1)
+    for blk in _blocks(len(values)):
+        total = np.add.accumulate(np.concatenate((total, values[blk])))[-1:]
+    return float(total[0])
+
+
 def run_simulation(config: SimulationConfig) -> SimulationReport:
     """Execute the protocol end to end and reconcile costs with the formulas."""
     cs = config.candidate_set
@@ -715,13 +736,10 @@ def run_simulation(config: SimulationConfig) -> SimulationReport:
         result.segments[ok_rows], direct[ok_rows]
     )
 
-    # Python sums in database-major, then plan order: np.sum adds pairwise,
-    # which can change the printed digits
+    # sums in database-major, then plan order
     charges = np.concatenate(charges)
-    total = sum(charges.tolist())
-    per_round = [
-        (tau, sum(charges[rounds == tau].tolist())) for tau in range(1, mu + 1)
-    ]
+    total = _running_sum(charges)
+    per_round = [(tau, _running_sum(charges[rounds == tau])) for tau in range(1, mu + 1)]
     if codes is None:
         # the symbolic ledger must equal the closed form, up to the rounding
         # of a sequential sum over len(charges) terms

@@ -500,6 +500,24 @@ def test_figure_without_fixture_rows(tmp_path, capsys):
     assert len(out_path.read_text().splitlines()) == 3
 
 
+def test_figure_says_how_many_rows_it_checked(capsys):
+    code, _, err = run_cli(capsys, "figure")
+    assert code == 0
+    assert err.startswith("all 28 reference rows matched (worst deviation ")
+    assert "not checked" not in err
+    # f = 8, 9 have no reference value at q = 3
+    code, out, err = run_cli(capsys, "figure", "--n", "3", "--g", "2", "--f-max", "9")
+    assert code == 0
+    assert len(out.splitlines()) == 10
+    assert err.startswith("all 7 reference rows matched (worst deviation ")
+    assert err.endswith("; 2 of 9 printed rows have no reference value and were not checked\n")
+    # g = 1 is not in the reference at all
+    code, out, err = run_cli(capsys, "figure", "--n", "2", "--g", "1", "--f-max", "1")
+    assert code == 0
+    assert out.splitlines()[1].startswith("2,1,1,1,")
+    assert err == "0 of 1 printed rows have a reference value; nothing was checked\n"
+
+
 def test_figure_row_beyond_double_range(capsys):
     # at f = 8, mu = 162 and 100^mu > 1e308: the converse still prints
     code, out, _ = run_cli(

@@ -233,27 +233,48 @@ def test_permutation_reproducible():
 # ------------------------------------------------------------------ decoding
 
 
+# symbols are int8 up to q = 61, the largest prime with 2(q-1) <= 127, and
+# int16 from q = 67 on
+SYMBOL_FIELDS = [(3, np.int8), (61, np.int8), (67, np.int16)]
+
+
 def test_recovery_exact_n2_mu2():
-    cs = candidate_set_from_exponents([(1, 0), (1, 1)], 3)
-    store = MessageStore.generate(3, 2, beta=4, length=16, seed=7)
-    values = evaluate_candidates(store, cs)
-    for v in (1, 2):
-        plan = generate_query_plan(2, 2, v, seed=7)
-        answers = []
-        for j in (1, 2):
-            a, _ = answer_queries(j, plan, store, cs, values=values)
-            answers.append(a)
-        result = decode(plan, answers, cs)
-        assert not result.failed
-        assert np.array_equal(result.segments, values[v - 1])
+    for q, dtype in SYMBOL_FIELDS:
+        cs = candidate_set_from_exponents([(1, 0), (1, 1)], q)
+        store = MessageStore.generate(q, 2, beta=4, length=16, seed=7)
+        # the stored messages are the int16 draw for the seed, whatever the dtype
+        drawn = np.random.default_rng(7).integers(0, q, size=(2, 4, 16), dtype=np.int16)
+        assert store.messages.dtype == dtype
+        assert np.array_equal(store.messages, drawn)
+        values = evaluate_candidates(store, cs)
+        assert [x.dtype for x in values] == [dtype, dtype]
+        wide = [x.astype(np.int64) for x in values]
+        for v in (1, 2):
+            plan = generate_query_plan(2, 2, v, seed=7)
+            answers = []
+            for j in (1, 2):
+                a, _ = answer_queries(j, plan, store, cs, values=values)
+                # each answer is its members' images added in int64, mod q
+                oracle = sum(
+                    np.where(t[:, None] > 0, x[plan.permutation[t - 1] - 1], 0)
+                    for x, t in zip(wide, plan.sums[plan.db == j].T)
+                ) % q
+                assert a.dtype == dtype
+                assert np.array_equal(a, oracle)
+                answers.append(a)
+            result = decode(plan, answers, cs)
+            assert not result.failed
+            assert result.segments.dtype == dtype
+            assert np.array_equal(result.segments, values[v - 1])
 
 
 def test_recovery_identity_candidate_is_message():
-    cs = candidate_set_from_exponents([(1, 0), (0, 1), (1, 1)], 3)
-    rep = run_simulation(
-        SimulationConfig(n=2, candidate_set=cs, length=8, v=1, seed=3)
-    )
-    assert rep.recovery_ok
+    for q, _ in SYMBOL_FIELDS:
+        cs = candidate_set_from_exponents([(1, 0), (0, 1), (1, 1)], q)
+        rep = run_simulation(
+            SimulationConfig(n=2, candidate_set=cs, length=8, v=1, seed=3)
+        )
+        assert rep.recovery_ok
 
 
 def test_recovery_constant_candidate():
@@ -323,6 +344,45 @@ def test_ledger_equals_formula(n):
             assert charge == pytest.approx(
                 L * round_download(tau, n, cs.profile), rel=1e-12
             )
+
+
+def left_to_right(charges):
+    """charges added one at a time from the left, as sum() adds floats before
+    Python 3.12"""
+    total = 0.0
+    for charge in charges.tolist():
+        total += charge
+    return total
+
+
+@pytest.mark.parametrize("mode", ["symbolic", "concrete"])
+@pytest.mark.parametrize(
+    "n,exponents,length",
+    [
+        (2, [(1, 0), (0, 1), (1, 1)], 8),
+        (3, [(1, 0), (1, 1), (2, 1), (1, 2)], 7),
+        (2, [(1, 0, 0), (1, 1, 0), (2, 1, 1), (1, 2, 0), (0, 1, 2), (2, 2, 2)], 5),
+    ],
+)
+def test_ledger_adds_charges_from_the_left(monkeypatch, mode, n, exponents, length):
+    answered = []
+
+    def recorded(j, plan, *args, **kwargs):
+        answers, charges = answer_queries(j, plan, *args, **kwargs)
+        answered.append((plan.round[plan.db == j], charges))
+        return answers, charges
+
+    monkeypatch.setattr(protocol, "answer_queries", recorded)
+    cs = candidate_set_from_exponents(exponents, 3)
+    rep = run_simulation(
+        SimulationConfig(n=n, candidate_set=cs, length=length, v=2, mode=mode, seed=4)
+    )
+    rounds = np.concatenate([r for r, _ in answered])
+    charges = np.concatenate([c for _, c in answered])
+    assert rep.total_download == left_to_right(charges)
+    assert rep.per_round == [
+        (tau, left_to_right(charges[rounds == tau])) for tau in range(1, cs.mu + 1)
+    ]
 
 
 def test_symbolic_sum_is_componentwise_field_add():
@@ -537,16 +597,22 @@ def test_simulation_v_out_of_range():
 
 
 def test_concrete_roundtrip_small():
-    cs = candidate_set_from_exponents([(1, 0), (1, 1)], 3)
-    rep = run_simulation(
-        SimulationConfig(n=2, candidate_set=cs, length=128, v=2, mode="concrete", seed=3)
-    )
-    assert rep.recovery_ok
-    assert rep.decode_failure_rate <= 0.5
-    assert rep.total_download > 0
-    d = rep.as_dict()
-    assert d["mode"] == "concrete"
-    assert "decode_failure_rate" in d
+    for q, exponents in [
+        (3, [(1, 0), (1, 1)]),
+        (61, [(1, 0), (1, 1)]),  # raw round 1: 3661 joint images
+        (61, [(30,), (60,)]),  # a joint code over 3 images
+        (67, [(1, 0), (1, 1)]),
+    ]:
+        cs = candidate_set_from_exponents(exponents, q)
+        rep = run_simulation(
+            SimulationConfig(n=2, candidate_set=cs, length=128, v=2, mode="concrete", seed=3)
+        )
+        assert rep.recovery_ok
+        assert rep.decode_failure_rate <= 0.5
+        assert rep.total_download > 0
+        d = rep.as_dict()
+        assert d["mode"] == "concrete"
+        assert "decode_failure_rate" in d
 
 
 @pytest.mark.parametrize("f,g,q", [(1, 2, 3), (2, 2, 3), (2, 1, 5), (3, 2, 2), (2, 3, 5)])

@@ -306,6 +306,33 @@ def test_round_download():
         round_download(4, 2, cs.profile)
 
 
+@pytest.mark.parametrize("q", [2, 3, 5])
+def test_d_one_is_the_sum_of_its_rounds(q):
+    for f in (1, 2, 3):
+        for g in (1, 2, 3):
+            profile = monomial_candidate_set(f, g, q).profile
+            for n in (2, 3, 5, 10):
+                rounds = sum(
+                    round_download(t, n, profile) for t in range(1, profile.mu + 1)
+                )
+                assert d_one(n, profile) == pytest.approx(rounds, rel=1e-12, abs=0)
+
+
+def test_d_one_past_the_double_range_is_inf():
+    # mu = 1100 at n = 2: 2^1099 and C(1099, 549) are both past 1e308
+    mu = 1100
+    h = tuple(1.0 - v / (2 * mu) for v in range(mu))
+    joint = tuple(min(sum(h[: v + 1]), 3.0) for v in range(mu))
+    profile = EntropyProfile(h=h, prefix_joint=joint)
+    assert d_one(2, profile) == math.inf
+    assert round_download(mu // 2, 2, profile) == math.inf
+    # one candidate fewer than the range: both finite, and equal
+    small = EntropyProfile(h=h[:200], prefix_joint=profile.prefix_joint[:200])
+    rounds = sum(round_download(t, 3, small) for t in range(1, 201))
+    assert math.isfinite(rounds)
+    assert d_one(3, small) == pytest.approx(rounds, rel=1e-12, abs=0)
+
+
 # ------------------------------------------------------- invariants, report
 
 
