@@ -13,7 +13,6 @@ from .candidates import (
     FunctionTable,
     build_monomial,
     candidate_set_from_exponents,
-    count_all_monomials,
     generate_nonparallel_monomials,
     monomial_candidate_set,
     order_by_entropy,
@@ -22,13 +21,9 @@ from .candidates import (
 from .coding import (
     Codeword,
     FixedCode,
-    TypeVector,
     decode_fixed,
     encode_fixed,
-    rank_in_type,
     sum_codewords,
-    type_of,
-    unrank_in_type,
     widen_codeword,
 )
 from .errors import (
@@ -78,7 +73,6 @@ __all__ = [
     "ResourceLimitError",
     "SimulationConfig",
     "SimulationReport",
-    "TypeVector",
     "UsageError",
     "achievable_rate",
     "answer_queries",
@@ -86,7 +80,6 @@ __all__ = [
     "baseline_virtual_pir_rate",
     "build_monomial",
     "candidate_set_from_exponents",
-    "count_all_monomials",
     "d_one",
     "d_opt",
     "decode",
@@ -98,15 +91,12 @@ __all__ = [
     "order_by_entropy",
     "outer_bound",
     "pir_capacity",
-    "rank_in_type",
     "rate_lower_bound",
     "rate_report",
     "round_download",
     "run_simulation",
     "sum_codewords",
     "table_entropy",
-    "type_of",
-    "unrank_in_type",
     "verify_privacy_structure",
     "widen_codeword",
 ]

@@ -69,13 +69,6 @@ def _check_enumeration_cap(base: int, f: int, mu: int = 1):
         )
 
 
-def count_all_monomials(m: int, g: int) -> int:
-    """Number of monomials in m variables with degree between 1 and g."""
-    if m < 1 or g < 1:
-        raise UsageError("m and g must be >= 1")
-    return math.comb(g + m, g) - 1
-
-
 def _reduce(e: tuple, q: int) -> tuple:
     """Map each positive exponent into [1, q-1], q checked prime, keeping the
     table: x^q = x, so for x != 0 only the exponent mod q-1 matters; 0 stays 0."""

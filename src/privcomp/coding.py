@@ -1,10 +1,12 @@
 """Fixed-length near-lossless coding of i.i.d. segments by type-class ranking.
 
-A codeword is a two-part description over F_q: a fixed-width header holding
-the symbol counts of the sequence, followed by the sequence's lexicographic
-rank within its type class, zero-padded to a payload length derived from the
-target entropy budget.  Sequences whose type class does not fit the payload
-are Atypical: the encoder reports failure instead of producing a codeword.
+A codeword is a two-part description over F_q: a header holding the rank of
+the sequence's type (its symbol counts) among all compositions of L into A
+parts, followed by the sequence's lexicographic rank within its type class,
+zero-padded to a payload length derived from the target entropy budget.  Both
+are enumerative ranks (T. Cover, "Enumerative source encoding", 1973).
+Sequences whose type class does not fit the payload are Atypical: the encoder
+reports failure instead of producing a codeword.
 
 Because all codewords of one code share a length, they can be summed
 componentwise over F_q and later cancelled: a receiver that knows all but one
@@ -15,7 +17,7 @@ compatible after widening, since the payload is left-padded rank digits.
 
 import itertools
 import math
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
@@ -41,18 +43,11 @@ class TypeVector:
 
     counts: tuple
 
-    @property
-    def alphabet_size(self) -> int:
-        return len(self.counts)
-
-    @property
-    def length(self) -> int:
-        return sum(self.counts)
-
     def class_size(self) -> int:
         """Number of sequences sharing these counts (exact multinomial)."""
-        size = 1
-        for total, c in zip(itertools.accumulate(self.counts), self.counts):
+        size, total = 1, 0
+        for c in filter(None, self.counts):  # an absent symbol adds a factor 1
+            total += c
             size *= math.comb(total, c)
         return size
 
@@ -88,7 +83,7 @@ def _rank(seq, tv: TypeVector, size: int) -> int:
     fold into size * S / Q and size * P / Q, with P and Q the products of r
     and t and S accumulated by Horner's rule.
     """
-    x = np.array(seq, dtype=np.min_scalar_type(tv.alphabet_size))
+    x = np.array(seq, dtype=np.min_scalar_type(len(tv.counts)))
     count = np.min_scalar_type(len(x))
     c = np.empty(len(x), dtype=count)
     r = np.empty(len(x), dtype=count)
@@ -137,7 +132,7 @@ def unrank_in_type(rank: int, tv: TypeVector) -> tuple:
     # symbols left below present[i], so cum[-1] = t, the symbols left
     present = [s for s, n in enumerate(tv.counts) if n]
     cum = [0, *itertools.accumulate(tv.counts[s] for s in present)]
-    t = tv.length
+    t = cum[-1]
     out = []
     while t and size.bit_length() * len(cum) > GUESS_WORK:
         # room for about BLOCK symbols at the class's mean rate, and a margin
@@ -190,19 +185,57 @@ def unrank_in_type(rank: int, tv: TypeVector) -> tuple:
         size = block
         remaining[s] -= 1
         out.append(s)
-    if len(present) < tv.alphabet_size:
+    if len(present) < len(tv.counts):
         return tuple(present[i] for i in out)
     return tuple(out)
 
 
-def _digit_width(q: int, values: int) -> int:
-    """Smallest d with q^d >= values."""
-    d = 0
-    cap = 1
-    while cap < values:
-        cap *= q
-        d += 1
-    return d
+def _rank_type(counts) -> int:
+    """Lexicographic rank of counts among the compositions of their sum.
+
+    With r left, cur = C(r+k, k) compositions fill this part and the k after
+    it, C(r-c+k, k) of them with c or more here (hockey stick): a part c adds
+    the difference, c steps C(m+k, k) m / (m+k) away, or one math.comb of k
+    factors if c > k.  The next part starts from C(r-c+k, k) k / (r-c+k).
+    """
+    r, k = sum(counts), len(counts) - 1
+    cur = math.comb(r + k, k)
+    rank = 0
+    for c in counts[:-1]:
+        top = cur
+        if c > k:
+            cur = math.comb(r - c + k, k)
+        else:
+            for m in range(r, r - c, -1):
+                cur = cur * m // (m + k)
+        rank += top - cur
+        r -= c
+        cur = cur * k // (r + k)
+        k -= 1
+    return rank
+
+
+def _unrank_type(rank: int, alphabet_size: int, length: int) -> tuple:
+    """Inverse of _rank_type: each part is left - r for the smallest r with
+    C(r+k, k) >= cur - rank, found in steps while they number k or fewer and
+    then by bisection."""
+    r = length
+    cur = math.comb(r + alphabet_size - 1, alphabet_size - 1)
+    if not 0 <= rank < cur:
+        raise CodecError(f"corrupt header: type rank {rank} is not below {cur}")
+    counts = []
+    for k in range(alphabet_size - 1, 0, -1):
+        top, left, need = cur, r, cur - rank
+        while r > max(left - k, 0) and (down := cur * r // (r + k)) >= need:
+            cur, r = down, r - 1
+        if r == left - k > 0:
+            r = bisect_left(range(r), need, key=lambda m: math.comb(m + k, k))
+            cur = math.comb(r + k, k)
+        rank -= top - cur
+        counts.append(left - r)
+        cur = cur * k // (r + k)
+    counts.append(r)
+    return tuple(counts)
 
 
 def _leaf_width(q: int) -> int:
@@ -254,7 +287,7 @@ def _from_digits(digits: np.ndarray, q: int) -> int:
     for i in range(0, len(rows), 64):  # 64 rows: a small int64 copy at a time
         leaves += (rows[i : i + 64] @ powers).tolist()
     if head:
-        leaves.insert(0, _from_digits_small(digits[:head].tolist(), q))
+        leaves.insert(0, int(digits[:head] @ powers[w - head :]))
     power = q**w
     while len(leaves) > 1:
         # pair from the right, so every part but the leading one is full
@@ -266,20 +299,14 @@ def _from_digits(digits: np.ndarray, q: int) -> int:
     return leaves[0] if leaves else 0
 
 
-def _from_digits_small(digits, q: int) -> int:
-    value = 0
-    for d in digits:
-        value = value * q + d
-    return value
-
-
 @dataclass(frozen=True)
 class FixedCode:
     """Parameters of one fixed-length code: alphabet, length, entropy budget.
 
     budget is in q-ary units per source symbol (target entropy plus slack);
-    the payload holds floor(L * budget) q-ary digits, the header A fixed-width
-    counts.  The header is the explicit sublinear overhead of the code.
+    the payload holds floor(L * budget) q-ary digits, the header the type's
+    rank among the C(L+A-1, A-1) types in ceil(log_q C(L+A-1, A-1)) digits.
+    The header is the explicit sublinear overhead of the code.
     """
 
     q: int
@@ -307,12 +334,12 @@ class FixedCode:
             raise UsageError(f"budget {self.budget} exceeds log_q(A) + 1 = {cap}")
 
     @cached_property
-    def count_width(self) -> int:
-        return _digit_width(self.q, self.length + 1)
-
-    @cached_property
-    def header_len(self) -> int:
-        return self.alphabet_size * self.count_width
+    def header_len(self) -> int:  # smallest d with q^d >= the number of types
+        types = math.comb(self.length + self.alphabet_size - 1, self.alphabet_size - 1)
+        d = max(0, math.ceil(math.log(types, self.q)) - 1)
+        while self.q**d < types:
+            d += 1
+        return d
 
     @cached_property
     def payload_len(self) -> int:
@@ -351,9 +378,7 @@ def encode_fixed(seq, code: FixedCode) -> Codeword:
     size = tv.class_size()
     if size > code.payload_capacity:
         return atypical(code)
-    header = []
-    for c in tv.counts:
-        header.extend(_to_digits(c, code.q, code.count_width))
+    header = _to_digits(_rank_type(tv.counts), code.q, code.header_len)
     payload = _to_digits(_rank(seq, tv, size), code.q, code.payload_len)
     return Codeword(code=code, symbols=tuple(itertools.chain(header, payload)))
 
@@ -364,23 +389,15 @@ def decode_fixed(codeword: Codeword, code: FixedCode) -> tuple:
         raise CodecError("cannot decode the Atypical marker")
     if codeword.code != code or len(codeword.symbols) != code.codeword_len:
         raise UsageError("codeword does not belong to this code")
-    w = code.count_width
-    counts = [
-        _from_digits_small(codeword.symbols[i * w : (i + 1) * w], code.q)
-        for i in range(code.alphabet_size)
-    ]
-    tv = TypeVector(counts=tuple(counts))
-    if tv.length != code.length:
-        raise CodecError(
-            f"corrupt header: counts sum to {tv.length}, expected {code.length}"
-        )
     # the smallest signed dtype that holds the digits keeps this copy small
     # (signed, so that adding them to int64 leaves stays int64)
-    payload = itertools.islice(codeword.symbols, code.header_len, None)
-    rank = _from_digits(
-        np.fromiter(payload, np.min_scalar_type(-code.q), code.payload_len), code.q
+    digits = np.fromiter(
+        codeword.symbols, np.min_scalar_type(-code.q), code.codeword_len
     )
-    return unrank_in_type(rank, tv)
+    head = code.header_len
+    rank = _from_digits(digits[:head], code.q)
+    tv = TypeVector(counts=_unrank_type(rank, code.alphabet_size, code.length))
+    return unrank_in_type(_from_digits(digits[head:], code.q), tv)
 
 
 def sum_codewords(*codewords: Codeword) -> Codeword:

@@ -51,7 +51,6 @@ from . import rates
 PLAN_SEGMENT_CAP = 2**20
 SIMULATION_SYMBOL_CAP = 5 * 10**7
 
-CONCRETE_ALPHABET_CAP = 32
 # the coder's time per codeword grows about as L^2: at L = 16384 one joint
 # (A = 9) encode plus decode takes ~0.12 s and an n = 2, mu = 3 run ~1.4 s;
 # at L = 32768 they take ~0.4 s and ~4.3 s
@@ -60,6 +59,10 @@ CONCRETE_LENGTH_CAP = 2**14
 # run takes ~6 s at q = 11 and ~10 s at q = 101 (L = 10922), n = 4, mu = 3 at
 # q = 3 ~3 s; n = 2, mu = 8, f = 2 at L = 16384 (42M symbols) took 84 s
 CONCRETE_SYMBOL_CAP = 2**21
+# the joint header's rank and unrank take up to L + A steps on integers of
+# log2 C(L+A-1, A-1) bits: at L = 16384 ~0.3 s at A = 2^14, ~18 s at A = 10^6
+# (x, y, xy at q = 1009: a 105 s run); a sum code's A = q is at most 16381
+JOINT_ALPHABET_CAP = 2**14
 DEFAULT_EPSILON = 0.05
 # rows of sums gathered, compared or counted at once: no stage of a run
 # holds a copy of all of sums
@@ -275,7 +278,7 @@ def evaluate_candidates(store: MessageStore, candidate_set: CandidateSet):
 class ConcreteCodes:
     """Shared deterministic code parameters for concrete answers/decoding."""
 
-    joint_code: FixedCode | None  # None when the joint alphabet is capped out
+    joint_code: FixedCode
     image_tuples: np.ndarray  # (A, mu) distinct candidate tuples, lexicographic
     image_of_code: np.ndarray  # input code -> image index
     sum_codes: tuple  # lead member (0-based column) of a tau-sum, tau >= 2 -> code
@@ -291,14 +294,14 @@ def build_concrete_codes(
         axis=0,
         return_inverse=True,
     )
-    joint_code = None
-    if len(image) <= CONCRETE_ALPHABET_CAP:
-        joint_code = FixedCode(
-            q=q,
-            alphabet_size=len(image),
-            length=length,
-            budget=profile.joint + epsilon,
+    if len(image) > JOINT_ALPHABET_CAP:
+        raise ResourceLimitError(
+            f"joint alphabet of {len(image)} candidate tuples exceeds the "
+            f"concrete-mode cap of {JOINT_ALPHABET_CAP}"
         )
+    joint_code = FixedCode(
+        q=q, alphabet_size=len(image), length=length, budget=profile.joint + epsilon
+    )
     # the last candidate never leads a sum of two or more
     sum_codes = tuple(
         FixedCode(q=q, alphabet_size=q, length=length, budget=h + epsilon)
@@ -338,8 +341,7 @@ def answer_queries(
     rows are the joint bundle, and a later sum costs L times the entropy of
     its lead member, the largest among its members.  With codes (concrete
     mode) they are a list: each later sum as a codeword, charged its length,
-    and every round-1 row as the one joint-bundle codeword, or as its raw
-    segment when the joint alphabet is capped out.  values holds the
+    and every round-1 row as the one joint-bundle codeword.  values holds the
     candidates' images on the replica, as evaluate_candidates returns them.
     Only the queried sums, the replica, and the public candidate tables are
     consulted; nothing here depends on which candidate is desired.
@@ -374,13 +376,10 @@ def answer_queries(
         charges = length * np.asarray(profile.h)[lead]
     else:
         sums = plan.sums[rows]
-        # raw round-1 segments, kept only when the joint alphabet is capped out
-        answers = list(_sum_segments(sums * first[:, None], perm, values, store.q))
-        if codes.joint_code is not None:
-            row = store.input_codes()[perm[round1_ts[0] - 1]]
-            bundle = encode_fixed(codes.image_of_code[row].tolist(), codes.joint_code)
-            answers = [bundle if f else a for f, a in zip(first, answers)]
-            joint = float(codes.joint_code.codeword_len)
+        row = store.input_codes()[perm[round1_ts[0] - 1]]
+        bundle = encode_fixed(codes.image_of_code[row].tolist(), codes.joint_code)
+        answers = [bundle] * len(sums)  # later sums are replaced below
+        joint = float(codes.joint_code.codeword_len)
         charges = np.zeros(len(sums))
         leads = lead.tolist()
         for i in np.flatnonzero(~first).tolist():
@@ -466,9 +465,7 @@ def decode(
         for r in rows:
             first = r[plan.round[r] == 1]
             bundle = coded[first[0]]
-            if codes.joint_code is None:
-                raw[first] = [coded[i] for i in first]
-            elif bundle.atypical:
+            if bundle.atypical:
                 lost[first] = True
             else:
                 image = codes.image_tuples[list(decode_fixed(bundle, codes.joint_code))]
@@ -632,7 +629,6 @@ class SimulationReport:
     privacy_ok: bool
     per_round: list  # (tau, total charge in q-ary units)
     decode_failure_rate: float
-    warnings: list
 
     def as_dict(self) -> dict:
         cs = self.config.candidate_set
@@ -656,8 +652,6 @@ class SimulationReport:
         }
         if self.config.mode == "concrete":
             out["decode_failure_rate"] = self.decode_failure_rate
-        if self.warnings:
-            out["warnings"] = list(self.warnings)
         return out
 
 
@@ -699,6 +693,10 @@ def run_simulation(config: SimulationConfig) -> SimulationReport:
             f"of {CONCRETE_LENGTH_CAP}"
         )
 
+    codes = None
+    if config.mode == "concrete":
+        codes = build_concrete_codes(cs, config.length, config.epsilon)
+
     rng = np.random.default_rng(config.seed)
     message_seed, perm_seed = (int(x) for x in rng.integers(0, 2**31, size=2))
     plan = generate_query_plan(n, mu, config.v, seed=perm_seed)
@@ -706,15 +704,6 @@ def run_simulation(config: SimulationConfig) -> SimulationReport:
     privacy_ok = verify_privacy_structure(plan).ok
     store = MessageStore.generate(q, cs.f, beta, config.length, seed=message_seed)
     values = evaluate_candidates(store, cs)
-    codes = None
-    warnings = []
-    if config.mode == "concrete":
-        codes = build_concrete_codes(cs, config.length, config.epsilon)
-        if codes.joint_code is None:
-            warnings.append(
-                "joint alphabet exceeds the concrete cap; round 1 charged "
-                "symbolically"
-            )
 
     answers, charges = zip(
         *(answer_queries(j, plan, store, cs, values=values, codes=codes)
@@ -748,6 +737,12 @@ def run_simulation(config: SimulationConfig) -> SimulationReport:
             raise ProtocolError(
                 f"symbolic download {total} differs from L * d_one = {expected}"
             )
+    else:
+        # code lengths are whole numbers, which the float sum holds exactly
+        lengths = [c.codeword_len for c in (codes.joint_code, *codes.sum_codes)]
+        expected = rates.scheme_download(n, lengths[0], lengths[1:])
+        if total != expected:
+            raise ProtocolError(f"concrete download {total} != closed form {expected}")
     h_min = cs.profile.h_min
     rate_measured = beta * config.length * h_min / total if total else 0.0
     rate_formula = rates.achievable_rate(n, cs.profile)
@@ -760,5 +755,4 @@ def run_simulation(config: SimulationConfig) -> SimulationReport:
         privacy_ok=privacy_ok,
         per_round=per_round,
         decode_failure_rate=len(result.failed) / beta,
-        warnings=warnings,
     )

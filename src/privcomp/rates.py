@@ -128,23 +128,26 @@ def round_download(tau: int, n: int, profile: EntropyProfile) -> float:
         return math.inf
 
 
-def d_one(n: int, profile: EntropyProfile) -> float:
-    """Download cost per segment length of the compress-then-sum scheme.
-
-    The rounds of round_download summed in closed form, in O(mu): candidate
-    v leads C(mu-v, tau-1) (n-1)^(tau-1) sums of round tau per database, and
-    over tau >= 2 these add up to n^(mu-v) - 1.  Past the double range the
-    cost is math.inf.
-    """
-    _check_n(n)
-    mu = profile.mu
-    later = 0.0  # added in order, not by sum(), which compensates from 3.12 on
+def scheme_download(n: int, joint, lead_costs):
+    """n (joint + sum_{v<mu} lead_costs[v-1] (n^(mu-v) - 1)), the scheme's
+    download from its round-1 cost per database and the cost of one sum led
+    by each v < mu (C(mu-v, tau-1) (n-1)^(tau-1) per database in round tau).
+    Exact for integer costs; math.inf past the double range for floats."""
+    mu = len(lead_costs) + 1
+    later = 0  # added in order, not by sum(), which compensates from 3.12 on
     try:
-        for v in range(1, mu):
-            later += profile.h[v - 1] * (n ** (mu - v) - 1)
+        for v, cost in enumerate(lead_costs, 1):
+            later += cost * (n ** (mu - v) - 1)
     except OverflowError:  # an integer factor is past the double range
         return math.inf
-    return n * profile.joint + n * later
+    return n * joint + n * later
+
+
+def d_one(n: int, profile: EntropyProfile) -> float:
+    """Download cost per segment length of the compress-then-sum scheme: the
+    rounds of round_download summed by scheme_download."""
+    _check_n(n)
+    return scheme_download(n, profile.joint, profile.h[:-1])
 
 
 @dataclass(frozen=True)

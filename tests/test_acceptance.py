@@ -14,7 +14,6 @@ from privcomp import (
     FixedCode,
     FunctionTable,
     SimulationConfig,
-    TypeVector,
     achievable_rate,
     build_monomial,
     candidate_set_from_exponents,
@@ -26,15 +25,13 @@ from privcomp import (
     monomial_candidate_set,
     order_by_entropy,
     outer_bound,
-    rank_in_type,
     rate_lower_bound,
     round_download,
     run_simulation,
-    type_of,
-    unrank_in_type,
     verify_privacy_structure,
 )
 from privcomp.cli import figure_rows, load_reference_figure
+from privcomp.coding import TypeVector, rank_in_type, type_of, unrank_in_type
 from test_rates import outer_messages_oracle
 
 PRODUCT_PMF = (5 / 9, 2 / 9, 2 / 9)  # pmf of w1*w2 over F_3

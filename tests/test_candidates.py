@@ -14,7 +14,6 @@ from privcomp import (
     UsageError,
     build_monomial,
     candidate_set_from_exponents,
-    count_all_monomials,
     generate_nonparallel_monomials,
     monomial_candidate_set,
     order_by_entropy,
@@ -204,12 +203,6 @@ def test_reduce_preserves_table_exhaustive(q):
 
 
 # ---------------------------------------------------------------- generation
-
-
-def test_count_all_monomials():
-    assert count_all_monomials(2, 2) == 5
-    assert count_all_monomials(1, 1) == 1
-    assert count_all_monomials(3, 3) == 19
 
 
 def test_nonparallel_f2_g2():

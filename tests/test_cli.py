@@ -122,11 +122,11 @@ GOLDEN_STDOUT = {
     # concrete with decode failures (rate 0.0625)
     "simulate --n 2 --q 3 --candidates 2,0;0,2;1,1;2,2 --v 2 --mode concrete"
     " --epsilon 0 --L 64":
-        "6e3378b633069e46fffaa6cf895553d94b77cc06dd8e20a6c8031d9c148996be",
-    # joint alphabet past the concrete cap: round 1 sent raw
+        "8fdc8f64ab9cd7cccb948371eb111bbc7058ca5dcaa69e0ef42e5a34e82e8112",
+    # a joint code over 81 candidate tuples
     "simulate --n 2 --q 3 --candidates 1,1,1,1;1,0,0,0;0,1,0,0;0,0,1,0;0,0,0,1"
     " --v 1 --mode concrete --L 32":
-        "106f977c819b0a225697d7c62d5a68dde59dbdb99d1a90800b6b800cfb8ca806",
+        "e5f9874b9c20f7280fbc635b17995875920bbbcbe3d6163b76f4f661140f7c91",
 }
 
 
@@ -388,6 +388,20 @@ def test_simulate_concrete_length_cap(capsys, mode, L, code):
             "resource guard: segment length L = 16385 exceeds the concrete-mode "
             "cap of 16384\n"
         )
+
+
+def test_simulate_joint_alphabet_cap(capsys):
+    # x, y, xy at q = 131 take 131^2 = 17161 joint values
+    code, out, err = run_cli(
+        capsys,
+        "simulate", "--n", "2", "--q", "131", "--candidates", "1,0;0,1;1,1",
+        "--L", "4", "--v", "1", "--mode", "concrete",
+    )
+    assert (code, out) == (3, "")
+    assert err == (
+        "resource guard: joint alphabet of 17161 candidate tuples exceeds the "
+        "concrete-mode cap of 16384\n"
+    )
 
 
 @pytest.mark.parametrize(

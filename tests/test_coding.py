@@ -17,15 +17,21 @@ from privcomp import (
     build_monomial,
     decode_fixed,
     encode_fixed,
-    rank_in_type,
     sum_codewords,
     table_entropy,
-    type_of,
-    unrank_in_type,
     widen_codeword,
 )
 from privcomp import coding
-from privcomp.coding import _from_digits, _to_digits, subtract_codewords
+from privcomp.coding import (
+    _from_digits,
+    _rank_type,
+    _to_digits,
+    _unrank_type,
+    rank_in_type,
+    subtract_codewords,
+    type_of,
+    unrank_in_type,
+)
 
 H_PRODUCT = 0.9057125980138373
 
@@ -95,13 +101,35 @@ def oracle_from_digits(digits, q):
     return value
 
 
+def oracle_type_rank(counts):
+    """Rank of counts among the compositions of their sum, in lexicographic
+    order: at each part, the compositions that agree before it and put any
+    x below counts[i] there, C(r-x+k-1, k-1) for each x."""
+    rank, r = 0, sum(counts)
+    for i, c in enumerate(counts[:-1]):
+        k = len(counts) - 1 - i  # parts after this one
+        rank += sum(math.comb(r - x + k - 1, k - 1) for x in range(c))
+        r -= c
+    return rank
+
+
+def oracle_header_len(q, alphabet_size, length):
+    """Digits of the smallest power of q that counts every type."""
+    types = math.comb(length + alphabet_size - 1, alphabet_size - 1)
+    width = 0
+    while q**width < types:
+        width += 1
+    return width
+
+
 def oracle_encode(seq, code):
-    counts = [list(seq).count(s) for s in range(code.alphabet_size)]
-    if oracle_class_size(counts) > code.q**code.payload_len:
+    q, A, L = code.q, code.alphabet_size, code.length
+    counts = [list(seq).count(s) for s in range(A)]
+    if oracle_class_size(counts) > q**code.payload_len:
         return None
-    header = [d for c in counts for d in oracle_to_digits(c, code.q, code.count_width)]
-    rank = oracle_rank(seq, code.alphabet_size)
-    return tuple(header + oracle_to_digits(rank, code.q, code.payload_len))
+    header = oracle_to_digits(oracle_type_rank(counts), q, oracle_header_len(q, A, L))
+    rank = oracle_rank(seq, A)
+    return tuple(header + oracle_to_digits(rank, q, code.payload_len))
 
 
 @contextlib.contextmanager
@@ -172,6 +200,28 @@ def test_rank_unrank_match_oracle_at_block_boundaries():
                 assert unrank_both_ways(r, tv) == seq == oracle_unrank(r, tv.counts)
 
 
+@pytest.mark.parametrize("A", [1, 2, 3, 4])
+def test_type_rank_is_lexicographic_among_compositions(A):
+    for L in range(7):
+        compositions = sorted(
+            c for c in itertools.product(range(L + 1), repeat=A) if sum(c) == L
+        )
+        assert len(compositions) == math.comb(L + A - 1, A - 1)
+        for rank, counts in enumerate(compositions):
+            assert _rank_type(counts) == rank == oracle_type_rank(counts)
+            assert _unrank_type(rank, A, L) == counts
+
+
+def test_type_unrank_rejects_out_of_range():
+    for A, L in [(1, 5), (3, 8), (9, 64)]:
+        types = math.comb(L + A - 1, A - 1)
+        assert _unrank_type(0, A, L) == (0,) * (A - 1) + (L,)
+        assert _unrank_type(types - 1, A, L) == (L,) + (0,) * (A - 1)
+        for rank in (types, types + 1, -1):
+            with pytest.raises(CodecError, match="corrupt header"):
+                _unrank_type(rank, A, L)
+
+
 def test_type_of_rejects_symbols_outside_alphabet():
     for bad in (3, -1, 2**70):
         message = f"symbol {bad} outside alphabet of size 3"
@@ -204,10 +254,28 @@ def test_digits_match_oracle(q):
 # ----------------------------------------------------------------- the code
 
 
+@pytest.mark.parametrize(
+    "q,A,L,header_len",
+    [
+        (3, 9, 2048, 46),
+        (7, 49, 512, 83),
+        (7, 343, 512, 294),
+        (11, 1331, 512, 453),
+        (101, 10201, 4096, 1855),
+        (2, 1, 5, 0),  # one type: no header
+        (3, 3, 1, 1),  # 3 types in one digit
+        (3, 4, 1, 2),  # 4 types in two
+    ],
+)
+def test_header_len_is_log_of_type_count(q, A, L, header_len):
+    code = FixedCode(q=q, alphabet_size=A, length=L, budget=0.0)
+    assert code.header_len == header_len == oracle_header_len(q, A, L)
+
+
 def test_code_lengths():
     code = FixedCode(q=3, alphabet_size=3, length=1024, budget=H_PRODUCT + 0.05)
-    assert code.count_width == 7  # 3^7 = 2187 >= 1025
-    assert code.header_len == 21
+    # C(1026, 2) = 525825 types, and 3^11 < 525825 <= 3^12
+    assert code.header_len == 12
     assert code.payload_len == int(1024 * (H_PRODUCT + 0.05))
     assert code.codeword_len == code.header_len + code.payload_len
     # header overhead per symbol stays small
@@ -237,8 +305,9 @@ GOLDEN_GRID = [
     for skew in (1, 8)
     for slack in (0.05, None)
 ]
-# SHA-256 of the codewords of GOLDEN_GRID as the per-symbol coder wrote them
-GOLDEN_DIGEST = "5fc3ce8c6dde3c60427fda540d612e5cca437687d1094088544b582f48b0dedd"
+# SHA-256 of the codewords of GOLDEN_GRID as the per-symbol coder wrote them,
+# with a ranked type header (oracle_encode gives the same digest)
+GOLDEN_DIGEST = "6ba1f0f0678d57ba884b0b758881e3396773205af7c8cc841d073530afe9b8c5"
 
 
 def test_codewords_match_golden_digest():
@@ -393,10 +462,13 @@ def test_widen_rejects_narrowing():
 def test_decode_corrupt_header():
     code = FixedCode(q=3, alphabet_size=3, length=8, budget=1.0)
     cw = encode_fixed((0, 1, 2, 0, 1, 2, 0, 1), code)
-    symbols = list(cw.symbols)
-    symbols[0] = (symbols[0] + 1) % 3  # counts no longer sum to L
-    with pytest.raises(CodecError):
-        decode_fixed(Codeword(code=code, symbols=tuple(symbols)), code)
+    # C(10, 2) = 45 types in 4 digits: a header of 45 to 80 names no type
+    assert code.header_len == 4
+    for rank in (45, 46, 80):
+        header = oracle_to_digits(rank, 3, 4)
+        symbols = tuple(header) + cw.symbols[4:]
+        with pytest.raises(CodecError, match="corrupt header"):
+            decode_fixed(Codeword(code=code, symbols=symbols), code)
 
 
 def test_decode_rejects_atypical():

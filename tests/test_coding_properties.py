@@ -7,8 +7,15 @@ import math
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from privcomp import FixedCode, decode_fixed, encode_fixed, rank_in_type, type_of
-from privcomp.coding import _from_digits, _to_digits
+from privcomp import FixedCode, decode_fixed, encode_fixed
+from privcomp.coding import (
+    _from_digits,
+    _rank_type,
+    _to_digits,
+    _unrank_type,
+    rank_in_type,
+    type_of,
+)
 from test_coding import (
     oracle_class_size,
     oracle_encode,
@@ -84,3 +91,27 @@ def test_digit_round_trip(q, width, data):
     assert digits == oracle_to_digits(value, q, width)
     assert _from_digits(np.array(digits, dtype=np.int64), q) == value
     assert oracle_from_digits(digits, q) == value
+
+
+
+@st.composite
+def types(draw):
+    """(A, L, counts): a type of L symbols over [0, A), on a few symbols or
+    on many."""
+    A = draw(st.integers(2, 2000))
+    L = draw(st.integers(1, 3000))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    support = rng.choice(A, size=draw(st.integers(1, A)), replace=False)
+    p = rng.dirichlet(np.full(len(support), draw(st.sampled_from([0.2, 1.0, 10.0]))))
+    counts = np.zeros(A, dtype=np.int64)
+    counts[support] = rng.multinomial(L, p)
+    return A, L, tuple(counts.tolist())
+
+
+@settings(deadline=None, max_examples=80, derandomize=True)
+@given(types())
+def test_type_rank_round_trip(case):
+    A, L, counts = case
+    rank = _rank_type(counts)
+    assert 0 <= rank < math.comb(L + A - 1, A - 1)
+    assert _unrank_type(rank, A, L) == counts

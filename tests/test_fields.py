@@ -29,9 +29,10 @@ def word(code, *symbols):
 
 
 def symbol_code(q, size):
-    """A code whose codewords are `size` header symbols and no payload."""
-    code = FixedCode(q=q, alphabet_size=size, length=1, budget=0.0)
-    assert code.codeword_len == size
+    """A code whose codewords are `size` payload symbols: one symbol, so one
+    type and no header, and a full budget of one digit per position."""
+    code = FixedCode(q=q, alphabet_size=1, length=size, budget=1.0)
+    assert (code.header_len, code.codeword_len) == (0, size)
     return code
 
 

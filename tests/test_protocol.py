@@ -28,7 +28,7 @@ from privcomp import (
 )
 from privcomp import protocol
 from privcomp.protocol import (
-    CONCRETE_ALPHABET_CAP,
+    JOINT_ALPHABET_CAP,
     build_concrete_codes,
     evaluate_candidates,
 )
@@ -309,9 +309,8 @@ def oracle_ledger(j, plan, cs, length, epsilon=None):
     charge = length * profile.joint
     if epsilon is not None:
         image = {tuple(t.values[i] for t in cs.functions) for i in range(q**cs.f)}
-        if len(image) <= CONCRETE_ALPHABET_CAP:
-            code = FixedCode(q, len(image), length, profile.joint + epsilon)
-            charge = float(code.codeword_len)
+        code = FixedCode(q, len(image), length, profile.joint + epsilon)
+        charge = float(code.codeword_len)
     ledger = [(1, charge)]
     at = plan.db == j
     for row, tau in zip(plan.sums[at].tolist(), plan.round[at].tolist()):
@@ -425,6 +424,75 @@ def test_charges_equal_oracle_ledger_n3_mu3(epsilon):
         assert charges[0] == ledger[0][1]
         assert charges[first][1:].tolist() == [0.0] * (cs.mu - 1)
         assert charges[~first].tolist() == [c for _, c in ledger[1:]]
+
+
+def closed_form(n, codes):
+    """n (joint + sum_{v<mu} len_v (n^(mu-v) - 1)) from the code lengths,
+    len_v that of the sum code led by candidate v."""
+    mu = len(codes.sum_codes) + 1
+    later = sum(
+        code.codeword_len * (n ** (mu - v) - 1)
+        for v, code in enumerate(codes.sum_codes, 1)
+    )
+    return n * (codes.joint_code.codeword_len + later)
+
+
+# (n, exponents, q, L, epsilon, decode failures expected) over joint
+# alphabets A from 5 to 343, with one run whose atypical segments fail
+CONCRETE_LEDGER_GRID = [
+    (2, [(1, 0), (1, 1)], 3, 16, 0.05, False),  # A = 7
+    (3, [(1, 0), (0, 1), (1, 1)], 3, 8, 0.3, False),  # A = 9, mu = 3
+    (4, [(1,), (2,)], 5, 12, 0.0, False),  # A = 5
+    (2, [(1, 0), (0, 1), (1, 1)], 7, 24, 0.05, False),  # A = 49
+    (2, [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)], 7, 8, 0.05, False),  # A = 343
+    (2, [(1, 1, 1, 1), (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)],
+     3, 32, 0.05, False),  # A = 81, mu = 5
+    (2, [(2, 0), (0, 2), (1, 1), (2, 2)], 3, 64, 0.0, True),  # A = 5, mu = 4
+]
+
+
+@pytest.mark.parametrize("n,exponents,q,length,epsilon,fails", CONCRETE_LEDGER_GRID)
+def test_concrete_ledger_equals_closed_form(
+    monkeypatch, n, exponents, q, length, epsilon, fails
+):
+    answered = []
+
+    def recorded(j, plan, *args, **kwargs):
+        answers, charges = answer_queries(j, plan, *args, **kwargs)
+        answered.append((j, plan, charges))
+        return answers, charges
+
+    monkeypatch.setattr(protocol, "answer_queries", recorded)
+    cs = candidate_set_from_exponents(exponents, q)
+    config = SimulationConfig(
+        n=n, candidate_set=cs, length=length, v=2, mode="concrete", seed=0, epsilon=epsilon
+    )
+    rep = run_simulation(config)
+    ledger = []
+    for j, plan, charges in answered:
+        oracle = oracle_ledger(j, plan, cs, length, epsilon)
+        first = plan.round[plan.db == j] == 1
+        assert charges[first].tolist() == [oracle[0][1]] + [0.0] * (first.sum() - 1)
+        assert charges[~first].tolist() == [c for _, c in oracle[1:]]
+        ledger += oracle
+    codes = build_concrete_codes(cs, length, epsilon)
+    assert rep.total_download == closed_form(n, codes) == sum(c for _, c in ledger)
+    assert rep.per_round[0] == (1, n * codes.joint_code.codeword_len)
+    assert rep.recovery_ok
+    assert (rep.decode_failure_rate > 0) == fails
+
+
+def test_simulation_checks_concrete_ledger_exactly(monkeypatch):
+    cs = candidate_set_from_exponents([(1, 0), (0, 1), (1, 1)], 3)
+    config = SimulationConfig(n=2, candidate_set=cs, length=16, v=1, mode="concrete")
+    run_simulation(config)
+    real = protocol.rates.scheme_download
+    # a closed form one symbol away is a broken ledger
+    monkeypatch.setattr(
+        "privcomp.rates.scheme_download", lambda n, joint, leads: real(n, joint, leads) + 1
+    )
+    with pytest.raises(ProtocolError, match="closed form"):
+        run_simulation(config)
 
 
 def test_simulation_examples():
@@ -555,7 +623,6 @@ def test_privacy_ok_is_certified_at_scale():
         assert rep.recovery_ok
         assert rep.privacy_ok is True
         assert rep.as_dict()["privacy_ok"] is True
-        assert rep.warnings == []
         assert "warnings" not in rep.as_dict()
 
 
@@ -599,7 +666,7 @@ def test_simulation_v_out_of_range():
 def test_concrete_roundtrip_small():
     for q, exponents in [
         (3, [(1, 0), (1, 1)]),
-        (61, [(1, 0), (1, 1)]),  # raw round 1: 3661 joint images
+        (61, [(1, 0), (1, 1)]),  # a joint code over 3661 images
         (61, [(30,), (60,)]),  # a joint code over 3 images
         (67, [(1, 0), (1, 1)]),
     ]:
@@ -632,6 +699,45 @@ def test_concrete_three_rounds_widening():
         SimulationConfig(n=2, candidate_set=cs, length=128, v=1, mode="concrete", seed=4)
     )
     assert rep.recovery_ok
+
+
+def test_concrete_joint_code_past_the_former_alphabet_cap(monkeypatch):
+    # 81 joint tuples: round 1 was once sent raw, charged symbolically, and
+    # the report carried a warning
+    cs = candidate_set_from_exponents(
+        [(1, 1, 1, 1), (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)], 3
+    )
+    codes = build_concrete_codes(cs, 32)
+    assert codes.joint_code.alphabet_size == 81
+    decoded = []
+    real = protocol.decode_fixed
+
+    def recorded(codeword, code):
+        decoded.append(code)
+        return real(codeword, code)
+
+    monkeypatch.setattr(protocol, "decode_fixed", recorded)
+    rep = run_simulation(
+        SimulationConfig(n=2, candidate_set=cs, length=32, v=1, mode="concrete")
+    )
+    assert rep.recovery_ok and rep.decode_failure_rate == 0.0
+    assert decoded.count(codes.joint_code) == 2  # one bundle per database
+    assert "warnings" not in rep.as_dict()
+    assert rep.per_round[0] == (1, 2 * codes.joint_code.codeword_len)
+    assert rep.total_download == closed_form(2, codes)
+
+
+def test_joint_alphabet_cap():
+    # x, y, xy take q^2 joint values: 16129 at q = 127, under the cap, and
+    # 17161 at q = 131, past it
+    assert 127**2 <= JOINT_ALPHABET_CAP < 131**2
+    under = candidate_set_from_exponents([(1, 0), (0, 1), (1, 1)], 127)
+    assert build_concrete_codes(under, 4).joint_code.alphabet_size == 127**2
+    over = candidate_set_from_exponents([(1, 0), (0, 1), (1, 1)], 131)
+    with pytest.raises(ResourceLimitError, match="joint alphabet"):
+        run_simulation(
+            SimulationConfig(n=2, candidate_set=over, length=4, v=1, mode="concrete")
+        )
 
 
 def test_report_keys():

@@ -19,7 +19,7 @@ from privcomp import (
     run_simulation,
 )
 from privcomp.protocol import build_concrete_codes
-from test_protocol import oracle_ledger
+from test_protocol import closed_form, oracle_ledger
 
 
 @st.composite
@@ -85,6 +85,9 @@ def test_charges_equal_oracle_ledger(case):
     if epsilon is None:
         expected = length * d_one(n, cs.profile)
         assert rep.total_download == pytest.approx(expected, rel=1e-12)
+    else:
+        codes = build_concrete_codes(cs, length, epsilon)
+        assert rep.total_download == closed_form(n, codes)
 
 
 @settings(deadline=None, max_examples=30)
