@@ -12,17 +12,18 @@ The monomial generator produces the deduplicated "nonparallel" candidate sets
 used by the rate sweeps: exponent vectors are first reduced with x^q = x, and
 a monomial is dropped when it is a componentwise k-th power (k >= 2, reduced)
 of another monomial in range, since retrieving the base monomial already
-determines it.  Such a set is profiled from its exponent vectors alone and
-tabulated only on demand.
+determines it.  Such a set is profiled from its exponent vectors alone, in
+Python integers and floats, and tabulated only on demand.
 """
+
+from __future__ import annotations
 
 import math
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import cached_property, partial
 
-import numpy as np
-
+from ._numpy import np
 from .errors import DegenerateInstanceError, ResourceLimitError, UsageError
 
 # cells (tables x q^f entries) per candidate set and exponent-grid points per
@@ -168,27 +169,35 @@ def generate_nonparallel_monomials(f: int, g: int, q: int) -> list:
     in_range = set(vectors[1:])  # vectors[0] is the zero vector
     # each kept vector bans at most q - 2 others, so mu >= |in_range| / (q - 1)
     _check_enumeration_cap(q, f, -(-len(in_range) // (q - 1)))
+    m = q - 1
     kept = []
     banned = set()
-    ks = np.arange(2, q, dtype=np.int64)[:, None]
     for e in sorted(in_range, key=grlex_key):
         if e in banned:
             continue
         kept.append(e)
-        # reduced k-th powers of e; only in-range ones (entries <= g) are looked up
-        powers = np.where(np.array(e) > 0, (ks * e - 1) % (q - 1) + 1, 0)
-        for p in map(tuple, powers[powers.max(axis=1) <= g].tolist()):
-            if p != e and p in in_range:
-                banned.add(p)
+        # a reduced k-th power depends on k mod m alone (k = 1 gives e, which
+        # is skipped), and is in range only if its first nonzero entry,
+        # (k*x - 1) mod m + 1 for e's first nonzero x, is some y <= top:
+        # k*x = y (mod m) has d = gcd(x, m) solutions if d divides y, else none
+        x = next(v for v in e if v)
+        d = math.gcd(x, m)
+        step = m // d
+        inverse = pow(x // d, -1, step)
+        for y in range(d, top + 1, d):
+            for k in range(y // d * inverse % step, m, step):
+                p = tuple((k * v - 1) % m + 1 if v else 0 for v in e)
+                if p != e and p in in_range:
+                    banned.add(p)
     return kept
 
 
-def _count_entropy(counts: np.ndarray, n: int, q: int) -> float:
+def _count_entropy(counts: list, n: int, q: int) -> float:
     """Entropy (base q) of n samples with these counts, summed in sorted order
     so equal count multisets give bit-identical floats (ties compare equal)."""
     s = 0.0
     # a count of 1 adds 1*log(1) = 0.0 exactly, so only counts > 1 are summed
-    for c in sorted(counts[counts > 1].tolist()):
+    for c in sorted(c for c in counts if c > 1):
         s += c * math.log(c)
     return (math.log(n) - s / n) / math.log(q)
 
@@ -197,7 +206,7 @@ def table_entropy(table: FunctionTable) -> float:
     """Exact entropy of a candidate under uniform inputs, q-ary units."""
     if table.f == 0:  # one cell: entropy 0; else bincount's q slots fit in q^f
         return 0.0
-    return _count_entropy(np.bincount(table.values), len(table.values), table.q)
+    return _count_entropy(np.bincount(table.values).tolist(), len(table.values), table.q)
 
 
 @dataclass(frozen=True)
@@ -272,7 +281,8 @@ def _prefix_joint_entropies(rows, order, q: int, first: float) -> tuple:
     for i in order[1:]:
         keys = labels * q + rows[i]
         distinct, counts = np.unique(keys, return_counts=True)
-        joints.append(_count_entropy(counts, cells, q))
+        # up to one count per input: drop the 1s before leaving numpy
+        joints.append(_count_entropy(counts[counts > 1].tolist(), cells, q))
         if len(distinct) == cells:
             break
         # searchsorted ranks keys in less memory than unique's return_inverse
@@ -315,7 +325,7 @@ def monomial_entropy(e: tuple, q: int) -> float:
     active = [x for x in e if x]
     f, k, d = len(e), len(active), math.gcd(q - 1, *active)
     zero, nonzero = q**f - (q - 1) ** k * q ** (f - k), d * (q - 1) ** (k - 1) * q ** (f - k)
-    return _count_entropy(np.repeat([zero, nonzero], [1, (q - 1) // d]), q**f, q)
+    return _count_entropy([zero] + [nonzero] * ((q - 1) // d), q**f, q)
 
 
 def monomial_candidate_set(f: int, g: int, q: int) -> CandidateSet:
@@ -329,7 +339,7 @@ def monomial_candidate_set(f: int, g: int, q: int) -> CandidateSet:
     order = sorted(vectors, key=lambda e: (-h[e],) + grlex_key(e))
     if order[:f] != [tuple(int(i == j) for j in range(f)) for i in range(f)]:
         raise AssertionError(f"the messages do not lead the set ({f}, {g}, {q})")
-    joints = [_count_entropy(np.full(q**v, q ** (f - v)), q**f, q) for v in range(1, f + 1)]
+    joints = [_count_entropy([q ** (f - v)] * q**v, q**f, q) for v in range(1, f + 1)]
     joints += joints[-1:] * (len(order) - f)
     profile = EntropyProfile(tuple(h[e] for e in order), tuple(joints))
     return CandidateSet(q, f, profile, partial(_monomial_tables, order, q))

@@ -6,6 +6,8 @@ digits, so repeated runs with the same inputs are byte-identical.  Exit codes:
 0 ok, 1 verification failure, 2 usage error, 3 resource guard.
 """
 
+from __future__ import annotations
+
 import argparse
 import csv
 import io
@@ -15,10 +17,9 @@ import sys
 from fractions import Fraction
 from importlib import resources
 
-import numpy as np
-
 from . import candidates as cand
 from . import protocol, rates
+from ._numpy import np
 from .errors import (
     DegenerateInstanceError,
     ProtocolError,
@@ -145,7 +146,11 @@ def cmd_figure(args) -> int:
         )
     text = "\n".join(lines) + "\n"
     if args.out:
-        with open(args.out, "w", newline="") as fh:
+        try:
+            fh = open(args.out, "w", newline="")
+        except OSError as exc:
+            raise UsageError(f"cannot write --out {args.out}: {exc.strerror}") from None
+        with fh:
             fh.write(text)
     else:
         sys.stdout.write(text)

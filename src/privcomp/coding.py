@@ -15,6 +15,8 @@ subtracts.  Codes with the same alphabet and length but a larger budget are
 compatible after widening, since the payload is left-padded rank digits.
 """
 
+from __future__ import annotations
+
 import itertools
 import math
 from bisect import bisect_left, bisect_right
@@ -22,8 +24,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 
-import numpy as np
-
+from ._numpy import np
 from .candidates import require_prime
 from .errors import CodecError, UsageError
 

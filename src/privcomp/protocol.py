@@ -28,13 +28,14 @@ used exactly when concrete codes are given, transmits fixed-length codewords
 from the coding module and charges their actual lengths.
 """
 
+from __future__ import annotations
+
 import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
 
-import numpy as np
-
+from ._numpy import np
 from .candidates import CandidateSet, require_nondegenerate
 from .coding import (
     FixedCode,

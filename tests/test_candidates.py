@@ -513,11 +513,23 @@ def test_oracle_grid_has_80_sets():
     assert len(ORACLE_GRID) == 80
 
 
-@pytest.mark.parametrize("q", PRIMES_TO_13)
+# q - 1 = 16, 30, 36, 60, 72, 100: many divisors d = gcd(x, q - 1), so a
+# power's first entry is hit by several k at once
+PRIMES_WITH_COMPOSITE_ORDER = [17, 31, 37, 61, 73, 101]
+
+
+@pytest.mark.parametrize("q", PRIMES_TO_13 + PRIMES_WITH_COMPOSITE_ORDER)
 def test_nonparallel_monomials_equal_oracle(q):
-    for f in range(1, 5):
-        for g in range(1, 6):
+    f_max, g_max = (4, 5) if q <= 13 else (3, 6)
+    for f in range(1, f_max + 1):
+        for g in range(1, g_max + 1):
             assert generate_nonparallel_monomials(f, g, q) == oracle_nonparallel(f, g, q)
+
+
+def test_nonparallel_large_prime():
+    # x^2 and x^3 are powers of x; the k with a first entry <= g are solved
+    # for, where a Python loop over every k in [2, q - 1] would take seconds
+    assert generate_nonparallel_monomials(1, 3, 9999991) == [(1,)]
 
 
 @pytest.mark.parametrize("q", [2, 3, 5, 7])

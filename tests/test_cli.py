@@ -98,6 +98,15 @@ def test_figure_byte_stable(tmp_path, capsys):
     assert b"\r" not in a.read_bytes()
 
 
+@pytest.mark.parametrize("target", ["missing/sweep.csv", "."])
+def test_figure_unwritable_out_is_usage_error(tmp_path, capsys, target):
+    code, out, err = run_cli(capsys, "figure", "--out", str(tmp_path / target))
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: cannot write --out {tmp_path / target}: ")
+    assert err.count("\n") == 1  # the one line, no traceback
+
+
 # SHA-256 of stdout for sweeps and listings away from the q = 3 reference
 # figure; captured before the candidate tables were built one matrix per set
 GOLDEN_STDOUT = {
@@ -464,26 +473,48 @@ sys.exit(main(sys.argv[1:]))
 
 @pytest.mark.parametrize("mode", ["symbolic", "concrete"])
 def test_simulate_runs_without_scipy(capsys, mode):
-    import subprocess
-    import sys
-
-    import privcomp
-
     argv = (
         "simulate", "--n", "2", "--q", "3", "--candidates", "1,0;0,1;1,1",
         "--L", "16", "--v", "3", "--seed", "1", "--mode", mode,
     )
-    src_root = os.path.dirname(os.path.dirname(os.path.abspath(privcomp.__file__)))
-    proc = subprocess.run(
-        [sys.executable, "-c", BLOCK_SCIPY, *argv],
-        capture_output=True,
-        text=True,
-        env={**os.environ, "PYTHONPATH": src_root},
-        timeout=120,
-    )
+    proc = run_python("-c", BLOCK_SCIPY, *argv, timeout=120)
     assert proc.returncode == 0, proc.stderr
     _, out, _ = run_cli(capsys, *argv)
     assert proc.stdout == out
+
+
+# a fresh interpreter reports, after the imports and after each command run
+# in-process, the command's exit code and whether numpy has been imported
+NUMPY_PROBE = """
+import contextlib, io, json, sys
+import privcomp
+from privcomp import candidates, cli, protocol, rates
+
+steps = [["import", 0, "numpy" in sys.modules]]
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(argv)
+    steps.append([argv[0], code, "numpy" in sys.modules])
+print(json.dumps(steps))
+"""
+
+
+def test_rate_pipeline_never_imports_numpy(tmp_path):
+    commands = [
+        ["figure", "--out", str(tmp_path / "sweep.csv")],
+        ["rates", "--n", "3", "--q", "3", "--f", "4", "--g", "2"],
+        ["monomials", "--q", "3", "--f", "3", "--g", "2"],
+        ["entropy", "--q", "3", "--monomial", "1,1"],  # tabulates, so loads numpy
+    ]
+    proc = run_python("-c", NUMPY_PROBE, json.dumps(commands), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [
+        ["import", 0, False],
+        ["figure", 0, False],
+        ["rates", 0, False],
+        ["monomials", 0, False],
+        ["entropy", 0, True],
+    ]
 
 
 # ------------------------------------------------------------------- parsing
@@ -591,8 +622,8 @@ def test_simulate_byte_stable(capsys):
     assert out1 == out2
 
 
-def run_module(*argv, timeout=None):
-    """Run `python -m privcomp.cli` on the tree this test imported, installed or not."""
+def run_python(*args, timeout=None):
+    """Run a fresh interpreter on the tree this test imported, installed or not."""
     import subprocess
     import sys
 
@@ -601,12 +632,17 @@ def run_module(*argv, timeout=None):
     src_root = os.path.dirname(os.path.dirname(os.path.abspath(privcomp.__file__)))
     path = os.pathsep.join(filter(None, [src_root, os.environ.get("PYTHONPATH")]))
     return subprocess.run(
-        [sys.executable, "-m", "privcomp.cli", *argv],
+        [sys.executable, *args],
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": path},
         timeout=timeout,
     )
+
+
+def run_module(*argv, timeout=None):
+    """Run `python -m privcomp.cli` on the tree this test imported, installed or not."""
+    return run_python("-m", "privcomp.cli", *argv, timeout=timeout)
 
 
 def test_console_script_entry_point():
