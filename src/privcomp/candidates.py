@@ -325,7 +325,9 @@ def monomial_entropy(e: tuple, q: int) -> float:
     active = [x for x in e if x]
     f, k, d = len(e), len(active), math.gcd(q - 1, *active)
     zero, nonzero = q**f - (q - 1) ** k * q ** (f - k), d * (q - 1) ** (k - 1) * q ** (f - k)
-    return _count_entropy([zero] + [nonzero] * ((q - 1) // d), q**f, q)
+    # counts of 1 add exactly 0.0: listing (q-1)/d of them would cost O(q)
+    repeats = (q - 1) // d if nonzero > 1 else 0
+    return _count_entropy([zero] + [nonzero] * repeats, q**f, q)
 
 
 def monomial_candidate_set(f: int, g: int, q: int) -> CandidateSet:

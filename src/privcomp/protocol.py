@@ -77,17 +77,24 @@ BLOCK = 2**13
 class QueryPlan:
     """All tau-sums for one retrieval, plus the private permutation.
 
-    Row i of every array is sum i, in generation order.  sums[i, w-1] is the
-    subindex of candidate w in sum i, 0 when w is not a member; side_ref[i] is
-    the undesired (tau-1)-sum a desired sum extends, -1 for none.
+    Database j's sums are rows bounds[j-1]:bounds[j], round by round, in the
+    order it answers them.  sums[i, w-1] is the subindex of candidate w in sum
+    i, 0 when w is not a member; side_ref[i] is the undesired (tau-1)-sum a
+    desired sum extends, -1 for none.
     """
 
-    n: int
     v: int
     permutation: np.ndarray  # permutation[t-1] = actual segment index, 1-based
     sums: np.ndarray  # (S, mu) subindex matrix
-    db: np.ndarray  # 1-based database index
     side_ref: np.ndarray
+    bounds: np.ndarray  # n + 1 row offsets, one database after another
+
+    @property
+    def n(self) -> int:
+        return len(self.bounds) - 1
+
+    def rows(self, j: int) -> slice:  # database j's rows, 1-based j
+        return slice(int(self.bounds[j - 1]), int(self.bounds[j]))
 
     @property
     def mu(self) -> int:
@@ -130,22 +137,21 @@ def _type_of(mask: int) -> tuple:
 
 
 def _build_plan(n: int, mu: int):
-    """The plan's (sums, db, side_ref) for v = 1, each block written in place.
+    """The plan's (sums, side_ref, bounds) for v = 1, each round built for
+    all databases at once in an (n, per_db, mu) view of sums.
 
-    Rows come round by round, then database by database: the desired block,
-    then the undesired block.  A desired tau-sum extends an undesired
-    (tau-1)-sum of one of the n - 1 other databases, so a database's round
-    tau holds (n-1)^(tau-1) copies of each type: C(mu-1, tau-1) desired
-    types and C(mu-1, tau) undesired ones, n (n^mu - 1) / (n - 1) rows in all.
+    A database's rows go round by round: the desired block, then the
+    undesired block.  A desired tau-sum extends an undesired (tau-1)-sum of
+    one of the n - 1 other databases, so round tau holds (n-1)^(tau-1) copies
+    of each type: C(mu-1, tau-1) desired types and C(mu-1, tau) undesired ones.
     """
-    total = n * (n**mu - 1) // (n - 1)
-    sums = np.zeros((total, mu), dtype=np.int32)
-    db = np.empty(total, dtype=np.int32)
-    side_ref = np.full(total, -1, dtype=np.int32)
+    per_db = (n**mu - 1) // (n - 1)
+    sums = np.zeros((n * per_db, mu), dtype=np.int32)
+    side_ref = np.full(n * per_db, -1, dtype=np.int32)
+    view, refs = sums.reshape(n, per_db, mu), side_ref.reshape(n, per_db)
     bit = 1 << np.arange(mu, dtype=np.int64)
-    rows = 0  # sum id of the next row
+    start = prev = 0  # offsets of this round and of last round's undesired block
     counter = 0  # global fresh-subindex counter for the desired candidate
-    undesired_prev = {}  # db -> first sum id of its undesired block, last round
     for tau in range(1, mu + 1):
         combos = np.fromiter(
             itertools.chain.from_iterable(itertools.combinations(range(1, mu), tau)),
@@ -154,42 +160,38 @@ def _build_plan(n: int, mu: int):
         ).reshape(-1, tau)  # undesired types, as 0-based columns
         copies = (n - 1) ** (tau - 1)
         n_desired = copies * math.comb(mu - 1, tau - 1)
-        n_undesired = copies * len(combos)
-        new_undesired = {}
-        for j in range(1, n + 1):
-            start, split, end = rows, rows + n_desired, rows + n_desired + n_undesired
-            desired, undesired = sums[start:split], sums[split:end]
-            if tau > 1:
-                # each desired sum extends an undesired sum of another database
-                size = n_desired // (n - 1)
-                for k, jp in enumerate(jp for jp in range(1, n + 1) if jp != j):
-                    ref, at = undesired_prev[jp], start + k * size
-                    sums[at : at + size] = sums[ref : ref + size]
-                    side_ref[at : at + size] = np.arange(ref, ref + size)
-            desired[:, 0] = counter + 1 + np.arange(n_desired)
-            counter += n_desired
-            # member w of copy z of an undesired sum of type T takes the
-            # subindex of copy z of the desired sum with side type T minus {w},
-            # copies counted in generation order
-            side = _masks(desired) - 1  # every desired row has member 1
-            order = np.argsort(side, kind="stable")
-            side_types = side[order][::copies]
-            donors = desired[order, 0].reshape(-1, copies)
-            at = np.arange(len(combos))[:, None] * copies + np.arange(copies)
-            full = np.bitwise_or.reduce(bit[combos.T], axis=0)
-            for w in combos.T:
-                undesired[at, w[:, None]] = donors[
-                    np.searchsorted(side_types, full - bit[w])
-                ]
-            db[start:end] = j
-            new_undesired[j] = split
-            rows = end
-        undesired_prev = new_undesired
+        split, end = start + n_desired, start + n_desired + copies * len(combos)
+        desired, undesired = view[:, start:split], view[:, split:end]
+        if tau > 1:
+            # block k of database j extends the undesired sums of its k-th other
+            size = n_desired // (n - 1)
+            for k in range(n - 1):
+                other = np.where(np.arange(n) > k, k, k + 1)
+                at = slice(start + k * size, start + (k + 1) * size)
+                view[:, at] = view[other, prev : prev + size]
+                refs[:, at] = other[:, None] * per_db + np.arange(prev, prev + size)
+        # fresh subindices round by round, then database by database
+        desired[..., 0] = counter + 1 + np.arange(n * n_desired).reshape(n, -1)
+        counter += n * n_desired
+        # member w of copy z of an undesired sum of type T takes the subindex
+        # of copy z of the desired sum with side type T minus {w}, copies
+        # counted in row order, which every database shares with database 1
+        side = _masks(desired[0]) - 1  # every desired row has member 1
+        order = np.argsort(side, kind="stable")
+        side_types = side[order][::copies]
+        donors = desired[:, order, 0].reshape(n, -1, copies)
+        at = np.arange(len(combos))[:, None] * copies + np.arange(copies)
+        full = np.bitwise_or.reduce(bit[combos.T], axis=0)
+        for w in combos.T:
+            undesired[:, at, w[:, None]] = donors[
+                :, np.searchsorted(side_types, full - bit[w])
+            ]
+        start, prev = end, split
     if counter != n**mu:
         raise ProtocolError(
             f"desired coverage is {counter} segments, expected beta = {n**mu}"
         )
-    return sums, db, side_ref
+    return sums, side_ref, np.arange(n + 1) * per_db
 
 
 def generate_query_plan(n: int, mu: int, v: int, seed=None) -> QueryPlan:
@@ -212,12 +214,10 @@ def generate_query_plan(n: int, mu: int, v: int, seed=None) -> QueryPlan:
         )
     permutation = np.random.default_rng(seed).permutation(beta)
     permutation += 1
-    sums, db, side_ref = _build_plan(n, mu)
+    sums, side_ref, bounds = _build_plan(n, mu)
     for blk in _blocks(len(sums)):
         sums[blk, [0, v - 1]] = sums[blk, [v - 1, 0]]
-    return QueryPlan(
-        n=n, v=v, permutation=permutation, sums=sums, db=db, side_ref=side_ref
-    )
+    return QueryPlan(v, permutation, sums, side_ref, bounds)
 
 
 # ------------------------------------------------------------- message store
@@ -321,7 +321,7 @@ def _sum_segments(sums: np.ndarray, perm: np.ndarray, values, q: int) -> np.ndar
     total = np.zeros((len(sums), values[0].shape[1]), dtype=symbol_dtype(q))
     for w, col in enumerate(sums.T):
         (rows,) = np.nonzero(col)
-        total[rows] = (total[rows] + values[w][perm[col[rows] - 1]]) % q
+        total[rows] = (total[rows] + values[w][perm[col[rows] - 1] - 1]) % q
     return total
 
 
@@ -349,9 +349,9 @@ def answer_queries(
     """
     profile = candidate_set.profile
     length = store.length
-    rows = np.flatnonzero(plan.db == j)
-    first = plan.round[rows] == 1
-    round1_ts = plan.sums[rows[first]].max(axis=1)
+    at = plan.rows(j)
+    part, first = plan.sums[at], plan.round[at] == 1
+    round1_ts = part[first].max(axis=1)
     if len(round1_ts) == 0:
         raise ProtocolError(f"database {j} has no round-1 sums")
     if (round1_ts != round1_ts[0]).any():
@@ -359,15 +359,15 @@ def answer_queries(
         raise ProtocolError(
             f"database {j} has round-1 singletons at several subindices"
         )
-    perm = plan.permutation - 1
+    perm = plan.permutation  # 1-based: a shifted copy costs O(beta) per database
     joint = length * profile.joint
     # the rows' sums, one block at a time: range check, lead member, and the
     # raw answers in symbolic mode
-    lead = np.empty(len(rows), dtype=np.intp)
+    lead = np.empty(len(part), dtype=np.intp)
     if codes is None:
-        answers = np.empty((len(rows), length), dtype=symbol_dtype(store.q))
-    for blk in _blocks(len(rows)):
-        sums = plan.sums[rows[blk]]
+        answers = np.empty((len(part), length), dtype=symbol_dtype(store.q))
+    for blk in _blocks(len(part)):
+        sums = part[blk]
         if sums.min(initial=0) < 0 or sums.max(initial=0) > plan.beta:
             raise ProtocolError(f"database {j}: subindex outside [1, {plan.beta}]")
         lead[blk] = (sums != 0).argmax(axis=1)
@@ -376,16 +376,15 @@ def answer_queries(
     if codes is None:
         charges = length * np.asarray(profile.h)[lead]
     else:
-        sums = plan.sums[rows]
-        row = store.input_codes()[perm[round1_ts[0] - 1]]
+        row = store.input_codes()[perm[round1_ts[0] - 1] - 1]
         bundle = encode_fixed(codes.image_of_code[row].tolist(), codes.joint_code)
-        answers = [bundle] * len(sums)  # later sums are replaced below
+        answers = [bundle] * len(part)  # later sums are replaced below
         joint = float(codes.joint_code.codeword_len)
-        charges = np.zeros(len(sums))
+        charges = np.zeros(len(part))
         leads = lead.tolist()
         for i in np.flatnonzero(~first).tolist():
             code = codes.sum_codes[leads[i]]
-            segments = (values[w][perm[t - 1]] for w, t in enumerate(sums[i]) if t)
+            segments = (values[w][perm[t - 1] - 1] for w, t in enumerate(part[i]) if t)
             parts = [encode_fixed(seg.tolist(), code) for seg in segments]
             answers[i] = sum_codewords(*parts)
             charges[i] = code.codeword_len
@@ -417,9 +416,8 @@ def decode(
     answer (symbolic), a re-encoded known segment (concrete, tau = 2), or a
     widened undesired codeword sum (concrete, tau >= 3).
     """
-    v, q, beta = plan.v, candidate_set.q, plan.beta
-    rows = [np.flatnonzero(plan.db == j) for j in range(1, plan.n + 1)]
-    if list(map(len, answers)) != list(map(len, rows)):
+    v, q, beta, bounds = plan.v, candidate_set.q, plan.beta, plan.bounds
+    if list(map(len, answers)) != np.diff(bounds).tolist():
         raise ProtocolError("need answers from every database")
     # answer_queries sends one array per database in symbolic mode, a list
     # in concrete mode
@@ -441,7 +439,8 @@ def decode(
     for blk in _blocks(len(ref)):
         expected = plan.sums[extended[blk]]
         expected[:, v - 1] = 0
-        if (plan.db[ref[blk]] == plan.db[extended[blk]]).any() or (
+        at = np.searchsorted(bounds, ref[blk], side="right")  # 1-based database
+        if (at == np.searchsorted(bounds, extended[blk], side="right")).any() or (
             plan.sums[ref[blk]] != expected
         ).any():
             raise ProtocolError("a side reference does not match its desired sum")
@@ -458,13 +457,12 @@ def decode(
     raw = np.zeros((len(plan.sums) + 1, length), dtype=symbol_dtype(q))
     lost = np.zeros(len(plan.sums) + 1, dtype=bool)
     if codes is None:
-        for r, a in zip(rows, answers):
-            raw[r] = a
+        np.concatenate(answers, out=raw[:-1])
     else:
-        # sum id -> codeword, in the order the answers arrive
-        coded = dict(zip(np.concatenate(rows).tolist(), itertools.chain(*answers)))
-        for r in rows:
-            first = r[plan.round[r] == 1]
+        # the answers arrive in row order, so a sum id indexes its codeword
+        coded = list(itertools.chain(*answers))
+        for j in range(1, plan.n + 1):
+            first = np.flatnonzero(plan.round[plan.rows(j)] == 1) + bounds[j - 1]
             bundle = coded[first[0]]
             if bundle.atypical:
                 lost[first] = True
@@ -533,9 +531,9 @@ def verify_privacy_structure(plan: QueryPlan) -> PrivacyReport:
     its generators, the cycle (1 2 ... mu) and the transposition (1 2),
     cover every desired index.
 
-    For each generator, sigma maps row (db, round, mask, copy) to row (db,
-    round, pi(mask), copy), where copy is the row's rank in plan order within
-    its (db, round, mask) class, and rho is read off the entries:
+    For each generator, sigma maps database j's row (round, mask, copy) to
+    its row (round, pi(mask), copy), where copy is the row's rank in plan
+    order within its (round, mask) class, and rho is read off the entries:
     sums[r, w] -> sums[sigma(r), pi(w)].  The certificate holds when sigma
     exists and rho is well defined on every database; rho then maps the
     view's subindices onto themselves, so it is a bijection.  It is sound for
@@ -545,16 +543,8 @@ def verify_privacy_structure(plan: QueryPlan) -> PrivacyReport:
     mu, sums = plan.mu, plan.sums
     if sums.min(initial=0) < 0 or sums.max(initial=0) > plan.beta:
         raise ProtocolError(f"a subindex is outside [1, {plan.beta}]")
-    # key = (db, round, mask) of each row; rows sorted by key, plan order kept
-    # within each class
-    key = np.empty(len(sums), dtype=np.int64)
-    for blk in _blocks(len(sums)):
-        tau = np.count_nonzero(sums[blk], axis=1)
-        head = plan.db[blk].astype(np.int64) * (mu + 1) + tau
-        key[blk] = (head << mu) + _masks(sums[blk])
-    order = np.argsort(key, kind="stable")
-    key.sort()  # the sorted keys, key[order], without a second array
-    bounds = np.searchsorted(key, np.arange(1, plan.n + 2) * (mu + 1) << mu)
+    if mu == 1:  # one candidate: no column permutation to check
+        return PrivacyReport(violations=[])
     low = (1 << mu) - 1  # the mask bits of a key
     cycle = np.roll(np.arange(mu), -1)  # w -> w + 1; for mu = 2 this is (1 2)
     swap = np.r_[1, 0, 2:mu]
@@ -567,12 +557,21 @@ def verify_privacy_structure(plan: QueryPlan) -> PrivacyReport:
     owner = np.zeros(plan.beta + 1, dtype=np.int32)
     violations = []
     for j in range(1, plan.n + 1):
+        part = sums[plan.rows(j)]
+        # key = (round, mask) of each row, the round only to sort faster; rows
+        # sorted by key, plan order kept within each class
+        key = np.empty(len(part), dtype=np.int64)
+        for blk in _blocks(len(part)):
+            tau = np.count_nonzero(part[blk], axis=1)
+            key[blk] = (tau << mu) + _masks(part[blk])
+        order = np.argsort(key, kind="stable")
+        key.sort()  # the sorted keys, key[order], without a second array
         live = list(range(len(pis)))  # generators with no violation on db j
-        for start in range(bounds[j - 1], bounds[j], BLOCK):
-            rows = slice(start, min(start + BLOCK, bounds[j]))
+        for start in range(0, len(key), BLOCK):
+            rows = slice(start, min(start + BLOCK, len(key)))
             k = key[rows]
             copy = np.arange(rows.start, rows.stop) - np.searchsorted(key, k)
-            a = sums[order[rows]]
+            a = part[order[rows]]
             known = owner[a] == j
             for g in list(live):
                 pi = pis[g]
@@ -591,7 +590,7 @@ def verify_privacy_structure(plan: QueryPlan) -> PrivacyReport:
                     )
                     live.remove(g)
                     continue
-                b = sums[order[inside][:, None], pi]
+                b = part[order[inside][:, None], pi]
                 clash = (known & (rho[g][a] != b)).any()  # with an earlier block
                 rho[g][a] = b
                 if clash or (rho[g][a] != b).any():
@@ -715,8 +714,7 @@ def run_simulation(config: SimulationConfig) -> SimulationReport:
     direct = values[config.v - 1]
     del store, values
     result = decode(plan, answers, cs, codes=codes)
-    # the ledger needs only the round of each charge, in answer order
-    rounds = np.concatenate([plan.round[plan.db == j] for j in range(1, n + 1)])
+    rounds = plan.round  # the ledger's rounds: plans are stored in answer order
     del plan, answers
     # only concrete decoding can fail on a segment, and a run that decodes
     # none has recovered nothing

@@ -208,8 +208,8 @@ def test_criterion_4_recovery_and_privacy():
     tampered = replace(
         plan,
         sums=np.vstack([plan.sums, extra]),
-        db=np.append(plan.db, 1),
         side_ref=np.append(plan.side_ref, -1),
+        bounds=np.append(plan.bounds[:-1], plan.bounds[-1] + 1),
     )
     control = verify_privacy_structure(tampered)
     ok = failures == 0 and runs >= 200 and not control.ok

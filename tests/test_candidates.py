@@ -19,7 +19,7 @@ from privcomp import (
     order_by_entropy,
     table_entropy,
 )
-from privcomp.candidates import _reduce, is_prime, require_prime
+from privcomp.candidates import _reduce, is_prime, monomial_entropy, require_prime
 from privcomp.cli import main
 
 H_PRODUCT = 0.905712598  # entropy of w1*w2 over F_3, q-ary units
@@ -530,6 +530,19 @@ def test_nonparallel_large_prime():
     # x^2 and x^3 are powers of x; the k with a first entry <= g are solved
     # for, where a Python loop over every k in [2, q - 1] would take seconds
     assert generate_nonparallel_monomials(1, 3, 9999991) == [(1,)]
+
+
+def test_monomial_entropy_large_prime_lists_no_unit_counts():
+    # x is a bijection of GF(q): q - 1 nonzero values of count 1, each adding
+    # 0.0, which as a list would be about 80 MB at this q
+    tracemalloc.start()
+    try:
+        h = monomial_entropy((1,), 9999991)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert h == 1.0
+    assert peak < 2**20, peak
 
 
 @pytest.mark.parametrize("q", [2, 3, 5, 7])

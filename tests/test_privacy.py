@@ -16,7 +16,7 @@ def db_rows(plan, j):
 
     members is the sorted tuple of (candidate, subindex) pairs of the sum.
     """
-    at = plan.db == j
+    at = plan.rows(j)
     return [
         (int(tau), tuple((w + 1, int(t)) for w, t in enumerate(row) if t))
         for row, tau in zip(plan.sums[at], plan.round[at])
@@ -56,8 +56,8 @@ def test_negative_control_extra_desired_singleton():
     tampered = replace(
         plan,
         sums=np.vstack([plan.sums, extra]),
-        db=np.append(plan.db, 1),
         side_ref=np.append(plan.side_ref, -1),
+        bounds=np.append(plan.bounds[:-1], plan.bounds[-1] + 1),
     )
     report = verify_privacy_structure(tampered)
     assert report.relabeling_ok is False
@@ -102,8 +102,8 @@ def test_cyclic_symmetry_alone_is_not_privacy():
     )
     rows = len(sums)
     plan = QueryPlan(
-        n=2, v=1, permutation=np.arange(1, 9), sums=sums,
-        db=np.ones(rows, dtype=int), side_ref=np.full(rows, -1),
+        v=1, permutation=np.arange(1, 9), sums=sums,
+        side_ref=np.full(rows, -1), bounds=np.array([0, rows, rows]),
     )
     cycled = replace(plan, sums=sums[:, [2, 0, 1]])
     swapped = replace(plan, sums=sums[:, [1, 0, 2]])
@@ -165,11 +165,11 @@ def test_subindex_uniformity_chi_square():
     slots = []
     for p in sibling_plans(n, mu):
         for j in range(1, n + 1):
-            at = p.db == j
-            round1 = np.flatnonzero(at & (p.round == 1))
-            slots.append(int(p.sums[round1[0]].max()))
-            last_desired = np.flatnonzero(at & p.desired)[-1]
-            slots.append(int(p.sums[last_desired, p.v - 1]))
+            at = p.rows(j)
+            round1 = np.flatnonzero(p.round[at] == 1)
+            slots.append(int(p.sums[at][round1[0]].max()))
+            last_desired = np.flatnonzero(p.desired[at])[-1]
+            slots.append(int(p.sums[at][last_desired, p.v - 1]))
     counts = np.zeros((len(slots), beta), dtype=np.int64)
     for seed in range(seeds):
         perm = np.array(generate_query_plan(n, mu, 1, seed=seed).permutation)
@@ -325,7 +325,7 @@ def test_certificate_rejects_a_class_that_runs_past_the_last_row():
     plan = generate_query_plan(2, 2, 1, seed=0)
     sums = plan.sums.copy()
     sums[5, 1] = 0
-    assert (plan.db[5], plan.round[5], sums[5, 0]) == (2, 2, 4)
+    assert (plan.rows(2), plan.round[5], sums[5, 0]) == (slice(3, 6), 2, 4)
     report = verify_privacy_structure(replace(plan, sums=sums))
     assert report.relabeling_ok is False
     assert any("multiset is not symmetric" in v for v in report.violations)

@@ -82,6 +82,11 @@ def oracle_plan(n, mu, v):
     ]
 
 
+def row_db(plan):
+    """1-based database of every row, read off the plan's row offsets."""
+    return np.repeat(np.arange(1, plan.n + 1), np.diff(plan.bounds))
+
+
 def plan_rows(plan):
     """Rows (db, round, members, desired, side_ref) of an array plan.
 
@@ -96,7 +101,7 @@ def plan_rows(plan):
             int(ref),
         )
         for row, j, tau, d, ref in zip(
-            plan.sums, plan.db, plan.round, plan.desired, plan.side_ref
+            plan.sums, row_db(plan), plan.round, plan.desired, plan.side_ref
         )
     ]
 
@@ -153,13 +158,35 @@ def oracle_cases():
                 yield n, mu
 
 
+def database_major(rows):
+    """Oracle rows reordered database by database, plan order kept within a
+    database, with side_ref mapped to the new row ids."""
+    order = sorted(range(len(rows)), key=lambda i: rows[i][0])
+    new_id = {old: new for new, old in enumerate(order)}
+    return [
+        (*rows[i][:4], new_id[rows[i][4]] if rows[i][4] >= 0 else -1) for i in order
+    ]
+
+
 @pytest.mark.parametrize("n,mu", list(oracle_cases()))
 def test_plan_matches_oracle(n, mu):
     # row for row: db, round, members, desired and side_ref, for every v
     for v in range(1, mu + 1):
         plan = generate_query_plan(n, mu, v, seed=0)
-        assert plan_rows(plan) == oracle_plan(n, mu, v)
+        assert plan_rows(plan) == database_major(oracle_plan(n, mu, v))
         assert len(plan.sums) == plan.sums.shape[0] == len(plan.side_ref)
+
+
+@pytest.mark.parametrize("n,mu", list(oracle_cases()))
+def test_every_database_has_one_row_layout(n, mu):
+    # the per-round build writes every database's rounds and types at once
+    plan = generate_query_plan(n, mu, mu, seed=0)
+    per_db = (n**mu - 1) // (n - 1)
+    assert np.array_equal(plan.bounds, np.arange(n + 1) * per_db)
+    layout = [(tau, types(m)) for _, tau, m, _, _ in plan_rows(plan)]
+    assert all(
+        layout[plan.rows(j)] == layout[plan.rows(1)] for j in range(2, n + 1)
+    )
 
 
 def test_plan_is_built_in_place():
@@ -173,7 +200,7 @@ def test_plan_is_built_in_place():
     finally:
         tracemalloc.stop()
     size = sum(
-        a.nbytes for a in (plan.permutation, plan.sums, plan.db, plan.side_ref)
+        a.nbytes for a in (plan.permutation, plan.sums, plan.side_ref, plan.bounds)
     )
     assert peak <= 1.3 * size, peak / size
 
@@ -257,7 +284,7 @@ def test_recovery_exact_n2_mu2():
                 # each answer is its members' images added in int64, mod q
                 oracle = sum(
                     np.where(t[:, None] > 0, x[plan.permutation[t - 1] - 1], 0)
-                    for x, t in zip(wide, plan.sums[plan.db == j].T)
+                    for x, t in zip(wide, plan.sums[plan.rows(j)].T)
                 ) % q
                 assert a.dtype == dtype
                 assert np.array_equal(a, oracle)
@@ -312,7 +339,7 @@ def oracle_ledger(j, plan, cs, length, epsilon=None):
         code = FixedCode(q, len(image), length, profile.joint + epsilon)
         charge = float(code.codeword_len)
     ledger = [(1, charge)]
-    at = plan.db == j
+    at = plan.rows(j)
     for row, tau in zip(plan.sums[at].tolist(), plan.round[at].tolist()):
         if tau == 1:
             continue
@@ -345,6 +372,20 @@ def test_ledger_equals_formula(n):
             )
 
 
+@pytest.mark.parametrize(
+    "n,exponents", [(256, [(1, 0), (1, 1)]), (4096, [(1,)])], ids=["256-2", "4096-1"]
+)
+def test_simulation_at_many_databases(n, exponents):
+    # each database's answers, decode and ledger read its slice of the plan
+    cs = candidate_set_from_exponents(exponents, 3)
+    L = 2
+    rep = run_simulation(
+        SimulationConfig(n=n, candidate_set=cs, length=L, v=cs.mu, seed=5)
+    )
+    assert rep.privacy_ok and rep.recovery_ok
+    assert rep.total_download == pytest.approx(L * d_one(n, cs.profile), rel=1e-12)
+
+
 def left_to_right(charges):
     """charges added one at a time from the left, as sum() adds floats before
     Python 3.12"""
@@ -368,7 +409,7 @@ def test_ledger_adds_charges_from_the_left(monkeypatch, mode, n, exponents, leng
 
     def recorded(j, plan, *args, **kwargs):
         answers, charges = answer_queries(j, plan, *args, **kwargs)
-        answered.append((plan.round[plan.db == j], charges))
+        answered.append((plan.round[plan.rows(j)], charges))
         return answers, charges
 
     monkeypatch.setattr(protocol, "answer_queries", recorded)
@@ -405,7 +446,7 @@ def test_symbolic_two_sum_charge_is_max_entropy():
     store = MessageStore.generate(3, 2, beta=4, length=16, seed=0)
     plan = generate_query_plan(2, 2, 1, seed=0)
     _, charges = answer_queries(1, plan, store, cs, evaluate_candidates(store, cs))
-    two_sum = charges[plan.round[plan.db == 1] == 2]
+    two_sum = charges[plan.round[plan.rows(1)] == 2]
     assert len(two_sum) == 1
     assert two_sum[0] == pytest.approx(16 * 1.0, abs=1e-12)  # max(1, 0.9057)
 
@@ -420,7 +461,7 @@ def test_charges_equal_oracle_ledger_n3_mu3(epsilon):
     for j in (1, 2, 3):
         _, charges = answer_queries(j, plan, store, cs, values, codes=codes)
         ledger = oracle_ledger(j, plan, cs, 12, epsilon)
-        first = plan.round[plan.db == j] == 1
+        first = plan.round[plan.rows(j)] == 1
         assert charges[0] == ledger[0][1]
         assert charges[first][1:].tolist() == [0.0] * (cs.mu - 1)
         assert charges[~first].tolist() == [c for _, c in ledger[1:]]
@@ -471,7 +512,7 @@ def test_concrete_ledger_equals_closed_form(
     ledger = []
     for j, plan, charges in answered:
         oracle = oracle_ledger(j, plan, cs, length, epsilon)
-        first = plan.round[plan.db == j] == 1
+        first = plan.round[plan.rows(j)] == 1
         assert charges[first].tolist() == [oracle[0][1]] + [0.0] * (first.sum() - 1)
         assert charges[~first].tolist() == [c for _, c in oracle[1:]]
         ledger += oracle
@@ -515,7 +556,8 @@ def test_answer_unknown_subindex():
     store = MessageStore.generate(3, 2, beta=4, length=4, seed=0)
     plan = generate_query_plan(2, 2, 1, seed=0)
     bad_sums = plan.sums.copy()
-    bad_sums[(plan.round == 2) & (plan.db == 1), 0] = 99
+    rows = plan.rows(1)
+    bad_sums[rows][plan.round[rows] == 2, 0] = 99
     bad = replace(plan, sums=bad_sums)
     with pytest.raises(ProtocolError):
         answer_queries(1, bad, store, cs, evaluate_candidates(store, cs))

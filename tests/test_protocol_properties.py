@@ -73,7 +73,7 @@ def test_charges_equal_oracle_ledger(case):
     ledger = []  # database-major, as the earlier ledger was kept
     for j, plan, charges in recorded:
         oracle = oracle_ledger(j, plan, cs, length, epsilon)
-        first = plan.round[plan.db == j] == 1
+        first = plan.round[plan.rows(j)] == 1
         assert charges.dtype == float and len(charges) == len(first)
         assert charges[first].tolist() == [oracle[0][1]] + [0.0] * (first.sum() - 1)
         assert charges[~first].tolist() == [c for _, c in oracle[1:]]
