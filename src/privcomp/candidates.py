@@ -19,8 +19,7 @@ Python integers and floats, and tabulated only on demand.
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
-from dataclasses import dataclass, field
+from collections import namedtuple
 from functools import cached_property, partial
 
 from ._numpy import np
@@ -81,33 +80,31 @@ def grlex_key(e: tuple) -> tuple:
     return (sum(e), tuple(-x for x in e))
 
 
-@dataclass(frozen=True, eq=False)
-class FunctionTable:
+class FunctionTable(namedtuple("FunctionTable", "q f values exponents", defaults=(None,))):
     """A candidate function as its value at every input of GF(q)^f, held as a
-    read-only int64 array: a read-only int64 one is kept as is, others copied."""
+    read-only int64 array: a read-only int64 one is kept as is, others copied.
+    exponents is set when the table was built from a monomial."""
 
-    q: int
-    f: int
-    values: np.ndarray
-    exponents: tuple | None = None  # set when built from a monomial
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace validates
+    # compared by identity: comparing the values arrays would be ambiguous
+    __eq__, __ne__, __hash__ = object.__eq__, object.__ne__, object.__hash__
 
-    def __post_init__(self):
-        if self.q >= 2**63:
+    def __new__(cls, q, f, values, exponents=None):
+        if q >= 2**63:
             raise UsageError("field size must be below 2^63 (tables are int64)")
-        if len(self.values) != self.q**self.f:
-            raise UsageError(
-                f"table has {len(self.values)} entries, expected {self.q}^{self.f}"
-            )
+        if len(values) != q**f:
+            raise UsageError(f"table has {len(values)} entries, expected {q}^{f}")
         try:
-            values = np.asarray(self.values, dtype=np.int64)
+            array = np.asarray(values, dtype=np.int64)
         except OverflowError:  # past int64, so past the field too
             raise UsageError("table value out of field range") from None
-        if values is self.values and values.flags.writeable:
-            values = values.copy()
-        if values.min() < 0 or values.max() >= self.q:
+        if array is values and array.flags.writeable:
+            array = array.copy()
+        if array.min() < 0 or array.max() >= q:
             raise UsageError("table value out of field range")
-        values.flags.writeable = False
-        object.__setattr__(self, "values", values)
+        array.flags.writeable = False
+        return super().__new__(cls, q, f, array, exponents)
 
 
 def _monomial_tables(vectors: list, q: int) -> list:
@@ -209,16 +206,16 @@ def table_entropy(table: FunctionTable) -> float:
     return _count_entropy(np.bincount(table.values).tolist(), len(table.values), table.q)
 
 
-@dataclass(frozen=True)
-class EntropyProfile:
+class EntropyProfile(namedtuple("EntropyProfile", "h prefix_joint")):
     """Sorted candidate entropies plus prefix joint entropies, q-ary units:
     h[v-1] is the entropy of the v-th candidate (descending order) and
     prefix_joint[v-1] the joint entropy of candidates 1..v."""
 
-    h: tuple
-    prefix_joint: tuple
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace validates
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if len(self.h) != len(self.prefix_joint) or not self.h:
             raise UsageError("profile vectors must be nonempty and equal length")
         for a, b in zip(self.h, self.h[1:]):
@@ -229,6 +226,7 @@ class EntropyProfile:
             if jv < prev - FLOAT_TOL or jv - prev > hv + FLOAT_TOL:
                 raise UsageError("prefix joints must grow by at most h[v]")
             prev = jv
+        return self
 
     @property
     def mu(self) -> int:
@@ -247,15 +245,11 @@ class EntropyProfile:
         return self.prefix_joint[-1]
 
 
-@dataclass(frozen=True, eq=False)
-class CandidateSet:
+class CandidateSet(namedtuple("CandidateSet", "q f profile tabulate")):
     """Candidates ordered descendingly by entropy, with their profile; the
     ordered tables, functions, are built by tabulate on their first read."""
 
-    q: int
-    f: int
-    profile: EntropyProfile
-    tabulate: Callable = field(repr=False)
+    __eq__, __ne__, __hash__ = object.__eq__, object.__ne__, object.__hash__
 
     @cached_property
     def functions(self) -> tuple:
@@ -334,16 +328,16 @@ def monomial_candidate_set(f: int, g: int, q: int) -> CandidateSet:
     """Entropy-ordered set of all nonparallel monomials (f, g, q), profiled
     from its exponent vectors (ties by graded lex).  The messages w_1..w_f must
     lead, as every other univariate bijection is a power of one: the first
-    v <= f are jointly uniform on q^v values, the first f fix the input."""
+    v <= f are jointly uniform on q^v values, so their joint is exactly v, and
+    the first f fix the input."""
     vectors = generate_nonparallel_monomials(f, g, q)
     _check_enumeration_cap(q, f, len(vectors))
     h = {e: monomial_entropy(e, q) for e in vectors}
     order = sorted(vectors, key=lambda e: (-h[e],) + grlex_key(e))
     if order[:f] != [tuple(int(i == j) for j in range(f)) for i in range(f)]:
         raise AssertionError(f"the messages do not lead the set ({f}, {g}, {q})")
-    joints = [_count_entropy([q ** (f - v)] * q**v, q**f, q) for v in range(1, f + 1)]
-    joints += joints[-1:] * (len(order) - f)
-    profile = EntropyProfile(tuple(h[e] for e in order), tuple(joints))
+    joints = tuple(float(min(v, f)) for v in range(1, len(order) + 1))
+    profile = EntropyProfile(tuple(h[e] for e in order), joints)
     return CandidateSet(q, f, profile, partial(_monomial_tables, order, q))
 
 

@@ -20,8 +20,7 @@ from __future__ import annotations
 import itertools
 import math
 from bisect import bisect_left, bisect_right
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 from functools import cached_property
 
 from ._numpy import np
@@ -38,11 +37,10 @@ BLOCK = 64
 GUESS_WORK = 8000
 
 
-@dataclass(frozen=True)
-class TypeVector:
+class TypeVector(namedtuple("TypeVector", "counts")):
     """Occurrence counts of each symbol of [0, A) over a length-L sequence."""
 
-    counts: tuple
+    __slots__ = ()
 
     def class_size(self) -> int:
         """Number of sequences sharing these counts (exact multinomial)."""
@@ -300,8 +298,7 @@ def _from_digits(digits: np.ndarray, q: int) -> int:
     return leaves[0] if leaves else 0
 
 
-@dataclass(frozen=True)
-class FixedCode:
+class FixedCode(namedtuple("FixedCode", "q alphabet_size length budget")):
     """Parameters of one fixed-length code: alphabet, length, entropy budget.
 
     budget is in q-ary units per source symbol (target entropy plus slack);
@@ -310,12 +307,10 @@ class FixedCode:
     The header is the explicit sublinear overhead of the code.
     """
 
-    q: int
-    alphabet_size: int
-    length: int
-    budget: float
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace validates
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         require_prime(self.q)
         if self.q >= 2**62:
             raise UsageError(f"q = {self.q} is too large: digits are held in int64")
@@ -333,6 +328,7 @@ class FixedCode:
         cap = math.log(self.alphabet_size, self.q) + 1
         if self.budget > cap:
             raise UsageError(f"budget {self.budget} exceeds log_q(A) + 1 = {cap}")
+        return self
 
     @cached_property
     def header_len(self) -> int:  # smallest d with q^d >= the number of types
@@ -355,12 +351,10 @@ class FixedCode:
         return self.q**self.payload_len
 
 
-@dataclass(frozen=True)
-class Codeword:
+class Codeword(namedtuple("Codeword", "code symbols")):
     """codeword_len symbols over F_q, or the Atypical marker (symbols=None)."""
 
-    code: FixedCode
-    symbols: tuple | None
+    __slots__ = ()
 
     @property
     def atypical(self) -> bool:

@@ -32,8 +32,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
-from functools import cached_property
+from collections import namedtuple
+from functools import cache, cached_property
 
 from ._numpy import np
 from .candidates import CandidateSet, require_nondegenerate
@@ -73,21 +73,19 @@ BLOCK = 2**13
 # ---------------------------------------------------------------- query plans
 
 
-@dataclass(frozen=True, eq=False)
-class QueryPlan:
+class QueryPlan(namedtuple("QueryPlan", "v permutation sums side_ref bounds")):
     """All tau-sums for one retrieval, plus the private permutation.
 
-    Database j's sums are rows bounds[j-1]:bounds[j], round by round, in the
-    order it answers them.  sums[i, w-1] is the subindex of candidate w in sum
-    i, 0 when w is not a member; side_ref[i] is the undesired (tau-1)-sum a
+    permutation[t-1] is the actual segment index of subindex t, 1-based.
+    Database j's sums are rows bounds[j-1]:bounds[j] of the (S, mu) matrix
+    sums, round by round, in the order it answers them; bounds holds n + 1
+    row offsets.  sums[i, w-1] is the subindex of candidate w in sum i, 0
+    when w is not a member; side_ref[i] is the undesired (tau-1)-sum a
     desired sum extends, -1 for none.
     """
 
-    v: int
-    permutation: np.ndarray  # permutation[t-1] = actual segment index, 1-based
-    sums: np.ndarray  # (S, mu) subindex matrix
-    side_ref: np.ndarray
-    bounds: np.ndarray  # n + 1 row offsets, one database after another
+    # compared by identity: comparing the arrays would be ambiguous
+    __eq__, __ne__, __hash__ = object.__eq__, object.__ne__, object.__hash__
 
     @property
     def n(self) -> int:
@@ -223,6 +221,7 @@ def generate_query_plan(n: int, mu: int, v: int, seed=None) -> QueryPlan:
 # ------------------------------------------------------------- message store
 
 
+@cache  # called per database and per stage: np.iinfo costs microseconds
 def symbol_dtype(q: int) -> np.dtype:
     """The narrowest of int8 and int16 in which two symbols of F_q add
     without overflow before they are reduced: int8 up to q = 61."""
@@ -235,12 +234,11 @@ def symbol_dtype(q: int) -> np.dtype:
     )
 
 
-@dataclass
-class MessageStore:
-    """f uniform messages of beta*L symbols each, replicated at every database."""
+class MessageStore(namedtuple("MessageStore", "q messages")):
+    """f uniform messages of beta*L symbols each, replicated at every
+    database: messages has shape (f, beta, L), values in [0, q)."""
 
-    q: int
-    messages: np.ndarray  # shape (f, beta, L), values in [0, q)
+    __slots__ = ()
 
     @property
     def length(self) -> int:
@@ -275,14 +273,15 @@ def evaluate_candidates(store: MessageStore, candidate_set: CandidateSet):
 # ------------------------------------------------------------------- answers
 
 
-@dataclass(frozen=True)
-class ConcreteCodes:
-    """Shared deterministic code parameters for concrete answers/decoding."""
+class ConcreteCodes(
+    namedtuple("ConcreteCodes", "joint_code image_tuples image_of_code sum_codes")
+):
+    """Shared deterministic code parameters for concrete answers/decoding:
+    image_tuples, the (A, mu) distinct candidate tuples in lexicographic
+    order; image_of_code, input code -> image index; sum_codes, lead member
+    (0-based column) of a tau-sum, tau >= 2 -> code."""
 
-    joint_code: FixedCode
-    image_tuples: np.ndarray  # (A, mu) distinct candidate tuples, lexicographic
-    image_of_code: np.ndarray  # input code -> image index
-    sum_codes: tuple  # lead member (0-based column) of a tau-sum, tau >= 2 -> code
+    __slots__ = ()
 
 
 def build_concrete_codes(
@@ -396,10 +395,9 @@ def answer_queries(
 # -------------------------------------------------------------------- decode
 
 
-@dataclass
-class DecodeResult:
-    segments: np.ndarray  # recovered desired image, shape (beta, L), real order
-    failed: list  # real segment indices (1-based) that could not be decoded
+# segments: the recovered desired image, shape (beta, L), in real order;
+# failed: the real segment indices (1-based) that could not be decoded
+DecodeResult = namedtuple("DecodeResult", "segments failed")
 
 
 def decode(
@@ -501,9 +499,10 @@ def decode(
 # ----------------------------------------------------------- privacy checks
 
 
-@dataclass
-class PrivacyReport:
-    violations: list  # empty when the certificate holds
+class PrivacyReport(namedtuple("PrivacyReport", "violations")):
+    """violations is empty when the certificate holds."""
+
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:
@@ -608,27 +607,24 @@ def verify_privacy_structure(plan: QueryPlan) -> PrivacyReport:
 # --------------------------------------------------------------- simulation
 
 
-@dataclass
-class SimulationConfig:
-    n: int
-    candidate_set: CandidateSet
-    length: int  # L, symbols per segment
-    v: int
-    mode: str = "symbolic"
-    seed: int = 0
-    epsilon: float = DEFAULT_EPSILON
+# length is L, the symbols per segment
+SimulationConfig = namedtuple(
+    "SimulationConfig",
+    "n candidate_set length v mode seed epsilon",
+    defaults=("symbolic", 0, DEFAULT_EPSILON),
+)
 
 
-@dataclass
-class SimulationReport:
-    config: SimulationConfig
-    total_download: float  # q-ary units
-    rate_measured: float
-    rate_formula: float
-    recovery_ok: bool
-    privacy_ok: bool
-    per_round: list  # (tau, total charge in q-ary units)
-    decode_failure_rate: float
+class SimulationReport(
+    namedtuple(
+        "SimulationReport",
+        "config total_download rate_measured rate_formula recovery_ok privacy_ok "
+        "per_round decode_failure_rate",
+    )
+):
+    """Downloads in q-ary units; per_round lists (tau, total charge)."""
+
+    __slots__ = ()
 
     def as_dict(self) -> dict:
         cs = self.config.candidate_set

@@ -12,7 +12,7 @@ function, no privacy constraint binds).
 """
 
 import math
-from dataclasses import asdict, dataclass
+from collections import namedtuple
 
 from .candidates import EntropyProfile
 from .errors import DegenerateInstanceError, UsageError
@@ -150,32 +150,29 @@ def d_one(n: int, profile: EntropyProfile) -> float:
     return scheme_download(n, profile.joint, profile.h[:-1])
 
 
-@dataclass(frozen=True)
-class RateReport:
-    """All rate figures for one (n, candidate set) instance."""
+class RateReport(
+    namedtuple(
+        "RateReport",
+        "n mu f h_min achievable outer_bound lower_bound baseline_pir "
+        "baseline_pir_unnormalized d_opt d_one capacity_met degenerate",
+    )
+):
+    """All rate figures for one (n, candidate set) instance; degenerate is
+    mu = 1, rate 1 by the direct-retrieval convention."""
 
-    n: int
-    mu: int
-    f: int
-    h_min: float
-    achievable: float
-    outer_bound: float
-    lower_bound: float
-    baseline_pir: float
-    baseline_pir_unnormalized: float
-    d_opt: float
-    d_one: float
-    capacity_met: bool
-    degenerate: bool  # mu = 1: rate 1 by the direct-retrieval convention
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace validates
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.lower_bound > self.achievable + 1e-9:
             raise UsageError("lower bound exceeds achievable rate")
         if self.achievable > self.outer_bound + 1e-9:
             raise UsageError("achievable rate exceeds outer bound")
+        return self
 
     def as_dict(self) -> dict:
-        return asdict(self)
+        return self._asdict()
 
 
 def rate_report(n: int, candidate_set) -> RateReport:

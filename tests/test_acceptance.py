@@ -6,7 +6,6 @@ Run with `pytest -s tests/test_acceptance.py` to see the per-criterion lines.
 import itertools
 import math
 import time
-from dataclasses import replace
 
 import numpy as np
 
@@ -205,8 +204,7 @@ def test_criterion_4_recovery_and_privacy():
     plan = generate_query_plan(2, 2, 1, seed=0)
     extra = np.zeros((1, plan.mu), dtype=plan.sums.dtype)
     extra[0, 0] = 3
-    tampered = replace(
-        plan,
+    tampered = plan._replace(
         sums=np.vstack([plan.sums, extra]),
         side_ref=np.append(plan.side_ref, -1),
         bounds=np.append(plan.bounds[:-1], plan.bounds[-1] + 1),

@@ -552,7 +552,24 @@ def test_monomial_candidate_set_equals_oracle(q):
         vectors, h, joints = oracle_candidate_set(oracle_nonparallel(f, g, q), q)
         assert [t.exponents for t in cs.functions] == vectors
         assert cs.profile.h == h
-        assert cs.profile.prefix_joint == joints
+        # the joints are exactly 1..f, then f (test below); the oracle's
+        # sums of q^v equal counts c * log(c) round them
+        assert cs.profile.prefix_joint == pytest.approx(joints, rel=0, abs=1e-12)
+
+
+@pytest.mark.parametrize("q", [2, 3, 5, 7])
+def test_monomial_prefix_joints_are_exact(q):
+    # the first v <= f candidates are the messages, uniform on q^v values:
+    # their joint is v exactly, where summing q^v equal counts could round
+    for f in range(1, 9):
+        for g in (1, 2, 3):
+            try:
+                cs = monomial_candidate_set(f, g, q)
+            except ResourceLimitError:
+                continue
+            joints = cs.profile.prefix_joint
+            assert joints[:f] == tuple(float(v) for v in range(1, f + 1))
+            assert joints[f:] == (float(f),) * (cs.mu - f)
 
 
 @pytest.mark.parametrize("f,g,q", [(7, 3, 3), (10, 2, 3)])

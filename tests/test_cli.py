@@ -517,6 +517,31 @@ def test_rate_pipeline_never_imports_numpy(tmp_path):
     ]
 
 
+# a fresh interpreter runs the benchmark child's import line, reports which
+# of the modules start-up should not need it loaded, then runs `entropy`
+COLD_START_PROBE = """
+import contextlib, io, json, sys
+import privcomp
+from privcomp import candidates, cli, protocol, rates
+
+loaded = [m for m in ("dataclasses", "inspect", "fractions", "numpy") if m in sys.modules]
+out = io.StringIO()
+with contextlib.redirect_stdout(out):
+    code = cli.main(["entropy", "--q", "3", "--monomial", "1,1"])
+print(json.dumps([loaded, code, out.getvalue()]))
+"""
+
+
+def test_cold_start_loads_no_dataclasses_inspect_or_fractions(capsys):
+    proc = run_python("-c", COLD_START_PROBE, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    loaded, code, out = json.loads(proc.stdout)
+    assert loaded == []
+    assert code == 0
+    assert json.loads(out)["pmf"] == {"0": "5/9", "1": "2/9", "2": "2/9"}
+    assert out == run_cli(capsys, "entropy", "--q", "3", "--monomial", "1,1")[1]
+
+
 # ------------------------------------------------------------------- parsing
 
 
@@ -676,9 +701,7 @@ def test_simulate_exit_one_on_failed_verification(capsys, monkeypatch):
     real = protocol.run_simulation
 
     def broken(config):
-        report = real(config)
-        report.recovery_ok = False
-        return report
+        return real(config)._replace(recovery_ok=False)
 
     monkeypatch.setattr(cli.protocol, "run_simulation", broken)
     code, out, _ = run_cli(

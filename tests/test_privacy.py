@@ -2,7 +2,6 @@ import importlib.util
 import itertools
 import tracemalloc
 from collections import Counter
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -27,7 +26,7 @@ def sibling_plans(n, mu, seed=0):
     """Plans for every desired index, sharing one private permutation."""
     permutation = generate_query_plan(n, mu, 1, seed=seed).permutation
     return [
-        replace(generate_query_plan(n, mu, v), permutation=permutation)
+        generate_query_plan(n, mu, v)._replace(permutation=permutation)
         for v in range(1, mu + 1)
     ]
 
@@ -53,8 +52,7 @@ def test_negative_control_extra_desired_singleton():
     plan = generate_query_plan(2, 2, 1, seed=0)
     extra = np.zeros((1, plan.mu), dtype=plan.sums.dtype)
     extra[0, plan.v - 1] = 3
-    tampered = replace(
-        plan,
+    tampered = plan._replace(
         sums=np.vstack([plan.sums, extra]),
         side_ref=np.append(plan.side_ref, -1),
         bounds=np.append(plan.bounds[:-1], plan.bounds[-1] + 1),
@@ -82,7 +80,7 @@ def test_relabeling_detects_breakage():
     i = np.flatnonzero(~plans[0].desired & (plans[0].round == 2))[0]
     (w1, w2) = np.flatnonzero(sums[i])
     sums[i, w1] = sums[i, w2]
-    tampered = replace(plans[0], sums=sums)
+    tampered = plans[0]._replace(sums=sums)
     assert all(
         type_multiset(tampered, j) == type_multiset(plans[1], j) for j in (1, 2)
     )
@@ -105,8 +103,8 @@ def test_cyclic_symmetry_alone_is_not_privacy():
         v=1, permutation=np.arange(1, 9), sums=sums,
         side_ref=np.full(rows, -1), bounds=np.array([0, rows, rows]),
     )
-    cycled = replace(plan, sums=sums[:, [2, 0, 1]])
-    swapped = replace(plan, sums=sums[:, [1, 0, 2]])
+    cycled = plan._replace(sums=sums[:, [2, 0, 1]])
+    swapped = plan._replace(sums=sums[:, [1, 0, 2]])
     if importlib.util.find_spec("networkx"):
         assert vf2_isomorphic(plan, cycled, 1)
         assert not vf2_isomorphic(plan, swapped, 1)
@@ -122,7 +120,7 @@ def wire_distributions(n, mu):
     """Distribution of each database's wire view over all permutations."""
     beta = n**mu
     plans = [
-        replace(generate_query_plan(n, mu, v), permutation=np.arange(1, beta + 1))
+        generate_query_plan(n, mu, v)._replace(permutation=np.arange(1, beta + 1))
         for v in range(1, mu + 1)
     ]
     views = {
@@ -203,7 +201,7 @@ def test_full_joint_distribution_micro_exhaustive():
     beta = n**mu
     cs = candidate_set_from_exponents([(1, 0), (1, 1)], q)
     plans = {
-        (v, perm): replace(generate_query_plan(n, mu, v), permutation=np.array(perm))
+        (v, perm): generate_query_plan(n, mu, v)._replace(permutation=np.array(perm))
         for v in (1, 2)
         for perm in itertools.permutations(range(1, beta + 1))
     }
@@ -326,6 +324,6 @@ def test_certificate_rejects_a_class_that_runs_past_the_last_row():
     sums = plan.sums.copy()
     sums[5, 1] = 0
     assert (plan.rows(2), plan.round[5], sums[5, 0]) == (slice(3, 6), 2, 4)
-    report = verify_privacy_structure(replace(plan, sums=sums))
+    report = verify_privacy_structure(plan._replace(sums=sums))
     assert report.relabeling_ok is False
     assert any("multiset is not symmetric" in v for v in report.violations)

@@ -3,8 +3,6 @@ on plans with one entry changed: the certificate may only certify private
 plans, and at n = 2, where every (database, round, type) class holds one sum,
 it must certify every private plan."""
 
-from dataclasses import replace
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -24,7 +22,7 @@ def mutated_plans(draw):
     w = draw(st.integers(0, mu - 1))
     sums = plan.sums.copy()
     sums[r, w] = draw(st.integers(0, plan.beta).filter(lambda t: t != sums[r, w]))
-    return replace(plan, sums=sums)
+    return plan._replace(sums=sums)
 
 
 def vf2_private(plan):
@@ -32,7 +30,7 @@ def vf2_private(plan):
     for w in range(1, plan.mu):
         sums = plan.sums.copy()
         sums[:, [0, w]] = sums[:, [w, 0]]
-        swapped = replace(plan, sums=sums)
+        swapped = plan._replace(sums=sums)
         if not all(vf2_isomorphic(plan, swapped, j) for j in range(1, plan.n + 1)):
             return False
     return True

@@ -2,7 +2,6 @@ import itertools
 import math
 import tracemalloc
 from collections import Counter
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -558,7 +557,7 @@ def test_answer_unknown_subindex():
     bad_sums = plan.sums.copy()
     rows = plan.rows(1)
     bad_sums[rows][plan.round[rows] == 2, 0] = 99
-    bad = replace(plan, sums=bad_sums)
+    bad = plan._replace(sums=bad_sums)
     with pytest.raises(ProtocolError):
         answer_queries(1, bad, store, cs, evaluate_candidates(store, cs))
 
@@ -570,7 +569,7 @@ def test_decode_missing_side_information():
     values = evaluate_candidates(store, cs)
     answers = [answer_queries(j, plan, store, cs, values)[0] for j in (1, 2)]
     broken_refs = np.where(plan.desired & (plan.round == 2), -1, plan.side_ref)
-    broken = replace(plan, side_ref=broken_refs)
+    broken = plan._replace(side_ref=broken_refs)
     with pytest.raises(ProtocolError):
         decode(broken, answers, cs)
 
@@ -593,9 +592,9 @@ def test_decode_rejects_inconsistent_plans_and_answers():
     dropped = plan.sums.copy()
     dropped[desired[0], plan.v - 1] = 0
     for bad, message in [
-        (replace(plan, side_ref=refs), "does not match"),
-        (replace(plan, sums=twice), "decoded twice"),
-        (replace(plan, sums=dropped), "did not cover"),
+        (plan._replace(side_ref=refs), "does not match"),
+        (plan._replace(sums=twice), "decoded twice"),
+        (plan._replace(sums=dropped), "did not cover"),
     ]:
         with pytest.raises(ProtocolError, match=message):
             decode(bad, answers, cs)
@@ -636,7 +635,7 @@ def test_simulation_checks_symbolic_ledger(monkeypatch):
     with pytest.raises(ProtocolError, match="d_one"):
         run_simulation(config)
     # concrete totals are code lengths, not L * d_one
-    run_simulation(replace(config, mode="concrete"))
+    run_simulation(config._replace(mode="concrete"))
 
 
 def test_simulation_field_size_fits_int16_sums():
