@@ -189,21 +189,31 @@ def generate_nonparallel_monomials(f: int, g: int, q: int) -> list:
     return kept
 
 
-def _count_entropy(counts: list, n: int, q: int) -> float:
-    """Entropy (base q) of n samples with these counts, summed in sorted order
-    so equal count multisets give bit-identical floats (ties compare equal)."""
+def _count_entropy(runs, n: int, q: int) -> float:
+    """Entropy (base q) of n samples from (count, multiplicity) runs in count
+    order: each c log c is added m times, as a flat sorted list adds it, so
+    equal count multisets give bit-identical floats (ties compare equal)."""
     s = 0.0
-    # a count of 1 adds 1*log(1) = 0.0 exactly, so only counts > 1 are summed
-    for c in sorted(c for c in counts if c > 1):
-        s += c * math.log(c)
+    # a count of 1 adds 1*log(1) = 0.0 exactly, and a run of q - 1 would cost O(q)
+    for c, m in runs:
+        if c > 1:
+            term = c * math.log(c)
+            for _ in range(m):
+                s += term
     return (math.log(n) - s / n) / math.log(q)
+
+
+def _runs(counts) -> list:
+    """(count, multiplicity) runs of a numpy array's counts above 1."""
+    distinct, multiplicity = np.unique(counts[counts > 1], return_counts=True)
+    return list(zip(distinct.tolist(), multiplicity.tolist()))
 
 
 def table_entropy(table: FunctionTable) -> float:
     """Exact entropy of a candidate under uniform inputs, q-ary units."""
     if table.f == 0:  # one cell: entropy 0; else bincount's q slots fit in q^f
         return 0.0
-    return _count_entropy(np.bincount(table.values).tolist(), len(table.values), table.q)
+    return _count_entropy(_runs(np.bincount(table.values)), len(table.values), table.q)
 
 
 class EntropyProfile(namedtuple("EntropyProfile", "h prefix_joint")):
@@ -275,8 +285,7 @@ def _prefix_joint_entropies(rows, order, q: int, first: float) -> tuple:
     for i in order[1:]:
         keys = labels * q + rows[i]
         distinct, counts = np.unique(keys, return_counts=True)
-        # up to one count per input: drop the 1s before leaving numpy
-        joints.append(_count_entropy(counts[counts > 1].tolist(), cells, q))
+        joints.append(_count_entropy(_runs(counts), cells, q))
         if len(distinct) == cells:
             break
         # searchsorted ranks keys in less memory than unique's return_inverse
@@ -319,9 +328,7 @@ def monomial_entropy(e: tuple, q: int) -> float:
     active = [x for x in e if x]
     f, k, d = len(e), len(active), math.gcd(q - 1, *active)
     zero, nonzero = q**f - (q - 1) ** k * q ** (f - k), d * (q - 1) ** (k - 1) * q ** (f - k)
-    # counts of 1 add exactly 0.0: listing (q-1)/d of them would cost O(q)
-    repeats = (q - 1) // d if nonzero > 1 else 0
-    return _count_entropy([zero] + [nonzero] * repeats, q**f, q)
+    return _count_entropy(sorted([(zero, 1), (nonzero, (q - 1) // d)]), q**f, q)
 
 
 def monomial_candidate_set(f: int, g: int, q: int) -> CandidateSet:

@@ -13,7 +13,9 @@ import csv
 import io
 import json
 import math
+import os
 import sys
+from contextlib import nullcontext
 from importlib import resources
 
 from . import candidates as cand
@@ -52,8 +54,24 @@ def _round_floats(obj):
     return obj
 
 
-def _emit_json(obj, out=None):
-    (out or sys.stdout).write(json.dumps(_round_floats(obj), indent=2) + "\n")
+def _write(text: str, path=None):
+    """Write text to path, or to stdout when path is empty.  An OSError at
+    open, write or close is a usage error."""
+    try:
+        with open(path, "w", newline="") if path else nullcontext(sys.stdout) as out:
+            out.write(text)
+            out.flush()
+    except OSError as exc:
+        if not path:  # the flush at exit then writes to the null device
+            null = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(null, sys.stdout.fileno())
+            os.close(null)
+        where = f"--out {path}" if path else "stdout"
+        raise UsageError(f"cannot write {where}: {exc.strerror or exc}") from None
+
+
+def _emit_json(obj):
+    _write(json.dumps(_round_floats(obj), indent=2) + "\n")
 
 
 def _parse_int_list(text: str, option: str) -> list:
@@ -143,16 +161,7 @@ def cmd_figure(args) -> int:
             f"{r['n']},{r['g']},{r['f']},{r['mu']},"
             f"{_fmt(r['h_min'])},{_fmt(r['achievable'])},{_fmt(r['converse'])}"
         )
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        try:
-            fh = open(args.out, "w", newline="")
-        except OSError as exc:
-            raise UsageError(f"cannot write --out {args.out}: {exc.strerror}") from None
-        with fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write("\n".join(lines) + "\n", args.out)
 
     reference = load_reference_figure() if args.q == 3 else {}
     worst = 0.0

@@ -2,9 +2,12 @@
 
 Every function takes an EntropyProfile (candidate entropies sorted descending
 plus prefix joint entropies, all in q-ary units) and evaluates the rate or
-per-segment download cost in double precision.  Denominator sums accumulate
-Horner-style from the smallest terms up to bound roundoff; the reported
-figures are compared against 15-digit references at 1e-9.
+per-segment download cost in double precision.  Each closed form is one
+Horner sum over a list of per-v terms, in n for a download and in 1/n for a
+rate: the converse's terms are the prefix-joint increments H(X^[v]) -
+H(X^[v-1]), the scheme's are h[v] for v < mu, then the joint less their
+exactly rounded sum.  The reported figures are compared against 15-digit
+references at 1e-9.
 
 Conventions: replication needs n >= 2 databases; a single candidate (mu = 1)
 is degenerate retrieval with rate 1 (compressed download of the one possible
@@ -33,17 +36,36 @@ def pir_capacity(n: int, f: int) -> float:
     return (1 - 1 / n) / (1 - (1 / n) ** f)
 
 
+def _horner(x, terms):
+    """terms[0] + x (terms[1] + x (...)) from the integer 0: integer terms at an
+    integer x stay exact, and a float sum past the double range is math.inf."""
+    acc = 0
+    for t in reversed(terms):
+        acc = acc * x + t
+    return acc
+
+
+def _increments(profile: EntropyProfile) -> list:
+    """The converse's terms: H(X^[v]) - H(X^[v-1]) for v = 1..mu."""
+    joint = profile.prefix_joint
+    return [jv - prev for prev, jv in zip((0.0, *joint), joint)]
+
+
+def _scheme_terms(joint, lead_costs) -> list:
+    """The scheme's terms: the cost of one sum led by each v < mu, then the
+    joint less all of them, totalled exactly (integers as integers)."""
+    total = sum if all(isinstance(c, int) for c in lead_costs) else math.fsum
+    return [*lead_costs, joint - total(lead_costs)]
+
+
 def d_opt(n: int, profile: EntropyProfile) -> float:
     """Converse-bound download cost per segment length.
 
-    Sum over v of n^(mu-v+1) * [H(X^[v]) - H(X^[v-1])], evaluated by Horner
-    from v = mu down to v = 1; past the double range it is math.inf.
+    Sum over v of n^(mu-v+1) * [H(X^[v]) - H(X^[v-1])], by Horner in n; past
+    the double range it is math.inf.
     """
     _check_n(n)
-    acc = prev = 0.0
-    for jv in profile.prefix_joint:
-        acc, prev = acc * n + (jv - prev), jv
-    return n * acc
+    return n * _horner(n, _increments(profile)[::-1])
 
 
 def outer_bound(n: int, profile: EntropyProfile) -> float:
@@ -53,11 +75,7 @@ def outer_bound(n: int, profile: EntropyProfile) -> float:
     H(X^[v-1])] by Horner in 1/n, so it stays finite past the double range.
     """
     _check_n(n)
-    x = 1.0 / n
-    joint = profile.prefix_joint
-    acc = 0.0
-    for v in range(len(joint) - 1, -1, -1):
-        acc = acc * x + (joint[v] - (joint[v - 1] if v else 0.0))
+    acc = _horner(1.0 / n, _increments(profile))
     if acc <= 0.0:
         raise DegenerateInstanceError("all candidates constant; no converse bound")
     return profile.h_min / acc
@@ -67,18 +85,12 @@ def achievable_rate(n: int, profile: EntropyProfile) -> float:
     """Rate of the compress-then-sum scheme for an arbitrary candidate set.
 
     h_min / ( sum_{v<mu} n^-(v-1) h[v] + n^-(mu-1) [joint - sum_{v<mu} h[v]] ),
-    which equals 1 when mu = 1.
+    by Horner in 1/n over the scheme's terms; it equals 1 when mu = 1.
     """
     _check_n(n)
-    h = profile.h
-    mu = profile.mu
     if profile.h_max <= 0.0:
         raise DegenerateInstanceError("all candidates constant; rate undefined")
-    x = 1.0 / n
-    acc = profile.joint - sum(h[: mu - 1])
-    for v in range(mu - 1, 0, -1):
-        acc = acc * x + h[v - 1]
-    return profile.h_min / acc
+    return profile.h_min / _horner(1.0 / n, _scheme_terms(profile.joint, profile.h[:-1]))
 
 
 def rate_lower_bound(n: int, mu: int, h_min: float, h_max: float) -> float:
@@ -131,16 +143,10 @@ def round_download(tau: int, n: int, profile: EntropyProfile) -> float:
 def scheme_download(n: int, joint, lead_costs):
     """n (joint + sum_{v<mu} lead_costs[v-1] (n^(mu-v) - 1)), the scheme's
     download from its round-1 cost per database and the cost of one sum led
-    by each v < mu (C(mu-v, tau-1) (n-1)^(tau-1) per database in round tau).
-    Exact for integer costs; math.inf past the double range for floats."""
-    mu = len(lead_costs) + 1
-    later = 0  # added in order, not by sum(), which compensates from 3.12 on
-    try:
-        for v, cost in enumerate(lead_costs, 1):
-            later += cost * (n ** (mu - v) - 1)
-    except OverflowError:  # an integer factor is past the double range
-        return math.inf
-    return n * joint + n * later
+    by each v < mu (C(mu-v, tau-1) (n-1)^(tau-1) per database in round tau),
+    by Horner in n over the scheme's terms.  Exact for integer costs;
+    math.inf past the double range for floats."""
+    return n * _horner(n, _scheme_terms(joint, lead_costs)[::-1])
 
 
 def d_one(n: int, profile: EntropyProfile) -> float:

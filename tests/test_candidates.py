@@ -545,6 +545,30 @@ def test_monomial_entropy_large_prime_lists_no_unit_counts():
     assert peak < 2**20, peak
 
 
+def flat_count_entropy(counts, n, q):
+    """Oracle: the entropy summed over the flat sorted list of counts."""
+    s = 0.0
+    for c in sorted(c for c in counts if c > 1):
+        s += c * math.log(c)
+    return (math.log(n) - s / n) / math.log(q)
+
+
+@pytest.mark.parametrize(
+    "e,q", [((1, 1), 100003), ((2,), 200003), ((4, 6), 100019), ((3, 0, 1), 101)]
+)
+def test_monomial_entropy_equals_the_flat_count_sum(e, q):
+    # the zero count once, then (q-1)/d equal nonzero counts: about 10^5 of
+    # them at the first three q, added one by one in both sums
+    active = [x for x in e if x]
+    f, k, d = len(e), len(active), math.gcd(q - 1, *active)
+    zero = q**f - (q - 1) ** k * q ** (f - k)
+    counts = [zero] + [d * (q - 1) ** (k - 1) * q ** (f - k)] * ((q - 1) // d)
+    assert len(counts) > 10**4 or q == 101
+    assert monomial_entropy(e, q) == flat_count_entropy(counts, q**f, q)
+    if q**f <= 10**6:
+        assert table_entropy(build_monomial(e, q)) == monomial_entropy(e, q)
+
+
 @pytest.mark.parametrize("q", [2, 3, 5, 7])
 def test_monomial_candidate_set_equals_oracle(q):
     for _, f, g in (cell for cell in ORACLE_GRID if cell[0] == q):

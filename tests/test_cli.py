@@ -1,4 +1,5 @@
 import csv
+import errno
 import hashlib
 import json
 import math
@@ -6,8 +7,8 @@ import os
 
 import pytest
 
-from privcomp.cli import main, parse_candidates
-from privcomp import UsageError
+from privcomp.cli import _fmt, main, parse_candidates
+from privcomp import UsageError, candidate_set_from_exponents, d_one
 from test_rates import achievable_messages_oracle, outer_messages_oracle
 
 
@@ -637,6 +638,21 @@ def test_candidate_lower_bound_rejected_before_the_sort(capsys, monkeypatch):
     )
 
 
+def test_simulate_total_prints_the_digits_of_l_d_one(capsys):
+    # added from the left, these 106,496 charges printed 936883.085764
+    candidates = "1,2,0;2,0,0;2,2,2;2,2,0;1,2,2;2,0,1;0,2,1;0,2,0;2,1,1;1,2,1;2,1,0;0,0,2;0,2,2"
+    code, out, _ = run_cli(
+        capsys, "simulate", "--n", "2", "--q", "3", "--candidates", candidates,
+        "--L", "64", "--v", "1",
+    )
+    report = json.loads(out)
+    cs = candidate_set_from_exponents(parse_candidates(candidates), 3)
+    closed_form = float(_fmt(64 * d_one(2, cs.profile)))
+    assert code == 0
+    assert report["D_total_qary"] == closed_form == 936883.085763
+    assert report["rate_measured"] == report["rate_formula"]
+
+
 def test_simulate_byte_stable(capsys):
     args = (
         "simulate", "--n", "2", "--q", "3", "--candidates", "1,0;1,1",
@@ -647,8 +663,9 @@ def test_simulate_byte_stable(capsys):
     assert out1 == out2
 
 
-def run_python(*args, timeout=None):
-    """Run a fresh interpreter on the tree this test imported, installed or not."""
+def run_python(*args, timeout=None, stdout=None):
+    """Run a fresh interpreter on the tree this test imported, installed or not;
+    stdout is captured unless a file is given."""
     import subprocess
     import sys
 
@@ -658,16 +675,38 @@ def run_python(*args, timeout=None):
     path = os.pathsep.join(filter(None, [src_root, os.environ.get("PYTHONPATH")]))
     return subprocess.run(
         [sys.executable, *args],
-        capture_output=True,
+        stdout=stdout or subprocess.PIPE,
+        stderr=subprocess.PIPE,
         text=True,
         env={**os.environ, "PYTHONPATH": path},
         timeout=timeout,
     )
 
 
-def run_module(*argv, timeout=None):
+def run_module(*argv, timeout=None, stdout=None):
     """Run `python -m privcomp.cli` on the tree this test imported, installed or not."""
-    return run_python("-m", "privcomp.cli", *argv, timeout=timeout)
+    return run_python("-m", "privcomp.cli", *argv, timeout=timeout, stdout=stdout)
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize(
+    "argv,target",
+    [
+        (["figure", "--out", "/dev/full"], "--out /dev/full"),
+        (["figure"], "stdout"),
+        (["monomials", "--q", "3", "--f", "2", "--g", "2"], "stdout"),
+        (["rates", "--n", "3", "--q", "3", "--f", "2", "--g", "2"], "stdout"),
+        (["simulate", "--n", "2", "--q", "3", "--candidates", "1,0;1,1", "--v", "1"],
+         "stdout"),
+    ],
+)
+def test_failed_write_is_one_error_line(argv, target):
+    # /dev/full takes the open and fails the write; the flush at exit must
+    # not report it a second time
+    with open("/dev/full", "w") as full:
+        proc = run_module(*argv, stdout=full)
+    assert proc.returncode == 2
+    assert proc.stderr == f"error: cannot write {target}: {os.strerror(errno.ENOSPC)}\n"
 
 
 def test_console_script_entry_point():

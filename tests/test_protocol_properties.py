@@ -3,6 +3,7 @@ per-sum ledger oracle in test_protocol: charges, totals and per-round sums
 must be equal bit for bit, not approximately."""
 
 import itertools
+import math
 from unittest import mock
 
 import pytest
@@ -70,7 +71,7 @@ def test_charges_equal_oracle_ledger(case):
     with mock.patch.object(protocol, "answer_queries", spy):
         rep = run_simulation(config)
     assert [j for j, _, _ in recorded] == list(range(1, n + 1))
-    ledger = []  # database-major, as the earlier ledger was kept
+    ledger = []  # every database's oracle entries, added up exactly
     for j, plan, charges in recorded:
         oracle = oracle_ledger(j, plan, cs, length, epsilon)
         first = plan.round[plan.rows(j)] == 1
@@ -78,9 +79,9 @@ def test_charges_equal_oracle_ledger(case):
         assert charges[first].tolist() == [oracle[0][1]] + [0.0] * (first.sum() - 1)
         assert charges[~first].tolist() == [c for _, c in oracle[1:]]
         ledger += oracle
-    assert rep.total_download == sum(c for _, c in ledger)
+    assert rep.total_download == math.fsum(c for _, c in ledger)
     assert rep.per_round == [
-        (tau, sum(c for r, c in ledger if r == tau)) for tau in range(1, cs.mu + 1)
+        (tau, math.fsum(c for r, c in ledger if r == tau)) for tau in range(1, cs.mu + 1)
     ]
     if epsilon is None:
         expected = length * d_one(n, cs.profile)

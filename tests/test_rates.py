@@ -26,7 +26,7 @@ from privcomp import (
     round_download,
 )
 from privcomp.candidates import EntropyProfile
-from privcomp.rates import CAPACITY_TOL
+from privcomp.rates import CAPACITY_TOL, scheme_download
 
 H_PRODUCT = 0.9057125980138373  # entropy of w1*w2 over F_3
 
@@ -331,6 +331,63 @@ def test_d_one_past_the_double_range_is_inf():
     rounds = sum(round_download(t, 3, small) for t in range(1, 201))
     assert math.isfinite(rounds)
     assert d_one(3, small) == pytest.approx(rounds, rel=1e-12, abs=0)
+
+
+# the converse's closed forms as loops of their own, written before one
+# Horner rule served every closed form: the floats must not move
+def d_opt_loop(n, profile):
+    acc = prev = 0.0
+    for jv in profile.prefix_joint:
+        acc, prev = acc * n + (jv - prev), jv
+    return n * acc
+
+
+def outer_bound_loop(n, profile):
+    x, joint = 1.0 / n, profile.prefix_joint
+    acc = 0.0
+    for v in range(len(joint) - 1, -1, -1):
+        acc = acc * x + (joint[v] - (joint[v - 1] if v else 0.0))
+    return profile.h_min / acc
+
+
+def test_converse_equals_its_loops_on_the_figure_grid():
+    from privcomp import ResourceLimitError
+
+    profiles = [  # past the double range at n = 7
+        EntropyProfile(h=(1.0,) * 10 + (0.5,) * 375,
+                       prefix_joint=tuple(range(1, 11)) + (10.0,) * 375)
+    ]
+    for q in (2, 3, 5, 7):
+        for g in (1, 2, 3, 4):
+            for f in range(1, 8):
+                try:
+                    profiles.append(monomial_candidate_set(f, g, q).profile)
+                except ResourceLimitError:
+                    break
+    profiles.append(random_candidate_set(np.random.default_rng(5)).profile)
+    for profile in profiles:
+        for n in (2, 3, 4, 5, 7):
+            assert d_opt(n, profile) == d_opt_loop(n, profile)
+            assert outer_bound(n, profile) == outer_bound_loop(n, profile)
+    assert d_opt(7, profiles[0]) == math.inf
+
+
+def test_scheme_download_of_integer_costs_is_exact():
+    # n (joint + sum_v c_v (n^(mu-v) - 1)) in integers, past the double
+    # range too
+    rng = np.random.default_rng(11)
+    for n in (2, 3, 7, 10**6):
+        for mu in (1, 2, 5, 60):
+            costs = [int(c) for c in rng.integers(0, 10**6, size=mu - 1)]
+            joint = int(rng.integers(0, 10**6))
+            expected = n * (
+                joint + sum(c * (n ** (mu - v) - 1) for v, c in enumerate(costs, 1))
+            )
+            total = scheme_download(n, joint, costs)
+            assert type(total) is int and total == expected
+    assert scheme_download(10**6, 1, [1] * 59) > 10**308
+    # float costs past the double range are math.inf, not an error
+    assert scheme_download(10**6, 1.0, [1.0] * 59) == math.inf
 
 
 # ------------------------------------------------------- invariants, report

@@ -92,8 +92,6 @@ def test_value_records_compare_and_hash_by_value():
     assert rate_report(3, cs) == rate_report(3, cs)
     assert hash(rate_report(3, cs)) == hash(rate_report(3, cs))
     assert rate_report(3, cs) != rate_report(5, cs)
-    codes = build_concrete_codes(candidate_set_from_exponents([(1, 0), (1, 1)], 3), 8)
-    assert codes == codes._replace()  # the same field objects, as a dataclass compared
 
 
 def test_array_records_compare_by_identity():
@@ -101,10 +99,12 @@ def test_array_records_compare_by_identity():
     twin = candidate_set_from_exponents([(1, 0), (1, 1)], 3)
     table = cs.functions[0]
     plan = generate_query_plan(2, 2, 1, seed=0)
+    codes = build_concrete_codes(cs, 8)
     pairs = [
         (cs, twin),
         (table, FunctionTable(table.q, table.f, table.values, table.exponents)),
         (plan, generate_query_plan(2, 2, 1, seed=0)),
+        (codes, codes._replace()),  # the same field objects
     ]
     for record, other in pairs:
         # equal fields, yet distinct records: no array is ever compared
@@ -112,6 +112,7 @@ def test_array_records_compare_by_identity():
         assert record != other and not record == other
         assert hash(record) != hash(other)
         assert len({record, other, record}) == 2
+        assert record in [other, record] and record not in [other]
     assert plan.round is plan.round and "round" in vars(plan)  # cached per plan
     assert cs.functions is cs.functions and "functions" in vars(cs)
 
