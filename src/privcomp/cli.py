@@ -81,6 +81,14 @@ def _parse_int_list(text: str, option: str) -> list:
         raise UsageError(f"{option} must be a comma list of integers")
 
 
+def _database_count(n: int) -> int:
+    try:
+        float(n)  # the rate formulas divide by n
+    except OverflowError:
+        raise UsageError(f"--n has {len(str(abs(n)))} digits, too many for a float") from None
+    return n
+
+
 def parse_candidates(text: str):
     """Parse '1,0;0,1;1,1' into exponent vectors, reporting error positions."""
     vectors = []
@@ -108,7 +116,7 @@ def _candidate_set_from_args(args) -> cand.CandidateSet:
 
 def cmd_rates(args) -> int:
     cs = _candidate_set_from_args(args)
-    report = rates.rate_report(args.n, cs)
+    report = rates.rate_report(_database_count(args.n), cs)
     out = {"q": args.q}
     out.update(report.as_dict())
     _emit_json(out)
@@ -150,7 +158,7 @@ def figure_rows(q: int, ns, gs, f_max: int):
 
 
 def cmd_figure(args) -> int:
-    ns = _parse_int_list(args.n, "--n")
+    ns = [_database_count(n) for n in _parse_int_list(args.n, "--n")]
     gs = _parse_int_list(args.g, "--g")
     if args.f_max < 1:
         raise UsageError("--f-max must be >= 1")

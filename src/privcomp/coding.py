@@ -2,11 +2,13 @@
 
 A codeword is a two-part description over F_q: a header holding the rank of
 the sequence's type (its symbol counts) among all compositions of L into A
-parts, followed by the sequence's lexicographic rank within its type class,
-zero-padded to a payload length derived from the target entropy budget.  Both
-are enumerative ranks (T. Cover, "Enumerative source encoding", 1973).
-Sequences whose type class does not fit the payload are Atypical: the encoder
-reports failure instead of producing a codeword.
+parts, then the sequence's lexicographic rank within its type class,
+zero-padded to a payload length set by the entropy budget; both are
+enumerative ranks (T. Cover, "Enumerative source encoding", 1973).  Ranking
+sums blocks of positions with numpy and updates its big integers once per
+block; unranking reads blocks off a fixed-point interval and finds each
+symbol in a tree of the counts left.  Sequences whose type class does not
+fit the payload are Atypical: the encoder reports failure instead.
 
 Because all codewords of one code share a length, they can be summed
 componentwise over F_q and later cancelled: a receiver that knows all but one
@@ -17,24 +19,22 @@ compatible after widening, since the payload is left-padded rank digits.
 
 from __future__ import annotations
 
-import itertools
 import math
-from bisect import bisect_left, bisect_right
-from collections import Counter, namedtuple
+from bisect import bisect_left
+from collections import namedtuple
 from functools import cached_property
 
 from ._numpy import np
 from .candidates import require_prime
 from .errors import CodecError, UsageError
 
-# Ranking and unranking handle BLOCK positions per update of the big
-# integers (class size and rank, about L log2 A bits): within a block the
-# products of per-position counts stay a few hundred bits wide.
+# Ranking folds BLOCK positions into one update of its big integers (about
+# L log2 A bits), unranking guesses up to BLOCK symbols per update.  A power
+# of two of at least 32, the widest int64 leaf, so leaves merge into blocks.
 BLOCK = 64
-# unranking guesses blocks while the class size's bits times the number of
-# symbols to scan exceed this; below it the big integers are short and an
-# exact scan per symbol is cheaper (about 2000 bits at A = 3, 800 at A = 9)
-GUESS_WORK = 8000
+# unranking guesses blocks while the class size is wider than this many bits;
+# below it the big integers are short and an exact step per symbol is cheaper
+GUESS_WORK = 1000
 
 
 class TypeVector(namedtuple("TypeVector", "counts")):
@@ -51,21 +51,25 @@ class TypeVector(namedtuple("TypeVector", "counts")):
         return size
 
 
-def type_of(seq, alphabet_size: int) -> TypeVector:
-    tally = Counter(seq)
-    counts = tuple(tally[s] for s in range(alphabet_size))
-    if sum(counts) != len(seq):
-        bad = next(s for s in seq if s not in range(alphabet_size))
+def _symbols(seq, alphabet_size: int):
+    """seq as an unsigned integer array, each symbol checked to be in [0, A)."""
+    x = np.asarray(seq)
+    outside = (x < 0) | (x >= alphabet_size) | (x % 1 != 0)
+    if outside.any():
+        bad = seq[int(outside.argmax())]
         raise UsageError(f"symbol {bad} outside alphabet of size {alphabet_size}")
-    return TypeVector(counts=counts)
+    return x.astype(np.min_scalar_type(alphabet_size), copy=False)
+
+
+def type_of(seq, alphabet_size: int) -> TypeVector:
+    counts = np.bincount(_symbols(seq, alphabet_size), minlength=alphabet_size)
+    return TypeVector(counts=tuple(counts.tolist()))
 
 
 def _shrink(size: int, s_acc: int, p_acc: int, q_acc: int) -> tuple:
-    """size * s_acc / q_acc and size * p_acc / q_acc, both known to be exact.
-
-    With size = whole * q_acc + part, part * s_acc / q_acc is exact too, so
-    one long division of size serves both.
-    """
+    """size * s_acc / q_acc and size * p_acc / q_acc, both known to be exact:
+    with size = whole * q_acc + part, so is part * s_acc / q_acc, and one long
+    division of size serves both."""
     whole, part = divmod(size, q_acc)
     return (
         whole * s_acc + part * s_acc // q_acc,
@@ -73,120 +77,129 @@ def _shrink(size: int, s_acc: int, p_acc: int, q_acc: int) -> tuple:
     )
 
 
-def _rank(seq, tv: TypeVector, size: int) -> int:
-    """Lexicographic rank of seq, of type tv, within its class of given size.
-
-    With t symbols left, c of them below the symbol taken and r equal to it,
-    the class members that start with a smaller symbol number size * c / t,
-    an integer, and the class shrinks to size * r / t.  Over a block these
-    fold into size * S / Q and size * P / Q, with P and Q the products of r
-    and t and S accumulated by Horner's rule.
+def _rank(x) -> tuple:
+    """Lexicographic rank of the symbol array x in its type class, and the
+    class size.  With t symbols left, c of them below the one taken and r
+    equal to it, size * c / t members start lower and size * r / t remain; a
+    block folds this into size * S / Q and size * P / Q.  Run backward from a
+    class of one, a block's offset is size * S / P and the class grows to
+    size * Q / P, both exact.
     """
-    x = np.array(seq, dtype=np.min_scalar_type(len(tv.counts)))
-    count = np.min_scalar_type(len(x))
-    c = np.empty(len(x), dtype=count)
-    r = np.empty(len(x), dtype=count)
-    # below[k]: occurrences at positions k and after of the symbols below s
-    below = np.zeros(len(x), dtype=count)
-    for s in [s for s, n in enumerate(tv.counts) if n]:
-        hit = x == s
-        (at,) = np.nonzero(hit)
-        c[at] = below[at]
-        r[at] = np.arange(len(at), 0, -1, dtype=count)
-        below += np.cumsum(hit[::-1], dtype=count)[::-1]
-    rank = 0
-    for start in range(0, len(x), BLOCK):
-        t = top = len(x) - start
-        s_acc, p_acc = 0, 1
-        block = slice(start, start + BLOCK)
-        for ck, rk in zip(c[block].tolist(), r[block].tolist()):
-            s_acc = s_acc * t + ck * p_acc
-            p_acc *= rk
-            t -= 1
-        offset, size = _shrink(size, s_acc, p_acc, math.perm(top, top - t))
+    # c and r at every k: a pair j > k with x[j] < x[k] first differs in a bit
+    # b, so with positions stably sorted by x >> (b + 1), k gains the zeros of
+    # bit b after it in its group if it has a one there; bit 0 also gives r
+    c = np.zeros(len(x), dtype=np.int64)
+    for b in range(max(1, int(x.max(initial=0)).bit_length())):
+        high = x >> (b + 1)
+        order = np.argsort(high, kind="stable")
+        group = np.bincount(high)
+        end = np.repeat(np.cumsum(group), group)  # end of each one's group
+        one = (x[order] >> b) & 1
+        zeros = np.cumsum(1 - one, dtype=np.int64)
+        later = zeros[end - 1] - zeros  # zeros after each in its group
+        c[order] += one * later
+        if not b:
+            r = np.empty_like(c)
+            zeros = later + 1 - one  # zeros from each on
+            r[order] = np.where(one, end - np.arange(len(x)) - zeros, zeros)
+    # per block, P and Q multiply the r and t, S sums each c times the r before
+    # and the t after it: leaves of w positions in int64 (t^w < 2^62 bounds Q,
+    # S < Q), merged in pairs as S = S_l Q_r + P_l S_r; padding changes none
+    w = 1 << (62 // max(1, len(x)).bit_length()).bit_length() - 1
+    cols = np.ones((3, len(x) + -len(x) % BLOCK), dtype=np.int64)
+    cols[0] = 0
+    cols[:, : len(x)] = c, r, np.arange(len(x), 0, -1)
+    c, r, t = cols.reshape(3, -1, w)
+    s, p, q = c[:, 0], r[:, 0], t[:, 0]
+    for j in range(1, w):
+        s = s * t[:, j] + c[:, j] * p
+        p, q = p * r[:, j], q * t[:, j]
+    s, p, q = s.astype(object), p.astype(object), q.astype(object)
+    for _ in range(BLOCK.bit_length() - w.bit_length()):
+        s, p, q = s[::2] * q[1::2] + p[::2] * s[1::2], p[::2] * p[1::2], q[::2] * q[1::2]
+    rank, size = 0, 1
+    for s_acc, p_acc, q_acc in zip(s[::-1].tolist(), p[::-1].tolist(), q[::-1].tolist()):
+        offset, size = _shrink(size, s_acc, q_acc, p_acc)
         rank += offset
-    return rank
+    return rank, size
 
 
 def rank_in_type(seq, alphabet_size: int) -> int:
     """Lexicographic rank of seq among all sequences of its type."""
-    tv = type_of(seq, alphabet_size)
-    return _rank(seq, tv, tv.class_size())
+    return _rank(_symbols(seq, alphabet_size))[0]
 
 
 def unrank_in_type(rank: int, tv: TypeVector) -> tuple:
     """Inverse of rank_in_type for the given type.
 
-    While the class size is wide (GUESS_WORK), symbols are guessed a block
-    at a time from rank / size, held as the interval [lo, hi) / 2^bits, which
-    each guessed symbol maps through and widens; the guess stops where the
-    interval straddles a symbol boundary.  A block whose exact offset, as in
-    _rank, brackets the rank is applied to the big integers, and the symbol
-    at the straddle is decoded exactly.  The tail is decoded exactly.
+    While the class size is wide (GUESS_WORK), a block of symbols is read
+    from rank / size, held as the interval [lo, hi) / 2^bits: the symbol
+    whose range holds all of it is next, and the interval, rounded outward,
+    maps through it.  At a straddled boundary the read stops; the block's
+    exact offset, as in _rank, is applied, and that symbol, like every one
+    once the class is narrow, is decoded exactly.
     """
     size = tv.class_size()
     if not 0 <= rank < size:
         raise CodecError(f"rank {rank} out of range for class of size {size}")
-    # symbols are numbered by their index in present; cum[i] counts the
-    # symbols left below present[i], so cum[-1] = t, the symbols left
+    # the symbols left, by index in present, in a binary tree: leaf span + s
+    # counts s, inner node i those under its left child; O(log A) per symbol
     present = [s for s, n in enumerate(tv.counts) if n]
-    cum = [0, *itertools.accumulate(tv.counts[s] for s in present)]
-    t = cum[-1]
-    out = []
-    while t and size.bit_length() * len(cum) > GUESS_WORK:
-        # room for about BLOCK symbols at the class's mean rate, and a margin
-        bits = BLOCK * size.bit_length() // t + 64
-        lo = (rank << bits) // size
-        hi = lo + 1
-        trial = cum[:]
-        guess = []
-        s_acc, p_acc = 0, 1
-        for left in range(t, max(t - BLOCK, 0), -1):
-            a, b = lo * left, hi * left
-            s = bisect_right(trial, a >> bits) - 1
-            c, e = trial[s], trial[s + 1]
-            if b > e << bits:
-                break
-            r = e - c
-            s_acc = s_acc * left + c * p_acc
-            p_acc *= r
-            c <<= bits
-            lo = (a - c) // r
-            hi = (b - c - 1) // r + 1
-            for i in range(s + 1, len(trial)):
-                trial[i] -= 1
-            guess.append(s)
-        offset, rest = _shrink(size, s_acc, p_acc, math.perm(t, len(guess)))
-        if offset <= rank < offset + rest:
+    span = 1 << max(len(present) - 1, 0).bit_length()
+    tree = [0] * span + [tv.counts[s] for s in present] + [0] * (span - len(present))
+    for i in range(span - 1, 0, -1):
+        tree[i] = tree[2 * i] + tree[2 * i + 1]
+    for i in range(1, span):
+        tree[i] = tree[2 * i]
+    t, out = sum(tv.counts), []
+    while t:
+        if size.bit_length() > GUESS_WORK:
+            # room for about BLOCK symbols at the class's mean rate, and a margin
+            bits = BLOCK * size.bit_length() // t + 64
+            lo = (rank << bits) // size
+            hi = lo + 1
+            s_acc, p_acc, start, stop = 0, 1, t, max(t - BLOCK, 0)
+            while t > stop:
+                a, b = lo * t, hi * t
+                v, c, node = a >> bits, 0, 1
+                while node < span:
+                    n = tree[node]
+                    if v < n:
+                        tree[node], node = n - 1, 2 * node
+                    else:
+                        v, c, node = v - n, c + n, 2 * node + 1
+                r = tree[node]
+                if b > (c + r) << bits:  # the interval straddles: undo the descent
+                    while node > 1:
+                        tree[node // 2] += 1 - node % 2
+                        node //= 2
+                    break
+                tree[node] = r - 1
+                s_acc = s_acc * t + c * p_acc
+                p_acc *= r
+                c <<= bits
+                lo = (a - c) // r
+                hi = (b - c - 1) // r + 1
+                out.append(node - span)
+                t -= 1
+            offset, size = _shrink(size, s_acc, p_acc, math.perm(start, start - t))
             rank -= offset
-            size = rest
-            cum = trial
-            t -= len(guess)
-            out += guess
-            if len(guess) == BLOCK or not t:
+            if start - t == BLOCK or not t:
                 continue
-        # at the straddle, the symbol whose range holds rank * t // size
-        s = bisect_right(cum, rank * t // size) - 1
-        offset, size = _shrink(size, cum[s], cum[s + 1] - cum[s], t)
-        rank -= offset
-        for i in range(s + 1, len(cum)):
-            cum[i] -= 1
-        out.append(s)
-        t -= 1
-    # the tail, on short big integers: scan the symbols' ranges for the rank
-    remaining = [e - c for c, e in zip(cum, cum[1:])]
-    for t in range(t, 0, -1):
-        for s, n in enumerate(remaining):
-            block = size * n // t
-            if rank < block:
-                break
-            rank -= block
+        # one symbol exactly: a left subtree with n of the t left spans size * n / t
+        node, block = 1, size
+        while node < span:
+            n = tree[node]
+            left = size * n // t
+            if rank < left:
+                tree[node], block, node = n - 1, left, 2 * node
+            else:
+                rank, block, node = rank - left, block - left, 2 * node + 1
+        tree[node] -= 1
+        out.append(node - span)
         size = block
-        remaining[s] -= 1
-        out.append(s)
-    if len(present) < len(tv.counts):
-        return tuple(present[i] for i in out)
-    return tuple(out)
+        t -= 1
+    return tuple(out) if len(present) == len(tv.counts) else tuple(present[i] for i in out)
 
 
 def _rank_type(counts) -> int:
@@ -251,14 +264,7 @@ def _to_digits(value: int, q: int, width: int) -> list:
     all leaves at once.  The levels mirror the merges of _from_digits.
     """
     w = _leaf_width(q)
-    if width <= w:
-        digits = [0] * width
-        for i in range(width - 1, -1, -1):
-            value, digits[i] = divmod(value, q)
-        if value:
-            raise CodecError(f"value does not fit in {width} base-{q} digits")
-        return digits
-    counts = [-(-width // w)]  # leaves per level, bottom up
+    counts = [max(1, -(-width // w))]  # leaves per level, bottom up
     while counts[-1] > 1:
         counts.append((counts[-1] + 1) // 2)
     powers = [q**w]
@@ -319,10 +325,8 @@ class FixedCode(namedtuple("FixedCode", "q alphabet_size length budget")):
         if self.budget < 0:
             raise UsageError("budget must be nonnegative")
         if not math.isfinite(self.length * self.budget):
-            raise UsageError(
-                f"payload length L * budget = {self.length * self.budget} "
-                "is not finite"
-            )
+            payload = self.length * self.budget
+            raise UsageError(f"payload length L * budget = {payload} is not finite")
         # only A^L = q^(L log_q A) sequences exist: more budget buys nothing,
         # and q**payload_len would grow without bound
         cap = math.log(self.alphabet_size, self.q) + 1
@@ -369,13 +373,14 @@ def encode_fixed(seq, code: FixedCode) -> Codeword:
     """Encode one sequence; returns the Atypical marker when it cannot fit."""
     if len(seq) != code.length:
         raise UsageError(f"sequence length {len(seq)} != code length {code.length}")
-    tv = type_of(seq, code.alphabet_size)
-    size = tv.class_size()
+    x = _symbols(seq, code.alphabet_size)
+    rank, size = _rank(x)
     if size > code.payload_capacity:
         return atypical(code)
-    header = _to_digits(_rank_type(tv.counts), code.q, code.header_len)
-    payload = _to_digits(_rank(seq, tv, size), code.q, code.payload_len)
-    return Codeword(code=code, symbols=tuple(itertools.chain(header, payload)))
+    counts = np.bincount(x, minlength=code.alphabet_size).tolist()
+    digits = _to_digits(_rank_type(counts), code.q, code.header_len)
+    digits += _to_digits(rank, code.q, code.payload_len)
+    return Codeword(code=code, symbols=tuple(digits))
 
 
 def decode_fixed(codeword: Codeword, code: FixedCode) -> tuple:
@@ -386,9 +391,7 @@ def decode_fixed(codeword: Codeword, code: FixedCode) -> tuple:
         raise UsageError("codeword does not belong to this code")
     # the smallest signed dtype that holds the digits keeps this copy small
     # (signed, so that adding them to int64 leaves stays int64)
-    digits = np.fromiter(
-        codeword.symbols, np.min_scalar_type(-code.q), code.codeword_len
-    )
+    digits = np.array(codeword.symbols, dtype=np.min_scalar_type(-code.q))
     head = code.header_len
     rank = _from_digits(digits[:head], code.q)
     tv = TypeVector(counts=_unrank_type(rank, code.alphabet_size, code.length))
@@ -404,12 +407,8 @@ def sum_codewords(*codewords: Codeword) -> Codeword:
         raise UsageError("codewords come from different codes")
     if any(cw.atypical for cw in codewords):
         return atypical(code)
-    q = code.q
-    total = [0] * code.codeword_len
-    for cw in codewords:
-        for i, s in enumerate(cw.symbols):
-            total[i] = (total[i] + s) % q
-    return Codeword(code=code, symbols=tuple(total))
+    total = sum(np.fromiter(cw.symbols, np.int64, code.codeword_len) for cw in codewords)
+    return Codeword(code=code, symbols=tuple((total % code.q).tolist()))
 
 
 def subtract_codewords(a: Codeword, b: Codeword) -> Codeword:
@@ -418,11 +417,8 @@ def subtract_codewords(a: Codeword, b: Codeword) -> Codeword:
         raise UsageError("codewords come from different codes")
     if a.atypical or b.atypical:
         return atypical(a.code)
-    q = a.code.q
-    return Codeword(
-        code=a.code,
-        symbols=tuple((x - y) % q for x, y in zip(a.symbols, b.symbols)),
-    )
+    x, y = (np.fromiter(cw.symbols, np.int64, a.code.codeword_len) for cw in (a, b))
+    return Codeword(code=a.code, symbols=tuple(((x - y) % a.code.q).tolist()))
 
 
 def widen_codeword(codeword: Codeword, target: FixedCode) -> Codeword:
@@ -433,11 +429,7 @@ def widen_codeword(codeword: Codeword, target: FixedCode) -> Codeword:
     target code directly.
     """
     src = codeword.code
-    if (src.q, src.alphabet_size, src.length) != (
-        target.q,
-        target.alphabet_size,
-        target.length,
-    ):
+    if src[:3] != target[:3]:  # q, alphabet_size, length
         raise UsageError("codes differ in alphabet, length, or field")
     if target.payload_len < src.payload_len:
         raise UsageError("target code has a smaller payload; cannot widen")

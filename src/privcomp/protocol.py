@@ -378,7 +378,7 @@ def answer_queries(
         charges = length * np.asarray(profile.h)[lead]
     else:
         row = store.input_codes()[perm[round1_ts[0] - 1] - 1]
-        bundle = encode_fixed(codes.image_of_code[row].tolist(), codes.joint_code)
+        bundle = encode_fixed(codes.image_of_code[row], codes.joint_code)
         answers = [bundle] * len(part)  # later sums are replaced below
         joint = float(codes.joint_code.codeword_len)
         charges = np.zeros(len(part))
@@ -386,7 +386,7 @@ def answer_queries(
         for i in np.flatnonzero(~first).tolist():
             code = codes.sum_codes[leads[i]]
             segments = (values[w][perm[t - 1] - 1] for w, t in enumerate(part[i]) if t)
-            parts = [encode_fixed(seg.tolist(), code) for seg in segments]
+            parts = [encode_fixed(seg, code) for seg in segments]
             answers[i] = sum_codewords(*parts)
             charges[i] = code.codeword_len
     charges[first] = 0.0
@@ -482,7 +482,7 @@ def decode(
             if coded[i].atypical or lost[s]:
                 continue
             if plan.round[s] == 1:
-                side_cw = encode_fixed(raw[s].tolist(), code)
+                side_cw = encode_fixed(raw[s], code)
             else:
                 side_cw = widen_codeword(coded[s], code)
             if side_cw.atypical:

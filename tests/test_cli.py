@@ -445,6 +445,25 @@ def test_simulate_concrete_footprint_cap(capsys, monkeypatch, mode, L, capped):
     )
 
 
+HUGE_N = str(10**309)  # past the largest double
+
+
+@pytest.mark.parametrize(
+    "argv,code,start",
+    [
+        (["rates", "--n", HUGE_N, "--q", "3", "--f", "2", "--g", "2"], 2, "error: --n has 310 digits"),
+        (["figure", "--n", f"3,{HUGE_N}", "--f-max", "2"], 2, "error: --n has 310 digits"),
+        (["simulate", "--n", HUGE_N, "--q", "3", "--candidates", "1", "--L", "1", "--v", "1"],
+         3, "resource guard: simulation footprint"),
+    ],
+)
+def test_database_count_past_the_double_range_is_one_line(capsys, argv, code, start):
+    got, out, err = run_cli(capsys, *argv)
+    assert (got, out) == (code, "")
+    assert err.startswith(start) and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("epsilon", ["nan", "inf", "1e308"])
 def test_simulate_non_finite_epsilon_exits_2(capsys, epsilon):
     code, out, err = run_cli(

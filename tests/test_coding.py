@@ -229,6 +229,29 @@ def test_type_of_rejects_symbols_outside_alphabet():
             type_of((0, 1, bad, 2), 3)
 
 
+@pytest.mark.parametrize("A", [2, 3, 9])
+@pytest.mark.parametrize("L", [2**14, 2**15 + 1])
+def test_rank_exact_at_long_lengths(A, L):
+    # no oracle is fast enough here; the extreme arrangements rank 0 and
+    # size - 1, and ranking's chain ends at the class size, which an int64
+    # overflow in the block sums would break
+    counts = np.random.default_rng(L + A).multinomial(L, np.full(A, 1 / A))
+    low = np.repeat(np.arange(A), counts)
+    tv = type_of(low, A)
+    assert coding._rank(low) == (0, tv.class_size())
+    high = low[::-1]
+    assert coding._rank(high) == (tv.class_size() - 1, tv.class_size())
+
+
+def test_encode_accepts_lists_tuples_and_integer_rows():
+    code = FixedCode(q=3, alphabet_size=9, length=300, budget=2.0)
+    seq = np.random.default_rng(13).integers(0, 9, size=300).tolist()
+    want = encode_fixed(seq, code)
+    assert not want.atypical and want.symbols == oracle_encode(seq, code)
+    for form in (tuple(seq), *(np.array(seq, dtype=d) for d in (np.int8, np.int16, np.int64))):
+        assert encode_fixed(form, code) == want
+
+
 def test_unrank_rejects_out_of_range():
     tv = type_of((0, 1, 2), 3)
     with pytest.raises(CodecError):

@@ -53,6 +53,24 @@ def test_rank_and_unrank_equal_oracle(case):
     assert unrank_both_ways(rank, tv) == seq == oracle_unrank(rank, tv.counts)
 
 
+@st.composite
+def wide_sequences(draw):
+    """A short sequence over an alphabet of up to ~2000 symbols, most absent."""
+    A = draw(st.integers(2, 2000))
+    L = draw(st.integers(1, 64))
+    return A, tuple(draw(st.lists(st.integers(0, A - 1), min_size=L, max_size=L)))
+
+
+@settings(deadline=None, max_examples=100, derandomize=True)
+@given(wide_sequences())
+def test_rank_and_unrank_equal_oracle_at_large_alphabets(case):
+    A, seq = case
+    tv = type_of(seq, A)
+    rank = rank_in_type(seq, A)
+    assert rank == oracle_rank(seq, A)
+    assert unrank_both_ways(rank, tv) == seq == oracle_unrank(rank, tv.counts)
+
+
 @settings(deadline=None, max_examples=60, derandomize=True)
 @given(sequences())
 def test_extreme_arrangements(case):
