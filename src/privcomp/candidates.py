@@ -62,8 +62,9 @@ def require_prime(q: int):
 
 
 def _check_enumeration_cap(base: int, f: int, mu: int = 1):
-    """Reject enumerating mu tables of base^f cells each."""
-    if mu * base**f > ENUMERATION_CAP:
+    """Reject enumerating mu tables of base^f cells each; as base >= 2 and
+    2^24 > the cap, f past 24 is refused without building base^f."""
+    if mu * base ** min(f, ENUMERATION_CAP.bit_length()) > ENUMERATION_CAP:
         raise ResourceLimitError(
             f"{mu} x {base}^{f} cells exceed the enumeration cap of {ENUMERATION_CAP}"
         )

@@ -407,8 +407,10 @@ def sum_codewords(*codewords: Codeword) -> Codeword:
         raise UsageError("codewords come from different codes")
     if any(cw.atypical for cw in codewords):
         return atypical(code)
-    total = sum(np.fromiter(cw.symbols, np.int64, code.codeword_len) for cw in codewords)
-    return Codeword(code=code, symbols=tuple((total % code.q).tolist()))
+    total = np.zeros(code.codeword_len, dtype=np.int64)
+    for cw in codewords:  # reduced after each add, so below 2q < 2^63
+        total = (total + np.fromiter(cw.symbols, np.int64, code.codeword_len)) % code.q
+    return Codeword(code=code, symbols=tuple(total.tolist()))
 
 
 def subtract_codewords(a: Codeword, b: Codeword) -> Codeword:

@@ -134,20 +134,26 @@ def _type_of(mask: int) -> tuple:
     return tuple(w + 1 for w in range(mask.bit_length()) if mask >> w & 1)
 
 
-def _build_plan(n: int, mu: int):
-    """The plan's (sums, side_ref, bounds) for v = 1, each round built for
-    all databases at once in an (n, per_db, mu) view of sums.
+def _build_plan(n: int, mu: int, v: int):
+    """The plan's (sums, side_ref, bounds) for desired candidate v, each round
+    built for all databases at once in an (n, per_db, mu) view of sums.
 
     A database's rows go round by round: the desired block, then the
     undesired block.  A desired tau-sum extends an undesired (tau-1)-sum of
     one of the n - 1 other databases, so round tau holds (n-1)^(tau-1) copies
     of each type: C(mu-1, tau-1) desired types and C(mu-1, tau) undesired ones.
+    Types are built over slots and slot s is written to column col[s], so
+    every plan for one (n, mu) is the v = 1 plan with columns 1 and v swapped.
     """
     per_db = (n**mu - 1) // (n - 1)
     sums = np.zeros((n * per_db, mu), dtype=np.int32)
     side_ref = np.full(n * per_db, -1, dtype=np.int32)
     view, refs = sums.reshape(n, per_db, mu), side_ref.reshape(n, per_db)
+    col = np.arange(mu)  # slot -> column: slots 1 and v swapped
+    col[[0, v - 1]] = v - 1, 0
     bit = 1 << np.arange(mu, dtype=np.int64)
+    # rank[mask]: rank of slot set mask in last round's undesired types, {} -> 0
+    rank = np.zeros(1 << mu, dtype=np.int32)
     start = prev = 0  # offsets of this round and of last round's undesired block
     counter = 0  # global fresh-subindex counter for the desired candidate
     for tau in range(1, mu + 1):
@@ -155,50 +161,41 @@ def _build_plan(n: int, mu: int):
             itertools.chain.from_iterable(itertools.combinations(range(1, mu), tau)),
             dtype=np.int64,
             count=math.comb(mu - 1, tau) * tau,
-        ).reshape(-1, tau)  # undesired types, as 0-based columns
+        ).reshape(-1, tau)  # undesired types, as 0-based slots
         copies = (n - 1) ** (tau - 1)
+        m = (n - 1) ** max(tau - 2, 0)  # copies of a side type per other database
+        size = math.comb(mu - 1, tau - 1) * m  # desired rows from each other database
         n_desired = copies * math.comb(mu - 1, tau - 1)
         split, end = start + n_desired, start + n_desired + copies * len(combos)
-        desired, undesired = view[:, start:split], view[:, split:end]
+        desired, undesired = view[:, start:split, col[0]], view[:, split:end]
         if tau > 1:
             # block k of database j extends the undesired sums of its k-th other
-            size = n_desired // (n - 1)
             for k in range(n - 1):
                 other = np.where(np.arange(n) > k, k, k + 1)
                 at = slice(start + k * size, start + (k + 1) * size)
                 view[:, at] = view[other, prev : prev + size]
                 refs[:, at] = other[:, None] * per_db + np.arange(prev, prev + size)
         # fresh subindices round by round, then database by database
-        desired[..., 0] = counter + 1 + np.arange(n * n_desired).reshape(n, -1)
+        desired[:] = counter + 1 + np.arange(n * n_desired).reshape(n, -1)
         counter += n * n_desired
         # member w of copy z of an undesired sum of type T takes the subindex
-        # of copy z of the desired sum with side type T minus {w}, copies
-        # counted in row order, which every database shares with database 1
-        side = _masks(desired[0]) - 1  # every desired row has member 1
-        order = np.argsort(side, kind="stable")
-        side_types = side[order][::copies]
-        donors = desired[:, order, 0].reshape(n, -1, copies)
-        at = np.arange(len(combos))[:, None] * copies + np.arange(copies)
+        # of copy z of the desired sum with side type T' = T minus {w}, copies
+        # counted in row order: desired row (z // m) size + rank(T') m + z % m
+        copy_row = (np.arange(copies // m)[:, None] * size + np.arange(m)).ravel()
+        at = np.arange(len(combos) * copies).reshape(-1, copies)
         full = np.bitwise_or.reduce(bit[combos.T], axis=0)
         for w in combos.T:
-            undesired[:, at, w[:, None]] = donors[
-                :, np.searchsorted(side_types, full - bit[w])
-            ]
+            rows = rank[full - bit[w]][:, None] * m + copy_row
+            undesired[:, at, col[w][:, None]] = desired[:, rows]
+        rank[full] = np.arange(len(combos))
         start, prev = end, split
-    if counter != n**mu:
-        raise ProtocolError(
-            f"desired coverage is {counter} segments, expected beta = {n**mu}"
-        )
     return sums, side_ref, np.arange(n + 1) * per_db
 
 
 def generate_query_plan(n: int, mu: int, v: int, seed=None) -> QueryPlan:
-    """Build the round-wise query plan for desired candidate v.
-
-    The structure is generated for desired slot 1 and then the columns of
-    candidates 1 and v are swapped, so all plans for one (n, mu) are
-    label-isomorphic by construction.
-    """
+    """Build the round-wise query plan for desired candidate v: the v = 1
+    plan with columns 1 and v swapped, so all plans for one (n, mu) are
+    label-isomorphic by construction."""
     if n < 2:
         raise UsageError("replication requires at least 2 databases")
     if mu < 1:
@@ -212,10 +209,7 @@ def generate_query_plan(n: int, mu: int, v: int, seed=None) -> QueryPlan:
         )
     permutation = np.random.default_rng(seed).permutation(beta)
     permutation += 1
-    sums, side_ref, bounds = _build_plan(n, mu)
-    for blk in _blocks(len(sums)):
-        sums[blk, [0, v - 1]] = sums[blk, [v - 1, 0]]
-    return QueryPlan(v, permutation, sums, side_ref, bounds)
+    return QueryPlan(v, permutation, *_build_plan(n, mu, v))
 
 
 # ------------------------------------------------------------- message store

@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import os
+import time
 
 import pytest
 
@@ -39,6 +40,17 @@ def test_rates_explicit_candidates(capsys):
     data = json.loads(out)
     assert data["achievable"] == pytest.approx(0.679284449, abs=1e-6)
     assert data["capacity_met"] is True
+
+
+@pytest.mark.parametrize(
+    "n,f,met", [("100000", "3", False), ("10000000", "2", True)]
+)
+def test_rates_capacity_met_at_large_n(capsys, n, f, met):
+    # at f = 3 the achievable rate is below the bound for every n, however
+    # close the two print; at f = 2 it meets it
+    code, out, _ = run_cli(capsys, "rates", "--n", n, "--q", "3", "--f", f, "--g", "2")
+    assert code == 0
+    assert json.loads(out)["capacity_met"] is met
 
 
 def test_rates_degree_one_is_pir_capacity(capsys):
@@ -836,6 +848,26 @@ def test_huge_field_exits_3_quickly(q, argv, guard):
     assert proc.returncode == 3
     assert proc.stdout == ""
     assert proc.stderr == f"resource guard: {guard}\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("monomials", "--q", "3", "--f", "100000000", "--g", "1"),
+        ("rates", "--n", "3", "--q", "3", "--f", "100000000", "--g", "1"),
+    ],
+    ids=["monomials", "rates"],
+)
+def test_huge_f_exits_3_without_building_q_to_the_f(capsys, argv):
+    # 3^(10^8) takes minutes to evaluate: the cap must refuse without it
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, *argv)
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (3, "")
+    assert err == (
+        "resource guard: 1 x 3^100000000 cells exceed the enumeration cap of "
+        "10000000\n"
+    )
 
 
 def test_entropy_pmf_cap(capsys, monkeypatch):

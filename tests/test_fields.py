@@ -44,6 +44,15 @@ def test_modular_add_examples():
     assert sum_codewords(word(f5, 4), word(f5, 3)).symbols == (2,)
 
 
+def test_modular_add_near_the_int64_limit():
+    # FixedCode accepts q < 2^62: five digits of q - 1 summed before one
+    # reduction would wrap past 2^63
+    q = 2**61 - 1
+    code = FixedCode(q=q, alphabet_size=2, length=4, budget=1.0)
+    top = word(code, *[q - 1] * code.codeword_len)
+    assert sum_codewords(*[top] * 5).symbols == (5 * (q - 1) % q,) * code.codeword_len
+
+
 def test_modular_mul_examples():
     # input (a, b) sits at index q * a + b, the first variable most significant
     product = build_monomial((1, 1), 3)

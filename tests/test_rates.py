@@ -1,4 +1,5 @@
 import ast
+import itertools
 import math
 from collections import Counter
 from pathlib import Path
@@ -9,6 +10,7 @@ import pytest
 from privcomp import (
     DegenerateInstanceError,
     FunctionTable,
+    ResourceLimitError,
     UsageError,
     achievable_rate,
     asymptotic_rate,
@@ -466,6 +468,24 @@ def test_rate_report_fields():
     }
     single = rate_report(2, candidate_set_from_exponents([(1,)], 3))
     assert single.degenerate and single.achievable == 1.0
+
+
+def test_capacity_met_does_not_depend_on_n():
+    # D_a - D_o = sum_{v<mu} (n^-(v-1) - n^-(mu-1)) (h[v] - dJ_v), each term
+    # >= 0, so whether it is zero does not depend on n; a tolerance on the two
+    # rates read the shrinking gap as zero from n = 10^3 on.  At n = 2 the
+    # downloads differ by 0.09 or more wherever a term is positive
+    sets = []
+    for q, f, g in itertools.product((2, 3, 5, 7), range(1, 6), range(1, 5)):
+        try:
+            sets.append(monomial_candidate_set(f, g, q))
+        except ResourceLimitError:  # q = 5 and 7 at the larger f
+            pass
+    rng = np.random.default_rng(23)
+    sets += [random_candidate_set(rng) for _ in range(60)]
+    for cs in sets:
+        met = [rate_report(n, cs).capacity_met for n in (2, 3, 10, 10**3, 10**5, 10**7)]
+        assert met == [d_one(2, cs.profile) - d_opt(2, cs.profile) <= 1e-9] * 6
 
 
 def test_readme_library_snippet():
