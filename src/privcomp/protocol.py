@@ -19,13 +19,12 @@ then has one shape, symmetric in the candidates, and the privacy certificate
 checks that symmetry on the plan itself, while each (candidate, subindex) pair
 stays fresh where freshness matters.
 
-Costs are charged per answered row, in one array per database.  Symbolic
-mode charges the information-theoretic costs (round 1: joint entropy of the
-candidate tuple; a tau-sum: the entropy of its lead member, the one in the
-lowest column, which is the largest since candidates are sorted) while
-transmitting raw sums so recovery can be checked exactly.  Concrete mode,
-used exactly when concrete codes are given, transmits fixed-length codewords
-from the coding module and charges their actual lengths.
+Every row is charged from one cost list per run (download_costs): the
+round-1 cost per database, and the cost of a tau-sum by its lead member (the
+lowest column, so the largest entropy).  Symbolic mode charges L times the
+joint and the lead's entropy while sending raw sums, so recovery can be
+checked exactly; concrete mode, used exactly when concrete codes are given,
+sends fixed-length codewords from the coding module and charges their lengths.
 """
 
 from __future__ import annotations
@@ -247,11 +246,12 @@ class MessageStore(namedtuple("MessageStore", "q messages")):
         msgs = rng.integers(0, q, size=(f, beta, length), dtype=np.int16)
         return cls(q=q, messages=msgs.astype(dtype, copy=False))
 
-    def input_codes(self) -> np.ndarray:
-        """Message tuples packed as base-q integers, shape (beta, L), built in
-        place: int64, which numpy gathers with no index cast."""
-        codes = np.zeros(self.messages.shape[1:], dtype=np.int64)
-        for message in self.messages:
+    def input_codes(self, at=slice(None)) -> np.ndarray:
+        """Message tuples packed as base-q integers in int64, which numpy gathers
+        with no index cast: shape (beta, L), or (L,) at one segment index."""
+        messages = self.messages[:, at]
+        codes = np.zeros(messages.shape[1:], dtype=np.int64)
+        for message in messages:
             codes *= self.q
             codes += message
         return codes
@@ -311,6 +311,14 @@ def build_concrete_codes(
     )
 
 
+def download_costs(profile, length: int, codes: ConcreteCodes | None = None):
+    """A run's costs in q-ary units: (round 1 per database, [a tau-sum led by
+    column v, v < mu]); L times the joint and h[v], or the code lengths."""
+    if codes is None:
+        return length * profile.joint, [length * h for h in profile.h[:-1]]
+    return codes.joint_code.codeword_len, [c.codeword_len for c in codes.sum_codes]
+
+
 def _sum_segments(sums: np.ndarray, perm: np.ndarray, values, q: int) -> np.ndarray:
     """Raw answer of each row of sums: its members' segments added mod q."""
     total = np.zeros((len(sums), values[0].shape[1]), dtype=symbol_dtype(q))
@@ -331,13 +339,13 @@ def answer_queries(
     """Database j's answers and charges for its part of the plan.
 
     answers[i] answers database j's i-th sum in plan order, and charges[i]
-    is its cost in q-ary units; the joint round-1 charge sits on the first
-    round-1 row, the other round-1 rows cost 0.0.  Without codes (symbolic
-    mode) the answers are raw sums mod q, one (S_j, L) array whose round-1
-    rows are the joint bundle, and a later sum costs L times the entropy of
-    its lead member, the largest among its members.  With codes (concrete
-    mode) they are a list: each later sum as a codeword, charged its length,
-    and every round-1 row as the one joint-bundle codeword.  values holds the
+    is its cost in q-ary units, read off download_costs in both modes: the
+    round-1 cost sits on the first round-1 row, the other round-1 rows cost
+    0.0, and a later sum costs what a sum led by its lead member does.
+    Without codes (symbolic mode) the answers are raw sums mod q, one (S_j,
+    L) array whose round-1 rows are the joint bundle.  With codes (concrete
+    mode) they are a list: each later sum as its members' codewords summed,
+    every round-1 row as the one joint-bundle codeword.  values holds the
     candidates' images on the replica, as evaluate_candidates returns them.
     Only the queried sums, the replica, and the public candidate tables are
     consulted; nothing here depends on which candidate is desired.
@@ -355,7 +363,6 @@ def answer_queries(
             f"database {j} has round-1 singletons at several subindices"
         )
     perm = plan.permutation  # 1-based: a shifted copy costs O(beta) per database
-    joint = length * profile.joint
     # the rows' sums, one block at a time: range check, lead member, and the
     # raw answers in symbolic mode
     lead = np.empty(len(part), dtype=np.intp)
@@ -368,22 +375,18 @@ def answer_queries(
         lead[blk] = (sums != 0).argmax(axis=1)
         if codes is None:
             answers[blk] = _sum_segments(sums, perm, values, store.q)
-    if codes is None:
-        charges = length * np.asarray(profile.h)[lead]
-    else:
-        row = store.input_codes()[perm[round1_ts[0] - 1] - 1]
+    if codes is not None:
+        row = store.input_codes(perm[round1_ts[0] - 1] - 1)
         bundle = encode_fixed(codes.image_of_code[row], codes.joint_code)
         answers = [bundle] * len(part)  # later sums are replaced below
-        joint = float(codes.joint_code.codeword_len)
-        charges = np.zeros(len(part))
         leads = lead.tolist()
         for i in np.flatnonzero(~first).tolist():
             code = codes.sum_codes[leads[i]]
             segments = (values[w][perm[t - 1] - 1] for w, t in enumerate(part[i]) if t)
-            parts = [encode_fixed(seg, code) for seg in segments]
-            answers[i] = sum_codewords(*parts)
-            charges[i] = code.codeword_len
-    charges[first] = 0.0
+            answers[i] = sum_codewords(*(encode_fixed(seg, code) for seg in segments))
+    joint, lead_costs = download_costs(profile, length, codes)
+    charges = np.zeros(len(part))
+    charges[~first] = np.array(lead_costs, dtype=float)[lead[~first]]
     charges[np.argmax(first)] = joint
     return answers, charges
 
@@ -648,7 +651,9 @@ class SimulationReport(
 
 
 def run_simulation(config: SimulationConfig) -> SimulationReport:
-    """Execute the protocol end to end and reconcile costs with the formulas."""
+    """Execute the protocol end to end and check the ledger once: its total
+    against rates.scheme_download of the cost list every charge was read
+    from, exactly for code lengths and to 1e-12 relative for entropies."""
     cs = config.candidate_set
     n, mu, q = config.n, cs.mu, cs.q
     require_nondegenerate(cs)
@@ -710,18 +715,11 @@ def run_simulation(config: SimulationConfig) -> SimulationReport:
     charges = np.concatenate(charges)
     total = math.fsum(charges.tolist())
     per_round = [(t, math.fsum(charges[rounds == t].tolist())) for t in range(1, mu + 1)]
-    if codes is None:
-        expected = config.length * rates.d_one(n, cs.profile)
-        if abs(total - expected) > 1e-12 * expected:
-            raise ProtocolError(
-                f"symbolic download {total} differs from L * d_one = {expected}"
-            )
-    else:
-        # code lengths are whole numbers, which the float sum holds exactly
-        lengths = [c.codeword_len for c in (codes.joint_code, *codes.sum_codes)]
-        expected = rates.scheme_download(n, lengths[0], lengths[1:])
-        if total != expected:
-            raise ProtocolError(f"concrete download {total} != closed form {expected}")
+    costs = download_costs(cs.profile, config.length, codes)
+    expected = rates.scheme_download(n, *costs)
+    slack = 0 if isinstance(expected, int) else 1e-12 * expected
+    if abs(total - expected) > slack:
+        raise ProtocolError(f"download {total} != closed form {expected}")
     h_min = cs.profile.h_min
     rate_measured = beta * config.length * h_min / total if total else 0.0
     rate_formula = rates.achievable_rate(n, cs.profile)

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from privcomp import (
+    FixedCode,
     FunctionTable,
     ResourceLimitError,
     UsageError,
@@ -414,6 +415,81 @@ def test_nonparallel_q2_no_exclusions():
     # k-th powers to exclude: count = subsets of at most g variables
     assert len(generate_nonparallel_monomials(3, 2, 2)) == 3 + 3
     assert len(generate_nonparallel_monomials(4, 3, 2)) == 4 + 6 + 4
+
+
+# --------------------------------------------------------- field arithmetic
+# Products and powers live in monomial tables; sums and differences live in
+# codewords (test_coding).  Every entry point that takes a field size rejects
+# a non-prime q.
+
+SMALL_PRIMES = [2, 3, 5, 7, 11, 13, 17]
+
+
+def test_modular_mul_examples():
+    # input (a, b) sits at index q * a + b, the first variable most significant
+    product = build_monomial((1, 1), 3)
+    assert product.values[3 * 2 + 2] == 1
+    for x in range(3):
+        assert product.values[3 * x + 1] == x
+    assert build_monomial((1, 1), 7).values[7 * 3 + 5] == 1
+
+
+def test_pow_examples():
+    assert build_monomial((2,), 3).values.tolist() == [0, 1, 1]
+    # 0^0 = 1: exponent zero means the variable is absent from a monomial
+    assert build_monomial((0, 1), 3).values[3 * 0 + 1] == 1
+    assert build_monomial((3,), 3).values.tolist() == [0, 1, 2]
+
+
+def test_fermat_identity():
+    for q in SMALL_PRIMES:
+        assert build_monomial((q,), q).values.tolist() == list(range(q))
+        require_prime(q)  # _reduce takes a q already checked prime
+        assert _reduce((q,), q) == (1,)
+
+
+@pytest.mark.parametrize("q", SMALL_PRIMES)
+def test_field_axioms_exhaustive(q):
+    # the product of a and b is pair.values[q * a + b]; the additive axioms
+    # are test_coding's test_codeword_sums_form_a_group
+    pair = build_monomial((1, 1), q).values
+    triple = build_monomial((1, 1, 1), q).values
+    for a, b, c in itertools.product(range(q), repeat=3):
+        left = pair[q * pair[q * a + b] + c]
+        right = pair[q * a + pair[q * b + c]]
+        assert triple[q * q * a + q * b + c] == left == right
+        assert pair[q * a + b] == pair[q * b + a]
+    # every nonzero element has a multiplicative inverse: a^(q-2) * a = 1
+    assert build_monomial((q - 1,), q).values.tolist() == [0] + [1] * (q - 1)
+
+
+def test_mismatched_fields_rejected():
+    # codewords of two fields: test_coding's
+    # test_codewords_of_mismatched_fields_rejected
+    with pytest.raises(UsageError):
+        order_by_entropy([build_monomial((1,), 3), build_monomial((1,), 5)])
+
+
+def test_nonprime_modulus_rejected():
+    for q in (0, 1, 4, 6, 9, 100):
+        with pytest.raises(UsageError):
+            require_prime(q)
+    assert is_prime(257)
+    assert not is_prime(255)
+    with pytest.raises(UsageError, match="must be prime"):
+        build_monomial((1, 1), 4)
+    with pytest.raises(UsageError, match="must be prime"):
+        FixedCode(q=4, alphabet_size=2, length=4, budget=1.0)
+    with pytest.raises(UsageError, match="must be prime"):
+        generate_nonparallel_monomials(2, 2, 4)
+    # exponents reduce mod q - 1 only over a field: q = 4 stops first
+    with pytest.raises(UsageError, match="must be prime"):
+        build_monomial((1, 2), 4)
+
+
+def test_negative_exponent_rejected():
+    with pytest.raises(UsageError):
+        build_monomial((2, -1), 3)
 
 
 # ------------------------------------------- oracles: the scalar algorithms

@@ -149,13 +149,55 @@ GOLDEN_STDOUT = {
     "simulate --n 2 --q 3 --candidates 1,1,1,1;1,0,0,0;0,1,0,0;0,0,1,0;0,0,0,1"
     " --v 1 --mode concrete --L 32":
         "e5f9874b9c20f7280fbc635b17995875920bbbcbe3d6163b76f4f661140f7c91",
+    # both modes over n = 2, 3, 4 and mu up to 5, at v = 1 and v = mu, with
+    # epsilon 0.05 and 0.2 at L = 64 and 256
+    "simulate --n 2 --q 3 --candidates 1,0;0,1;1,1;2,1;1,2 --v 1 --L 64":
+        "47e32203bc008d3d114cd4852847c626f1b9b93ceea1a265b4381a92aa017fac",
+    "simulate --n 2 --q 3 --candidates 1,0;0,1;1,1;2,1;1,2 --v 5 --L 256":
+        "29399a62a46df8897c10bc7593b0c7672d7af2af38a0a19cf478a5513dcdce14",
+    "simulate --n 3 --q 5 --candidates 1,0;0,1;1,1;2,1 --v 1 --L 256":
+        "732906825b74c476c7c115572bbb05856f907b588732b872489d94c326189707",
+    "simulate --n 3 --q 5 --candidates 1,0;0,1;1,1;2,1 --v 4 --L 64":
+        "ae7d2d48bfa30acbc059a1e17bca252411f6c354d2c6b3f0ea242413fb31e9c1",
+    "simulate --n 4 --q 3 --candidates 1,0;1,1;2,2 --v 3 --L 64":
+        "f6185cca1be2bf233a54045346d92679fe9640313d96142b24f449ac51f836f0",
+    "simulate --n 4 --q 7 --candidates 1,0;0,1 --v 1 --L 256":
+        "3affb5e44336afac89721126c50e36d5191b3234b535039004ec0a7c0cd09ea5",
+    "simulate --n 2 --q 3 --candidates 1,0;0,1;1,1;2,1;1,2 --v 1 --mode concrete"
+    " --epsilon 0.05 --L 64":
+        "3902ca6736232ab4aae4d8e306ca65662cfe7fae278682ddbeb55141378bb1f3",
+    "simulate --n 2 --q 3 --candidates 1,0;0,1;1,1;2,1;1,2 --v 5 --mode concrete"
+    " --epsilon 0.2 --L 256":
+        "bcc4ab97a24f277a20177c7df48c8f1948854e516dbf6a60cf157de8e2f1b0eb",
+    "simulate --n 3 --q 3 --candidates 1,0;0,1;1,1 --v 3 --mode concrete"
+    " --epsilon 0.05 --L 256":
+        "de78fe79b70c9c04010c174cc72ddf0fc6e3b3e699923a75e472b249af9c8935",
+    "simulate --n 3 --q 5 --candidates 1,0;0,1;1,1;2,1 --v 1 --mode concrete"
+    " --epsilon 0.2 --L 64":
+        "5bd308ca3cbda53900ecb1890dfcf20026f27ef3a9c70cbbd827398d81b40467",
+    "simulate --n 4 --q 3 --candidates 1,0;1,1;2,2 --v 1 --mode concrete"
+    " --epsilon 0.2 --L 64":
+        "2f741f7e22e27fde511243488d4c1ac2a917862dff041b94920420ac5ed82404",
+    "simulate --n 4 --q 7 --candidates 1,0;0,1 --v 2 --mode concrete"
+    " --epsilon 0.05 --L 256":
+        "3ba92a1c11b4af00e04a62e335bd481de42687618d86ebab96c6c0c974623179",
+    # the default sweep: the CSV is perfbench/figure_reference.csv
+    "figure":
+        "b3f601729400a8ddf6490d3287b39939a84f9743b4f79e36a34d0cdad905ac47",
 }
+# the start of the one stderr line of a golden command that reports on
+# stderr; the others print nothing there
+GOLDEN_STDERR = {"figure": "all 28 reference rows matched (worst deviation "}
 
 
 @pytest.mark.parametrize("command", sorted(GOLDEN_STDOUT))
 def test_stdout_matches_golden_digest(capsys, command):
     code, out, err = run_cli(capsys, *command.split())
-    assert (code, err) == (0, "")
+    assert code == 0
+    if command in GOLDEN_STDERR:
+        assert err.startswith(GOLDEN_STDERR[command]) and err.count("\n") == 1
+    else:
+        assert err == ""
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_STDOUT[command]
 
 

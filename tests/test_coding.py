@@ -457,6 +457,60 @@ def test_sum_rejects_mixed_codes():
         sum_codewords(encode_fixed((0,) * 8, a), encode_fixed((0,) * 9, b))
 
 
+def word(code, *symbols):
+    return Codeword(code=code, symbols=tuple(symbols))
+
+
+def symbol_code(q, size):
+    """A code whose codewords are `size` payload symbols: one symbol, so one
+    type and no header, and a full budget of one digit per position."""
+    code = FixedCode(q=q, alphabet_size=1, length=size, budget=1.0)
+    assert (code.header_len, code.codeword_len) == (0, size)
+    return code
+
+
+def test_modular_add_examples():
+    f3 = symbol_code(3, 3)
+    assert sum_codewords(word(f3, 2, 0, 1), word(f3, 2, 0, 1)).symbols == (1, 0, 2)
+    assert sum_codewords(word(f3, 0, 1, 2), word(f3, 0, 0, 0)).symbols == (0, 1, 2)
+    f5 = symbol_code(5, 1)
+    assert sum_codewords(word(f5, 4), word(f5, 3)).symbols == (2,)
+
+
+def test_modular_add_near_the_int64_limit():
+    # FixedCode accepts q < 2^62: five digits of q - 1 summed before one
+    # reduction would wrap past 2^63
+    q = 2**61 - 1
+    code = FixedCode(q=q, alphabet_size=2, length=4, budget=1.0)
+    top = word(code, *[q - 1] * code.codeword_len)
+    assert sum_codewords(*[top] * 5).symbols == (5 * (q - 1) % q,) * code.codeword_len
+
+
+@pytest.mark.parametrize("q", [2, 3, 5, 7, 11, 13, 17])
+def test_codeword_sums_form_a_group(q):
+    # the additive half of the field axioms; test_candidates checks products
+    code = symbol_code(q, q)
+    elems = word(code, *range(q))
+    zero = word(code, *([0] * q))
+    assert sum_codewords(elems, zero) == elems
+    for a in range(q):
+        shift = word(code, *([a] * q))
+        total = sum_codewords(elems, shift)
+        assert total.symbols == tuple((x + a) % q for x in range(q))
+        assert total == sum_codewords(shift, elems)
+        assert subtract_codewords(total, shift) == elems
+        assert sum_codewords(subtract_codewords(zero, shift), shift) == zero
+
+
+def test_codewords_of_mismatched_fields_rejected():
+    a = word(symbol_code(3, 1), 1)
+    b = word(symbol_code(5, 1), 1)
+    with pytest.raises(UsageError):
+        sum_codewords(a, b)
+    with pytest.raises(UsageError):
+        subtract_codewords(a, b)
+
+
 # ------------------------------------------------------------------ widening
 
 

@@ -621,12 +621,17 @@ def test_simulation_checks_symbolic_ledger(monkeypatch):
     config = SimulationConfig(n=2, candidate_set=cs, length=4, v=1)
     expected = 4 * d_one(2, cs.profile)
     assert run_simulation(config).total_download == pytest.approx(expected, abs=1e-12)
-    # a closed form one part in 10^9 away is a broken ledger
-    monkeypatch.setattr("privcomp.rates.d_one", lambda n, p: d_one(n, p) * (1 + 1e-9))
-    with pytest.raises(ProtocolError, match="d_one"):
+    real = protocol.rates.scheme_download
+    # a closed form one part in 10^9 away is a broken ledger, in either mode:
+    # both check their total against the closed form of their cost list
+    monkeypatch.setattr(
+        "privcomp.rates.scheme_download",
+        lambda n, joint, leads: real(n, joint, leads) * (1 + 1e-9),
+    )
+    with pytest.raises(ProtocolError, match="closed form"):
         run_simulation(config)
-    # concrete totals are code lengths, not L * d_one
-    run_simulation(config._replace(mode="concrete"))
+    with pytest.raises(ProtocolError, match="closed form"):
+        run_simulation(config._replace(mode="concrete"))
 
 
 def test_simulation_field_size_fits_int16_sums():

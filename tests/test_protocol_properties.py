@@ -19,7 +19,8 @@ from privcomp import (
     protocol,
     run_simulation,
 )
-from privcomp.protocol import build_concrete_codes
+from privcomp.protocol import build_concrete_codes, download_costs
+from privcomp.rates import scheme_download
 from test_protocol import closed_form, oracle_ledger
 
 
@@ -107,3 +108,30 @@ def test_sorted_charges_do_not_depend_on_v(case):
             for j in range(1, n + 1)
         ))
     assert len(views) == 1
+
+
+@settings(deadline=None, max_examples=30)
+@given(simulations().filter(lambda case: case[-1] is not None))
+def test_concrete_download_splits_into_header_slack_and_rounding(case):
+    config = config_of(case)
+    n, cs, length, epsilon = config.n, config.candidate_set, config.length, case[-1]
+    codes = build_concrete_codes(cs, length, epsilon)
+    joint, leads = download_costs(cs.profile, length, codes)
+    ideal_joint, ideal_leads = download_costs(cs.profile, length)
+    concrete, ideal = [joint, *leads], [ideal_joint, *ideal_leads]
+    # a code's length is its header, then floor(L (h + epsilon)) digits: the
+    # symbolic cost L h, the slack L epsilon and the floor's rounding
+    header = [c.header_len for c in (codes.joint_code, *codes.sum_codes)]
+    entropies = [cs.profile.joint, *cs.profile.h[:-1]]
+    assert [c - d for c, d in zip(concrete, header)] == [
+        math.floor(length * (h + epsilon)) for h in entropies
+    ]
+    slack = [length * epsilon] * len(concrete)
+    rounding = [c - d - x - s for c, d, x, s in zip(concrete, header, ideal, slack)]
+    assert all(-1 < r <= 1e-12 * length for r in rounding)
+    # scheme_download is linear in the costs, so the three parts add up to
+    # the shortfall of the measured total against the symbolic one
+    total = run_simulation(config).total_download
+    parts = [scheme_download(n, t[0], t[1:]) for t in (header, slack, rounding)]
+    assert total == scheme_download(n, joint, leads)
+    assert abs(total - length * d_one(n, cs.profile) - math.fsum(parts)) <= 1e-12 * total
