@@ -157,16 +157,18 @@ def generate_nonparallel_monomials(f: int, g: int, q: int) -> list:
     if f < 1 or g < 1:
         raise UsageError("f and g must be >= 1")
     require_prime(q)
-    _check_enumeration_cap(max(g + 1, q), f)  # the exponent grid, and one table
-    # reduction maps e_j into [1, min(e_j, q - 1)] and keeps zeros, so reduced
-    # in-range vectors are those of weight 1..g with entries up to min(g, q - 1)
+    _check_enumeration_cap(q, f)  # one table; it also keeps f below 24
+    # reduction maps e_j into [1, min(e_j, q - 1)] and keeps zeros: reduced
+    # in-range vectors have weight 1..g and entries up to top, size of them by
+    # inclusion-exclusion, each banning at most q - 2 others, so mu >= size / (q - 1)
     top = min(g, q - 1)
+    size = sum((-1) ** i * math.comb(f, i) * math.comb(f + g - i * (top + 1), f)
+               for i in range(min(f, g // (top + 1)) + 1)) - 1
+    _check_enumeration_cap(q, f, -(-size // (q - 1)))  # before the walk
     vectors = [()]
     for _ in range(f):
         vectors = [e + (x,) for e in vectors for x in range(min(top, g - sum(e)) + 1)]
     in_range = set(vectors[1:])  # vectors[0] is the zero vector
-    # each kept vector bans at most q - 2 others, so mu >= |in_range| / (q - 1)
-    _check_enumeration_cap(q, f, -(-len(in_range) // (q - 1)))
     m = q - 1
     kept = []
     banned = set()

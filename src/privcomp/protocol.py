@@ -45,7 +45,7 @@ from .coding import (
     widen_codeword,
 )
 from .errors import CodecError, ProtocolError, ResourceLimitError, UsageError
-from . import rates
+from . import coding, rates
 
 # beta = n^mu: plans hold O(beta) sums, simulations O(beta * L * mu) symbols
 PLAN_SEGMENT_CAP = 2**20
@@ -55,9 +55,10 @@ SIMULATION_SYMBOL_CAP = 5 * 10**7
 # (A = 9) encode plus decode takes ~0.12 s and an n = 2, mu = 3 run ~1.4 s;
 # at L = 32768 they take ~0.4 s and ~4.3 s
 CONCRETE_LENGTH_CAP = 2**14
-# concrete footprints, beta * L * (f + mu): at 2^21 an n = 2, mu = 5, f = 1
-# run takes ~6 s at q = 11 and ~10 s at q = 101 (L = 10922), n = 4, mu = 3 at
-# q = 3 ~3 s; n = 2, mu = 8, f = 2 at L = 16384 (42M symbols) took 84 s
+# concrete footprints, beta * max(L, 64) * (f + mu) as the coder works on
+# whole 64-position blocks: at 2^21 an n = 2, mu = 5, f = 1 run takes ~6 s at
+# q = 11 and ~10 s at q = 101 (L = 10922), n = 4, mu = 3 at q = 3 ~3 s;
+# n = 2, mu = 8, f = 2 at L = 16384 (42M symbols) took 84 s
 CONCRETE_SYMBOL_CAP = 2**21
 # the joint header's rank and unrank take up to L + A steps on integers of
 # log2 C(L+A-1, A-1) bits: at L = 16384 ~0.3 s at A = 2^14, ~18 s at A = 10^6
@@ -547,30 +548,24 @@ def verify_privacy_structure(plan: QueryPlan) -> PrivacyReport:
     cycle = np.roll(np.arange(mu), -1)  # w -> w + 1; for mu = 2 this is (1 2)
     swap = np.r_[1, 0, 2:mu]
     pis = [cycle, swap][: min(mu - 1, 2)]
-    # rho[g][t] for generator g on the database being checked: a member's
-    # subindex maps to a member's, and a non-member's 0 to 0.  owner[t] is the
-    # database whose rows last set entry t; any other database reads it as
-    # unset, so rho is never cleared
-    rho = [np.zeros(plan.beta + 1, dtype=sums.dtype) for _ in pis]
-    owner = np.zeros(plan.beta + 1, dtype=np.int32)
+    # rho[g][t] for generator g: a member's subindex maps to a member's, a
+    # non-member's 0 to 0.  Database j stores j (beta + 1) + image, so an
+    # entry below its stamp is unset for it and rho is never cleared
+    rho = [np.zeros(plan.beta + 1, dtype=np.int64) for _ in pis]
     violations = []
     for j in range(1, plan.n + 1):
-        part = sums[plan.rows(j)]
-        # key = (round, mask) of each row, the round only to sort faster; rows
-        # sorted by key, plan order kept within each class
-        key = np.empty(len(part), dtype=np.int64)
-        for blk in _blocks(len(part)):
-            tau = np.count_nonzero(part[blk], axis=1)
-            key[blk] = (tau << mu) + _masks(part[blk])
+        at = plan.rows(j)
+        part, stamp = sums[at], j * (plan.beta + 1)
+        # key = (round, mask) of each row, the round so that a block's gathers
+        # stay local; rows sorted by key, plan order kept within each class
+        key = (plan.round[at].astype(np.int64) << mu) + _masks(part)
         order = np.argsort(key, kind="stable")
         key.sort()  # the sorted keys, key[order], without a second array
         live = list(range(len(pis)))  # generators with no violation on db j
-        for start in range(0, len(key), BLOCK):
-            rows = slice(start, min(start + BLOCK, len(key)))
+        for rows in _blocks(len(key)):
             k = key[rows]
-            copy = np.arange(rows.start, rows.stop) - np.searchsorted(key, k)
+            copy = np.arange(len(k)) + rows.start - np.searchsorted(key, k)
             a = part[order[rows]]
-            known = owner[a] == j
             for g in list(live):
                 pi = pis[g]
                 target = (k & ~low) + _permute_masks(k & low, pi.tolist())
@@ -582,14 +577,16 @@ def verify_privacy_structure(plan: QueryPlan) -> PrivacyReport:
                     p = int(np.argmin(found))
                     violations.append(
                         f"db {j}: (round, type) multiset is not symmetric: round "
-                        f"{np.count_nonzero(a[p])} has more sums of type "
+                        f"{k[p] >> mu} has more sums of type "
                         f"{_type_of(int(k[p] & low))} than of type "
                         f"{_type_of(int(target[p] & low))}"
                     )
                     live.remove(g)
                     continue
-                b = part[order[inside][:, None], pi]
-                clash = (known & (rho[g][a] != b)).any()  # with an earlier block
+                b = np.add(part[order[inside][:, None], pi], stamp, dtype=np.int64)
+                held = rho[g][a]
+                clash = ((held >= stamp) & (held != b)).any()  # an earlier block
+                del held  # one int64 block fewer at the re-read below
                 rho[g][a] = b
                 if clash or (rho[g][a] != b).any():
                     violations.append(
@@ -597,7 +594,6 @@ def verify_privacy_structure(plan: QueryPlan) -> PrivacyReport:
                         f"candidates 1..{mu} moved to {tuple((pi + 1).tolist())}"
                     )
                     live.remove(g)
-            owner[a] = j
             if not live:
                 break
     return PrivacyReport(violations=violations)
@@ -668,21 +664,21 @@ def run_simulation(config: SimulationConfig) -> SimulationReport:
     if config.seed < 0:
         raise UsageError(f"seed {config.seed} must be >= 0")
     beta = n**mu
-    footprint = beta * config.length * (cs.f + mu)
-    cap = CONCRETE_SYMBOL_CAP if config.mode == "concrete" else SIMULATION_SYMBOL_CAP
+    concrete = config.mode == "concrete"
+    width = max(config.length, coding.BLOCK) if concrete else config.length
+    footprint = beta * width * (cs.f + mu)
+    cap = CONCRETE_SYMBOL_CAP if concrete else SIMULATION_SYMBOL_CAP
     if beta > PLAN_SEGMENT_CAP or footprint > cap:
         raise ResourceLimitError(
             f"simulation footprint {footprint} symbols (beta = {beta}) exceeds cap"
         )
-    if config.mode == "concrete" and config.length > CONCRETE_LENGTH_CAP:
+    if concrete and config.length > CONCRETE_LENGTH_CAP:
         raise ResourceLimitError(
             f"segment length L = {config.length} exceeds the concrete-mode cap "
             f"of {CONCRETE_LENGTH_CAP}"
         )
 
-    codes = None
-    if config.mode == "concrete":
-        codes = build_concrete_codes(cs, config.length, config.epsilon)
+    codes = build_concrete_codes(cs, config.length, config.epsilon) if concrete else None
 
     rng = np.random.default_rng(config.seed)
     message_seed, perm_seed = (int(x) for x in rng.integers(0, 2**31, size=2))

@@ -2,7 +2,9 @@
 oracles in test_candidates: tables, entropies and prefix joints must be equal
 bit for bit, not approximately."""
 
+import itertools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -18,6 +20,7 @@ from privcomp import (
     order_by_entropy,
     table_entropy,
 )
+from privcomp import candidates
 from privcomp.candidates import _monomial_tables
 from test_candidates import (
     PRIMES_TO_13,
@@ -145,6 +148,23 @@ def test_candidate_set_profile_equals_oracle(injective):
 @given(st.sampled_from(PRIMES_TO_13), st.integers(1, 4), st.integers(1, 8))
 def test_nonparallel_enumeration_equals_oracle(q, f, g):
     assert generate_nonparallel_monomials(f, g, q) == oracle_nonparallel(f, g, q)
+
+
+@settings(deadline=None, max_examples=80, derandomize=True)
+@given(st.sampled_from(PRIMES_TO_13), st.integers(1, 4), st.integers(1, 12))
+def test_generation_cap_counts_the_in_range_vectors(q, f, g):
+    # the cap's lower bound on mu, taken before the walk, is the walk's
+    # count of in-range vectors over q - 1
+    top = min(g, q - 1)
+    size = sum(1 <= sum(e) <= g for e in itertools.product(range(top + 1), repeat=f))
+    with mock.patch.object(
+        candidates, "_check_enumeration_cap", wraps=candidates._check_enumeration_cap
+    ) as check:
+        try:
+            generate_nonparallel_monomials(f, g, q)
+        except ResourceLimitError:
+            pass
+    assert check.call_args_list[1] == mock.call(q, f, -(-size // (q - 1)))
 
 
 # --------------------- nonparallel sets profiled from structure, against tables

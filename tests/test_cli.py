@@ -912,6 +912,32 @@ def test_huge_f_exits_3_without_building_q_to_the_f(capsys, argv):
     )
 
 
+@pytest.mark.parametrize(
+    "q,f,g,guard",
+    [
+        # entries of reduced vectors stay below q = 2, so the walk visits at
+        # most 2^10 vectors, not the (g + 1)^10 = 6^10 grid
+        ("2", "10", "5", None),
+        ("2", "20", "3", "1350 x 2^20"),
+        # every vector of the 5^9 grid is in range: the count is refused
+        # before a single one is built (building them took 1.9 s and 358 MB)
+        ("5", "9", "100", "488281 x 5^9"),
+    ],
+)
+def test_generation_cap_counts_the_vectors_walked(capsys, q, f, g, guard):
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "rates", "--n", "2", "--q", q, "--f", f, "--g", g)
+    assert time.perf_counter() - start < 1.0
+    if guard is None:
+        assert (code, err) == (0, "")
+        assert json.loads(out)["mu"] == 637
+    else:
+        assert (code, out) == (3, "")
+        assert err == (
+            f"resource guard: {guard} cells exceed the enumeration cap of 10000000\n"
+        )
+
+
 def test_entropy_pmf_cap(capsys, monkeypatch):
     # 99991 is the largest prime the pmf cap of 10^5 admits
     code, out, _ = run_cli(capsys, "entropy", "--q", "99991", "--table", "5")

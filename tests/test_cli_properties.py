@@ -109,6 +109,9 @@ def run(argv, workdir):
 # 3^(10^8) takes minutes to evaluate: the cap must refuse without it
 @example(["monomials", "--q", "3", "--f", "100000000", "--g", "1"])
 @example(["rates", "--n", "3", "--q", "3", "--f", "100000000", "--g", "1"])
+# 29,800 codewords of L = 16, each padded to a 64-position block by the coder
+@example(["simulate", "--n", "100", "--q", "2", "--candidates", "1,0;0,1", "--v", "1",
+          "--mode", "concrete"])
 def test_every_argument_vector_ends_in_a_documented_exit_code(argv):
     with tempfile.TemporaryDirectory() as tmp:
         workdir = Path(tmp)

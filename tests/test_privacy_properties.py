@@ -3,10 +3,12 @@ on plans with one entry changed: the certificate may only certify private
 plans, and at n = 2, where every (database, round, type) class holds one sum,
 it must certify every private plan."""
 
+from unittest import mock
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from privcomp import generate_query_plan, verify_privacy_structure
+from privcomp import generate_query_plan, protocol, verify_privacy_structure
 from test_privacy import vf2_isomorphic
 
 pytest.importorskip("networkx")
@@ -36,13 +38,17 @@ def vf2_private(plan):
     return True
 
 
+# the module's row block, and blocks of 2 rows, so that a database's rows
+# span many blocks and the map is checked against earlier blocks
+@pytest.mark.parametrize("block", [protocol.BLOCK, 2])
 @settings(max_examples=150, deadline=None)
-@given(mutated_plans())
-def test_certificate_agrees_with_vf2_on_mutated_plans(plan):
+@given(plan=mutated_plans())
+def test_certificate_agrees_with_vf2_on_mutated_plans(block, plan):
     # at n >= 3 the copy rule's sigma may miss the relabeling of a changed
     # plan that is still private (24 of the 432 single-entry changes of the
     # (3, 2) plans), never the other way
-    certified = verify_privacy_structure(plan).relabeling_ok
+    with mock.patch.object(protocol, "BLOCK", block):
+        certified = verify_privacy_structure(plan).relabeling_ok
     private = vf2_private(plan)
     if certified:
         assert private
