@@ -165,6 +165,8 @@ def generate_nonparallel_monomials(f: int, g: int, q: int) -> list:
     size = sum((-1) ** i * math.comb(f, i) * math.comb(f + g - i * (top + 1), f)
                for i in range(min(f, g // (top + 1)) + 1)) - 1
     _check_enumeration_cap(q, f, -(-size // (q - 1)))  # before the walk
+    if f == 1:  # every in-range x^e is a power of x
+        return [(1,)]
     vectors = [()]
     for _ in range(f):
         vectors = [e + (x,) for e in vectors for x in range(min(top, g - sum(e)) + 1)]
@@ -360,8 +362,6 @@ def candidate_set_from_exponents(vectors, q: int) -> CandidateSet:
         raise UsageError("all exponent vectors must have the same length")
     if len(set(vectors)) != len(vectors):
         raise UsageError("duplicate exponent vectors in candidate list")
-    require_prime(q)  # a usage error outranks the cap below
-    _check_enumeration_cap(q, len(vectors[0]), len(vectors))
     return order_by_entropy(_monomial_tables(vectors, q))
 
 

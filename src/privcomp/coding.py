@@ -250,20 +250,21 @@ def _unrank_type(rank: int, alphabet_size: int, length: int) -> tuple:
     return tuple(counts)
 
 
-def _leaf_width(q: int) -> int:
-    """Digits per leaf of the payload conversions: q^w < 2^62 fits int64,
-    and np.unravel_index takes at most 32 dimensions."""
-    return max(1, min(32, 62 // q.bit_length()))
+def _weights(q: int) -> np.ndarray:
+    """The int64 weights q^(w-1), ..., q, 1 of a leaf of the digit
+    conversions: w = 62 // bit_length(q) digits, so q^w < 2^62."""
+    return q ** np.arange(62 // q.bit_length() - 1, -1, -1, dtype=np.int64)
 
 
 def _to_digits(value: int, q: int, width: int) -> list:
     """width base-q digits of value, most significant first.
 
     A long value is split at powers of q, level by level, into leaves of
-    _leaf_width digits (the leading leaf may be shorter), and numpy expands
-    all leaves at once.  The levels mirror the merges of _from_digits.
+    len(_weights(q)) digits (the leading leaf may be shorter); one broadcast
+    over the weights expands all leaves.  The levels mirror _from_digits.
     """
-    w = _leaf_width(q)
+    weights = _weights(q)
+    w = len(weights)
     counts = [max(1, -(-width // w))]  # leaves per level, bottom up
     while counts[-1] > 1:
         counts.append((counts[-1] + 1) // 2)
@@ -277,22 +278,19 @@ def _to_digits(value: int, q: int, width: int) -> list:
         leaves[odd:] = [d for x in leaves[odd:] for d in divmod(x, power)]
     if leaves[0] >= q ** (width - (counts[0] - 1) * w):
         raise CodecError(f"value does not fit in {width} base-{q} digits")
-    digits = np.stack(np.unravel_index(leaves, (q,) * w), axis=1).ravel()
+    digits = (np.array(leaves, dtype=np.int64)[:, None] // weights % q).ravel()
     return digits[digits.size - width :].tolist()
 
 
 def _from_digits(digits: np.ndarray, q: int) -> int:
-    """Inverse of _to_digits on an integer array: leaves of _leaf_width
-    digits, merged in pairs."""
-    w = _leaf_width(q)
+    """Inverse of _to_digits on an int64 array: one product with the weights
+    makes the leaves, which merge in pairs."""
+    weights = _weights(q)
+    w = len(weights)
     head = len(digits) % w
-    rows = digits[head:].reshape(-1, w)
-    powers = q ** np.arange(w - 1, -1, -1, dtype=np.int64)
-    leaves = []
-    for i in range(0, len(rows), 64):  # 64 rows: a small int64 copy at a time
-        leaves += (rows[i : i + 64] @ powers).tolist()
+    leaves = (digits[head:].reshape(-1, w) @ weights).tolist()
     if head:
-        leaves.insert(0, int(digits[:head] @ powers[w - head :]))
+        leaves.insert(0, int(digits[:head] @ weights[w - head :]))
     power = q**w
     while len(leaves) > 1:
         # pair from the right, so every part but the leading one is full
@@ -389,9 +387,7 @@ def decode_fixed(codeword: Codeword, code: FixedCode) -> tuple:
         raise CodecError("cannot decode the Atypical marker")
     if codeword.code != code or len(codeword.symbols) != code.codeword_len:
         raise UsageError("codeword does not belong to this code")
-    # the smallest signed dtype that holds the digits keeps this copy small
-    # (signed, so that adding them to int64 leaves stays int64)
-    digits = np.array(codeword.symbols, dtype=np.min_scalar_type(-code.q))
+    digits = np.fromiter(codeword.symbols, np.int64, code.codeword_len)
     head = code.header_len
     rank = _from_digits(digits[:head], code.q)
     tv = TypeVector(counts=_unrank_type(rank, code.alphabet_size, code.length))

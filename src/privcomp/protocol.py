@@ -411,8 +411,8 @@ def decode(
     The answers are concrete exactly when the codes they were encoded with
     are given.  A desired sum is resolved by subtracting its side
     information, the undesired sum it extends: nothing for round 1, a raw
-    answer (symbolic), a re-encoded known segment (concrete, tau = 2), or a
-    widened undesired codeword sum (concrete, tau >= 3).
+    answer (symbolic), a known segment encoded once for every sum extending
+    it (concrete, tau = 2), or a widened undesired codeword sum (tau >= 3).
     """
     v, q, beta, bounds = plan.v, candidate_set.q, plan.beta, plan.bounds
     if list(map(len, answers)) != np.diff(bounds).tolist():
@@ -473,6 +473,8 @@ def decode(
     failed = lost[desired]
     if codes is not None:
         leads = (plan.sums[desired] != 0).argmax(axis=1).tolist()
+        # encode each round-1 side {w} once: all sums {w, v} extending it share a code
+        encoded = cache(lambda s, code: encode_fixed(raw[s], code))
         for k in np.flatnonzero(later).tolist():
             i, s = int(desired[k]), int(side[k])
             code = codes.sum_codes[leads[k]]
@@ -480,7 +482,7 @@ def decode(
             if coded[i].atypical or lost[s]:
                 continue
             if plan.round[s] == 1:
-                side_cw = encode_fixed(raw[s], code)
+                side_cw = encoded(s, code)
             else:
                 side_cw = widen_codeword(coded[s], code)
             if side_cw.atypical:

@@ -157,6 +157,20 @@ def test_nonprime_modulus_outranks_enumeration_cap():
         candidate_set_from_exponents(vectors, 5)
 
 
+@pytest.mark.parametrize(
+    "vectors,message",
+    [
+        ([], "must be nonempty"),
+        ([(1, 0), (1,)], "same length"),
+        ([(1, 0), (0, 1), (1, 0)], "duplicate"),
+    ],
+    ids=["empty", "ragged", "duplicate"],
+)
+def test_candidate_list_usage_errors(vectors, message):
+    with pytest.raises(UsageError, match=message):
+        candidate_set_from_exponents(vectors, 3)
+
+
 def test_is_prime_matches_sieve():
     limit = 10**5
     sieve = [False, False] + [True] * (limit - 2)
@@ -606,6 +620,8 @@ def test_nonparallel_large_prime():
     # x^2 and x^3 are powers of x; the k with a first entry <= g are solved
     # for, where a Python loop over every k in [2, q - 1] would take seconds
     assert generate_nonparallel_monomials(1, 3, 9999991) == [(1,)]
+    # every in-range x^e is a power of x: no walk over the q - 2 others
+    assert generate_nonparallel_monomials(1, 10**8, 999983) == [(1,)]
 
 
 def test_monomial_entropy_large_prime_lists_no_unit_counts():

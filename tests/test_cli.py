@@ -938,6 +938,15 @@ def test_generation_cap_counts_the_vectors_walked(capsys, q, f, g, guard):
         )
 
 
+@pytest.mark.parametrize("f", [3, 16])
+def test_zero_candidate_exits_2_whatever_its_variable_count(capsys, f):
+    # 3^16 cells are past the enumeration cap, but the vector is checked first
+    zero = ",".join(["0"] * f)
+    code, out, err = run_cli(capsys, "rates", "--n", "2", "--q", "3", "--candidates", zero)
+    assert (code, out) == (2, "")
+    assert err == "error: monomial must involve at least one variable (wt >= 1)\n"
+
+
 def test_entropy_pmf_cap(capsys, monkeypatch):
     # 99991 is the largest prime the pmf cap of 10^5 admits
     code, out, _ = run_cli(capsys, "entropy", "--q", "99991", "--table", "5")

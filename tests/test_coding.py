@@ -448,6 +448,8 @@ def test_atypical_propagates_through_sums():
     good = encode_fixed((0,) * 30, code)
     assert bad.atypical
     assert sum_codewords(bad, good).atypical
+    assert subtract_codewords(good, bad).atypical
+    assert subtract_codewords(bad, good).atypical
 
 
 def test_sum_rejects_mixed_codes():

@@ -6,7 +6,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from privcomp import QueryPlan, generate_query_plan, verify_privacy_structure
+from privcomp import ProtocolError, QueryPlan, generate_query_plan, verify_privacy_structure
 from privcomp.protocol import _masks
 
 
@@ -327,3 +327,13 @@ def test_certificate_rejects_a_class_that_runs_past_the_last_row():
     report = verify_privacy_structure(plan._replace(sums=sums))
     assert report.relabeling_ok is False
     assert any("multiset is not symmetric" in v for v in report.violations)
+
+
+@pytest.mark.parametrize("mu", [1, 2])
+@pytest.mark.parametrize("past_beta", [False, True])
+def test_certificate_rejects_a_subindex_outside_the_segments(mu, past_beta):
+    plan = generate_query_plan(2, mu, 1, seed=0)
+    sums = plan.sums.copy()
+    sums[0, 0] = plan.beta + 1 if past_beta else -1
+    with pytest.raises(ProtocolError, match=f"outside \\[1, {plan.beta}\\]"):
+        verify_privacy_structure(plan._replace(sums=sums))

@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 
 from privcomp import (
+    CodecError,
+    Codeword,
     FixedCode,
     FunctionTable,
     MessageStore,
@@ -19,11 +21,14 @@ from privcomp import (
     candidate_set_from_exponents,
     d_one,
     decode,
+    decode_fixed,
+    encode_fixed,
     generate_query_plan,
     monomial_candidate_set,
     order_by_entropy,
     round_download,
     run_simulation,
+    sum_codewords,
 )
 from privcomp import protocol
 from privcomp.protocol import (
@@ -553,6 +558,23 @@ def test_answer_unknown_subindex():
         answer_queries(1, bad, store, cs, evaluate_candidates(store, cs))
 
 
+def test_answer_needs_one_round1_subindex():
+    cs = candidate_set_from_exponents([(1, 0), (1, 1)], 3)
+    store = MessageStore.generate(3, 2, beta=4, length=4, seed=0)
+    plan = generate_query_plan(2, 2, 1, seed=0)
+    values = evaluate_candidates(store, cs)
+    first = np.flatnonzero(plan.round[plan.rows(1)] == 1)
+    # database 1's singletons become pairs: no round-1 sum is left
+    paired = plan.sums.copy()
+    paired[first] = paired[first].max(axis=1, keepdims=True)
+    # one singleton moves to another subindex
+    split = plan.sums.copy()
+    split[first[0]] = np.where(split[first[0]], split[first[0]] % plan.beta + 1, 0)
+    for sums, message in [(paired, "no round-1 sums"), (split, "several subindices")]:
+        with pytest.raises(ProtocolError, match=message):
+            answer_queries(1, plan._replace(sums=sums), store, cs, values)
+
+
 def test_decode_missing_side_information():
     cs = candidate_set_from_exponents([(1, 0), (1, 1)], 3)
     store = MessageStore.generate(3, 2, beta=4, length=4, seed=0)
@@ -736,6 +758,61 @@ def test_concrete_three_rounds_widening():
         SimulationConfig(n=2, candidate_set=cs, length=128, v=1, mode="concrete", seed=4)
     )
     assert rep.recovery_ok
+
+
+@pytest.mark.parametrize(
+    "n,exponents", [(4, [(1, 0), (1, 1)]), (3, [(1, 0), (0, 1), (1, 1)])]
+)
+def test_decode_encodes_each_round1_side_once(monkeypatch, n, exponents):
+    # each of the n (mu - 1) undesired singletons is extended at the n - 1
+    # other databases, always under the code led by it and candidate v
+    cs = candidate_set_from_exponents(exponents, 3)
+    plan = generate_query_plan(n, cs.mu, 1, seed=0)
+    store = MessageStore.generate(3, 2, beta=plan.beta, length=64, seed=0)
+    codes = build_concrete_codes(cs, 64)
+    values = evaluate_candidates(store, cs)
+    answers = [
+        answer_queries(j, plan, store, cs, values, codes)[0] for j in range(1, n + 1)
+    ]
+    encoded = []
+    real = protocol.encode_fixed
+
+    def recorded(seq, code):
+        encoded.append(code)
+        return real(seq, code)
+
+    monkeypatch.setattr(protocol, "encode_fixed", recorded)
+    result = decode(plan, answers, cs, codes=codes)
+    assert result.failed == []
+    assert len(encoded) == n * (cs.mu - 1)
+
+
+def test_decode_counts_corrupt_later_codewords_as_failed():
+    cs = candidate_set_from_exponents([(1, 0), (1, 1)], 3)
+    plan = generate_query_plan(2, 2, 1, seed=0)
+    # every segment is zero, so the decoder subtracts the zero sequence's
+    # codeword from a corrupted one and decodes what was added to it
+    store = MessageStore(q=3, messages=np.zeros((2, plan.beta, 16), dtype=np.int8))
+    codes = build_concrete_codes(cs, 16)
+    values = evaluate_candidates(store, cs)
+    answers = [answer_queries(j, plan, store, cs, values, codes)[0] for j in (1, 2)]
+    assert decode(plan, answers, cs, codes=codes).failed == []
+    i = int(np.flatnonzero(plan.desired & (plan.round == 2))[0])
+    j = int(np.searchsorted(plan.bounds, i, side="right"))
+    code = answers[j - 1][i - plan.bounds[j - 1]].code
+    zero = encode_fixed((0,) * code.length, code)
+    head, body = code.header_len, code.payload_len
+    assert 3**head > math.comb(code.length + 2, 2)  # so a header can be out of range
+    segment = int(plan.permutation[plan.sums[i, 0] - 1])
+    # a type rank of 3^head - 1, or a rank of 1 in the class of one constant sequence
+    bad_header = (2,) * head + (0,) * body
+    bad_rank = zero.symbols[:head] + (0,) * (body - 1) + (1,)
+    for added in [bad_header, bad_rank]:
+        with pytest.raises(CodecError):
+            decode_fixed(Codeword(code=code, symbols=added), code)
+        broken = [list(a) for a in answers]
+        broken[j - 1][i - plan.bounds[j - 1]] = sum_codewords(Codeword(code, added), zero)
+        assert decode(plan, broken, cs, codes=codes).failed == [segment]
 
 
 def test_concrete_joint_code_past_the_former_alphabet_cap(monkeypatch):

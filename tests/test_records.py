@@ -59,6 +59,13 @@ def test_validation_runs_at_construction_and_replace():
         EntropyProfile(h=(0.5, 1.0), prefix_joint=(0.5, 1.0))
     with pytest.raises(UsageError, match="nonincreasing"):
         profile._replace(h=(0.5, 1.0))
+    with pytest.raises(UsageError, match="nonempty and equal length"):
+        EntropyProfile(h=(1.0, 0.5), prefix_joint=(1.0,))
+    with pytest.raises(UsageError, match="nonempty and equal length"):
+        EntropyProfile(h=(), prefix_joint=())
+    for joints in [(1.0, 0.5), (1.0, 1.75)]:  # shrinks, or grows by more than h[1]
+        with pytest.raises(UsageError, match="grow by at most"):
+            profile._replace(prefix_joint=joints)
     with pytest.raises(UsageError, match="out of field range"):
         table._replace(values=[0, 1, 3])
     replaced = table._replace(values=[2, 2, 0])  # copied read-only, as at construction
