@@ -121,9 +121,12 @@ def _blocks(size: int):
     return (slice(i, i + BLOCK) for i in range(0, size, BLOCK))
 
 
-def _masks(sums: np.ndarray) -> np.ndarray:
-    """Candidate set of each row as a bitmask, bit w-1 for candidate w."""
+def _masks(sums: np.ndarray, pi=None) -> np.ndarray:
+    """Candidate set of each row as a bitmask, bit w-1 for candidate w; with a
+    column permutation pi (0-based), member w sets bit pi[w-1] instead."""
     bit = 1 << np.arange(sums.shape[1], dtype=np.int64)
+    if pi is not None:
+        bit = bit[pi]
     masks = np.empty(len(sums), dtype=np.int64)
     for blk in _blocks(len(sums)):
         masks[blk] = (sums[blk] != 0) @ bit
@@ -513,14 +516,6 @@ class PrivacyReport(namedtuple("PrivacyReport", "violations")):
     relabeling_ok = ok  # the certificate is the relabeling check
 
 
-def _permute_masks(masks: np.ndarray, pi) -> np.ndarray:
-    """Bitmasks with member w moved to pi[w], 0-based."""
-    out = np.zeros_like(masks)
-    for w, to in enumerate(pi):
-        out |= (masks >> w & 1) << to
-    return out
-
-
 def verify_privacy_structure(plan: QueryPlan) -> PrivacyReport:
     """Certify that no database's view of the plan depends on the desired index.
 
@@ -534,9 +529,12 @@ def verify_privacy_structure(plan: QueryPlan) -> PrivacyReport:
 
     For each generator, sigma maps database j's row (round, mask, copy) to
     its row (round, pi(mask), copy), where copy is the row's rank in plan
-    order within its (round, mask) class, and rho is read off the entries:
-    sums[r, w] -> sums[sigma(r), pi(w)].  The certificate holds when sigma
-    exists and rho is well defined on every database; rho then maps the
+    order within its (round, mask) class: the k-th row of a stable sort by
+    the moved key (round, pi(mask)) goes to the k-th row of a stable sort by
+    the key (round, mask).  Both sorted key arrays are equal exactly when the
+    class sizes are symmetric, so sigma then exists, and rho is read off the
+    entries: sums[r, w] -> sums[sigma(r), pi(w)].  The certificate holds when
+    sigma exists and rho is well defined on every database; rho then maps the
     view's subindices onto themselves, so it is a bijection.  It is sound for
     any sigma; the copy rule of the generator is what makes this sigma work.
     Rows are gathered one block at a time, so the check holds no copy of sums.
@@ -563,29 +561,27 @@ def verify_privacy_structure(plan: QueryPlan) -> PrivacyReport:
         key = (plan.round[at].astype(np.int64) << mu) + _masks(part)
         order = np.argsort(key, kind="stable")
         key.sort()  # the sorted keys, key[order], without a second array
-        live = list(range(len(pis)))  # generators with no violation on db j
-        for rows in _blocks(len(key)):
-            k = key[rows]
-            copy = np.arange(len(k)) + rows.start - np.searchsorted(key, k)
-            a = part[order[rows]]
-            for g in list(live):
-                pi = pis[g]
-                target = (k & ~low) + _permute_masks(k & low, pi.tolist())
-                sigma = np.searchsorted(key, target) + copy
-                # a copy past the last row of its target class has no image
-                inside = np.minimum(sigma, len(key) - 1)
-                found = (sigma < len(key)) & (key[inside] == target)
-                if not found.all():
-                    p = int(np.argmin(found))
-                    violations.append(
-                        f"db {j}: (round, type) multiset is not symmetric: round "
-                        f"{k[p] >> mu} has more sums of type "
-                        f"{_type_of(int(k[p] & low))} than of type "
-                        f"{_type_of(int(target[p] & low))}"
-                    )
-                    live.remove(g)
-                    continue
-                b = np.add(part[order[inside][:, None], pi], stamp, dtype=np.int64)
+        for g, pi in enumerate(pis):
+            moved = (plan.round[at].astype(np.int64) << mu) + _masks(part, pi)
+            source = np.argsort(moved, kind="stable")  # sigma(source[k]) = order[k]
+            moved.sort()
+            if not np.array_equal(key, moved):
+                # the first class count that differs names a class c with
+                # more rows than pi^-1(c) (key lower) or fewer (moved lower)
+                p = int(np.argmax(key != moved))
+                c = int(min(key[p], moved[p]))
+                back = sum(1 << w for w, to in enumerate(pi.tolist()) if c >> to & 1)
+                more, fewer = (c, back) if key[p] < moved[p] else (back, c)
+                violations.append(
+                    f"db {j}: (round, type) multiset is not symmetric: round "
+                    f"{c >> mu} has more sums of type {_type_of(more & low)} "
+                    f"than of type {_type_of(fewer & low)}"
+                )
+                continue
+            del moved
+            for rows in _blocks(len(key)):
+                a = part[source[rows]]
+                b = np.add(part[order[rows][:, None], pi], stamp, dtype=np.int64)
                 held = rho[g][a]
                 clash = ((held >= stamp) & (held != b)).any()  # an earlier block
                 del held  # one int64 block fewer at the re-read below
@@ -595,9 +591,7 @@ def verify_privacy_structure(plan: QueryPlan) -> PrivacyReport:
                         f"db {j}: view is not a relabeling of itself with "
                         f"candidates 1..{mu} moved to {tuple((pi + 1).tolist())}"
                     )
-                    live.remove(g)
-            if not live:
-                break
+                    break
     return PrivacyReport(violations=violations)
 
 

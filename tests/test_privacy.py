@@ -1,5 +1,7 @@
+import ast
 import importlib.util
 import itertools
+import re
 import tracemalloc
 from collections import Counter
 
@@ -327,6 +329,42 @@ def test_certificate_rejects_a_class_that_runs_past_the_last_row():
     report = verify_privacy_structure(plan._replace(sums=sums))
     assert report.relabeling_ok is False
     assert any("multiset is not symmetric" in v for v in report.violations)
+
+
+@pytest.mark.parametrize("w,more,fewer", [(1, "(1,)", "(2,)"), (0, "(2,)", "(1,)")])
+def test_asymmetry_message_names_the_larger_class(w, more, fewer):
+    # database 2's round-2 sum (4, 1) keeps only one member and becomes a
+    # second round-1 singleton of that candidate
+    plan = generate_query_plan(2, 2, 1, seed=0)
+    sums = plan.sums.copy()
+    sums[5, w] = 0
+    assert verify_privacy_structure(plan._replace(sums=sums)).violations == [
+        "db 2: (round, type) multiset is not symmetric: round 1 has more sums "
+        f"of type {more} than of type {fewer}"
+    ]
+
+
+def test_asymmetry_messages_count_true_under_the_cycle():
+    # database 1 of the (2, 3) plan: (3, 2, 0) becomes a second (1,) and
+    # (0, 4, 3) a second (2,), so round 1 holds (1,) twice, (2,) twice and
+    # (3,) once.  The cycle moves (1,) to (2,), which has as many rows, so a
+    # message naming (1,) must name its preimage (3,) as the smaller class
+    plan = generate_query_plan(2, 3, 1, seed=0)
+    sums = plan.sums.copy()
+    assert sums[3:6].tolist() == [[3, 2, 0], [4, 0, 2], [0, 4, 3]]
+    sums[3, 1] = sums[5, 2] = 0
+    tampered = plan._replace(sums=sums)
+    violations = verify_privacy_structure(tampered).violations
+    assert len(violations) == 2  # one for each generator, both on database 1
+    counts = Counter(type_multiset(tampered, 1))
+    for message in violations:
+        tau, more, fewer = re.fullmatch(
+            r"db 1: \(round, type\) multiset is not symmetric: round (\d+) has "
+            r"more sums of type (\(.*\)) than of type (\(.*\))",
+            message,
+        ).groups()
+        tau, more, fewer = int(tau), ast.literal_eval(more), ast.literal_eval(fewer)
+        assert counts[(tau, more)] > counts[(tau, fewer)]
 
 
 @pytest.mark.parametrize("mu", [1, 2])

@@ -1,8 +1,10 @@
-"""Property test (hypothesis) of the privacy certificate against networkx VF2
-on plans with one entry changed: the certificate may only certify private
-plans, and at n = 2, where every (database, round, type) class holds one sum,
-it must certify every private plan."""
+"""Property tests (hypothesis) of the privacy certificate on plans with one
+entry changed.  Against networkx VF2: the certificate may only certify
+private plans, and at n = 2, where every (database, round, type) class holds
+one sum, it must certify every private plan.  Against a pure-Python copy of
+its own rule: it certifies exactly the plans that rule accepts."""
 
+from collections import defaultdict
 from unittest import mock
 
 import pytest
@@ -15,11 +17,15 @@ pytest.importorskip("networkx")
 
 
 @st.composite
-def mutated_plans(draw):
+def mutated_plans(draw, sizes=((2, 2), (2, 3), (2, 4), (2, 5), (3, 2), (3, 3), (4, 2)),
+                  intact=False):
     """A plan with one entry of sums changed: a subindex moved, a member added
-    (0 -> t) or a member removed (t -> 0)."""
-    n, mu = draw(st.sampled_from([(2, 2), (2, 3), (2, 4), (2, 5), (3, 2), (3, 3), (4, 2)]))
+    (0 -> t) or a member removed (t -> 0); with intact, one plan in five is
+    left as built."""
+    n, mu = draw(st.sampled_from(sizes))
     plan = generate_query_plan(n, mu, draw(st.integers(1, mu)), seed=draw(st.integers(0, 3)))
+    if intact and draw(st.integers(0, 4)) == 0:
+        return plan
     r = draw(st.integers(0, len(plan.sums) - 1))
     w = draw(st.integers(0, mu - 1))
     sums = plan.sums.copy()
@@ -54,3 +60,40 @@ def test_certificate_agrees_with_vf2_on_mutated_plans(block, plan):
         assert private
     if plan.n == 2:
         assert certified == private
+
+
+def copy_rule_certifies(plan):
+    """The certificate's rule, row by row: on each database, for the cycle
+    (1 2 ... mu) and the transposition (1 2), the rows of each (round,
+    members) class, in plan order, are zipped with those of its image class;
+    the sizes must agree and the subindex map rho must be well defined."""
+    mu = plan.mu
+    generators = [[(w + 1) % mu for w in range(mu)], [1, 0, *range(2, mu)]]
+    for j in range(1, plan.n + 1):
+        classes = defaultdict(list)
+        for row in plan.sums[plan.rows(j)].tolist():
+            members = frozenset(w for w, t in enumerate(row) if t)
+            classes[(len(members), members)].append(row)
+        for pi in generators[: min(mu - 1, 2)]:
+            rho = {}
+            for (tau, members), rows in classes.items():
+                image = classes.get((tau, frozenset(pi[w] for w in members)), [])
+                if len(image) != len(rows):
+                    return False
+                for r, s in zip(rows, image):
+                    for w in range(mu):
+                        if rho.setdefault(r[w], s[pi[w]]) != s[pi[w]]:
+                            return False
+    return True
+
+
+ORACLE_SIZES = ((2, 2), (2, 3), (2, 4), (2, 5), (3, 2), (3, 3), (3, 4), (4, 2), (4, 3), (5, 2))
+
+
+@pytest.mark.parametrize("block", [protocol.BLOCK, 2])
+@settings(max_examples=200, deadline=None)
+@given(plan=mutated_plans(ORACLE_SIZES, intact=True))
+def test_certificate_equals_its_copy_rule(block, plan):
+    with mock.patch.object(protocol, "BLOCK", block):
+        certified = verify_privacy_structure(plan).ok
+    assert certified == copy_rule_certifies(plan)
