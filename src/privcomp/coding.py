@@ -1,14 +1,15 @@
 """Fixed-length near-lossless coding of i.i.d. segments by type-class ranking.
 
-A codeword is a two-part description over F_q: a header holding the rank of
-the sequence's type (its symbol counts) among all compositions of L into A
-parts, then the sequence's lexicographic rank within its type class,
-zero-padded to a payload length set by the entropy budget; both are
+A codeword is the base-q digits of type rank * q^payload_len + class rank:
+a header, the rank of the sequence's type (its symbol counts) among all
+compositions of L into A parts, then its lexicographic rank within its type
+class, zero-padded to a payload length set by the entropy budget; both are
 enumerative ranks (T. Cover, "Enumerative source encoding", 1973).  Ranking
 sums blocks of positions with numpy and updates its big integers once per
 block; unranking reads blocks off a fixed-point interval and finds each
 symbol in a tree of the counts left.  Sequences whose type class does not
-fit the payload are Atypical: the encoder reports failure instead.
+fit the payload are Atypical; decoding that marker, or a corrupt codeword,
+raises CodecError.
 
 Because all codewords of one code share a length, they can be summed
 componentwise over F_q and later cancelled: a receiver that knows all but one
@@ -37,18 +38,13 @@ BLOCK = 64
 GUESS_WORK = 1000
 
 
-class TypeVector(namedtuple("TypeVector", "counts")):
-    """Occurrence counts of each symbol of [0, A) over a length-L sequence."""
-
-    __slots__ = ()
-
-    def class_size(self) -> int:
-        """Number of sequences sharing these counts (exact multinomial)."""
-        size, total = 1, 0
-        for c in filter(None, self.counts):  # an absent symbol adds a factor 1
-            total += c
-            size *= math.comb(total, c)
-        return size
+def class_size(counts) -> int:
+    """Number of sequences with these symbol counts (exact multinomial)."""
+    size, total = 1, 0
+    for c in filter(None, counts):  # an absent symbol adds a factor 1
+        total += c
+        size *= math.comb(total, c)
+    return size
 
 
 def _symbols(seq, alphabet_size: int):
@@ -61,9 +57,9 @@ def _symbols(seq, alphabet_size: int):
     return x.astype(np.min_scalar_type(alphabet_size), copy=False)
 
 
-def type_of(seq, alphabet_size: int) -> TypeVector:
+def type_of(seq, alphabet_size: int) -> tuple:
     counts = np.bincount(_symbols(seq, alphabet_size), minlength=alphabet_size)
-    return TypeVector(counts=tuple(counts.tolist()))
+    return tuple(counts.tolist())
 
 
 def _shrink(size: int, s_acc: int, p_acc: int, q_acc: int) -> tuple:
@@ -129,8 +125,9 @@ def rank_in_type(seq, alphabet_size: int) -> int:
     return _rank(_symbols(seq, alphabet_size))[0]
 
 
-def unrank_in_type(rank: int, tv: TypeVector) -> tuple:
-    """Inverse of rank_in_type for the given type.
+def unrank_in_type(rank: int, counts) -> tuple:
+    """Inverse of rank_in_type for the type with these symbol counts; a
+    rank not below class_size(counts) raises CodecError.
 
     While the class size is wide (GUESS_WORK), a block of symbols is read
     from rank / size, held as the interval [lo, hi) / 2^bits: the symbol
@@ -139,19 +136,19 @@ def unrank_in_type(rank: int, tv: TypeVector) -> tuple:
     exact offset, as in _rank, is applied, and that symbol, like every one
     once the class is narrow, is decoded exactly.
     """
-    size = tv.class_size()
+    size = class_size(counts)
     if not 0 <= rank < size:
         raise CodecError(f"rank {rank} out of range for class of size {size}")
     # the symbols left, by index in present, in a binary tree: leaf span + s
     # counts s, inner node i those under its left child; O(log A) per symbol
-    present = [s for s, n in enumerate(tv.counts) if n]
+    present = [s for s, n in enumerate(counts) if n]
     span = 1 << max(len(present) - 1, 0).bit_length()
-    tree = [0] * span + [tv.counts[s] for s in present] + [0] * (span - len(present))
+    tree = [0] * span + [counts[s] for s in present] + [0] * (span - len(present))
     for i in range(span - 1, 0, -1):
         tree[i] = tree[2 * i] + tree[2 * i + 1]
     for i in range(1, span):
         tree[i] = tree[2 * i]
-    t, out = sum(tv.counts), []
+    t, out = sum(counts), []
     while t:
         if size.bit_length() > GUESS_WORK:
             # room for about BLOCK symbols at the class's mean rate, and a margin
@@ -199,7 +196,7 @@ def unrank_in_type(rank: int, tv: TypeVector) -> tuple:
         out.append(node - span)
         size = block
         t -= 1
-    return tuple(out) if len(present) == len(tv.counts) else tuple(present[i] for i in out)
+    return tuple(out) if len(present) == len(counts) else tuple(present[i] for i in out)
 
 
 def _rank_type(counts) -> int:
@@ -368,7 +365,8 @@ def atypical(code: FixedCode) -> Codeword:
 
 
 def encode_fixed(seq, code: FixedCode) -> Codeword:
-    """Encode one sequence; returns the Atypical marker when it cannot fit."""
+    """The digits of type rank * q^payload_len + class rank, header then
+    payload, or the Atypical marker when the class does not fit."""
     if len(seq) != code.length:
         raise UsageError(f"sequence length {len(seq)} != code length {code.length}")
     x = _symbols(seq, code.alphabet_size)
@@ -376,22 +374,20 @@ def encode_fixed(seq, code: FixedCode) -> Codeword:
     if size > code.payload_capacity:
         return atypical(code)
     counts = np.bincount(x, minlength=code.alphabet_size).tolist()
-    digits = _to_digits(_rank_type(counts), code.q, code.header_len)
-    digits += _to_digits(rank, code.q, code.payload_len)
-    return Codeword(code=code, symbols=tuple(digits))
+    value = _rank_type(counts) * code.payload_capacity + rank
+    return Codeword(code=code, symbols=tuple(_to_digits(value, code.q, code.codeword_len)))
 
 
 def decode_fixed(codeword: Codeword, code: FixedCode) -> tuple:
-    """Exact inverse of encode_fixed for typical sequences."""
+    """Inverse of encode_fixed: one integer, split by divmod into type rank
+    and class rank.  An Atypical or corrupt codeword raises CodecError."""
     if codeword.atypical:
         raise CodecError("cannot decode the Atypical marker")
     if codeword.code != code or len(codeword.symbols) != code.codeword_len:
         raise UsageError("codeword does not belong to this code")
     digits = np.fromiter(codeword.symbols, np.int64, code.codeword_len)
-    head = code.header_len
-    rank = _from_digits(digits[:head], code.q)
-    tv = TypeVector(counts=_unrank_type(rank, code.alphabet_size, code.length))
-    return unrank_in_type(_from_digits(digits[head:], code.q), tv)
+    type_rank, rank = divmod(_from_digits(digits, code.q), code.payload_capacity)
+    return unrank_in_type(rank, _unrank_type(type_rank, code.alphabet_size, code.length))
 
 
 def sum_codewords(*codewords: Codeword) -> Codeword:

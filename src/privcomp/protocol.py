@@ -416,6 +416,9 @@ def decode(
     information, the undesired sum it extends: nothing for round 1, a raw
     answer (symbolic), a known segment encoded once for every sum extending
     it (concrete, tau = 2), or a widened undesired codeword sum (tau >= 3).
+    A concrete desired sum fails exactly when decode_fixed raises CodecError
+    on it, as on an Atypical (widened and subtracted as such) or corrupt
+    codeword, or when its side is a row of a round-1 bundle that failed so.
     """
     v, q, beta, bounds = plan.v, candidate_set.q, plan.beta, plan.bounds
     if list(map(len, answers)) != np.diff(bounds).tolist():
@@ -464,37 +467,28 @@ def decode(
         coded = list(itertools.chain(*answers))
         for j in range(1, plan.n + 1):
             first = np.flatnonzero(plan.round[plan.rows(j)] == 1) + bounds[j - 1]
-            bundle = coded[first[0]]
-            if bundle.atypical:
+            try:
+                image = codes.image_tuples[list(decode_fixed(coded[first[0]], codes.joint_code))]
+            except CodecError:
                 lost[first] = True
-            else:
-                image = codes.image_tuples[list(decode_fixed(bundle, codes.joint_code))]
-                raw[first] = image[:, plan.sums[first].argmax(axis=1)].T
+                continue
+            raw[first] = image[:, plan.sums[first].argmax(axis=1)].T
     value = raw[desired]
     value -= raw[side]
     value %= q
-    failed = lost[desired]
+    failed = lost[desired] | lost[side]  # side -1 is the zero row, never lost
     if codes is not None:
         leads = (plan.sums[desired] != 0).argmax(axis=1).tolist()
         # encode each round-1 side {w} once: all sums {w, v} extending it share a code
         encoded = cache(lambda s, code: encode_fixed(raw[s], code))
-        for k in np.flatnonzero(later).tolist():
+        for k in np.flatnonzero(~failed & later).tolist():
             i, s = int(desired[k]), int(side[k])
             code = codes.sum_codes[leads[k]]
-            failed[k] = True
-            if coded[i].atypical or lost[s]:
-                continue
-            if plan.round[s] == 1:
-                side_cw = encoded(s, code)
-            else:
-                side_cw = widen_codeword(coded[s], code)
-            if side_cw.atypical:
-                continue
+            side_cw = encoded(s, code) if plan.round[s] == 1 else widen_codeword(coded[s], code)
             try:
                 value[k] = decode_fixed(subtract_codewords(coded[i], side_cw), code)
             except CodecError:
-                continue
-            failed[k] = False
+                failed[k] = True
         value[failed] = 0
     segments = np.zeros((beta, length), dtype=raw.dtype)
     segments[real - 1] = value

@@ -30,7 +30,7 @@ from privcomp import (
     verify_privacy_structure,
 )
 from privcomp.cli import figure_rows, load_reference_figure
-from privcomp.coding import TypeVector, rank_in_type, type_of, unrank_in_type
+from privcomp.coding import class_size, rank_in_type, type_of, unrank_in_type
 from test_rates import outer_messages_oracle
 
 PRODUCT_PMF = (5 / 9, 2 / 9, 2 / 9)  # pmf of w1*w2 over F_3
@@ -278,8 +278,8 @@ def test_criterion_6_concrete_mode():
     counts = np.stack([(segments == s).sum(axis=1) for s in range(3)], axis=1)
     atypical = 0
     for row in counts:
-        tv = TypeVector(counts=tuple(int(c) for c in row))
-        if tv.class_size() > code.payload_capacity:
+        tv = tuple(int(c) for c in row)
+        if class_size(tv) > code.payload_capacity:
             atypical += 1
     atypical_rate = atypical / len(counts)
     # the fast per-type test above must agree with the encoder's own decision
@@ -287,7 +287,7 @@ def test_criterion_6_concrete_mode():
     for row in segments[:50]:
         seq = tuple(int(x) for x in row)
         cw = encode_fixed(seq, code)
-        expected_atypical = type_of(seq, 3).class_size() > code.payload_capacity
+        expected_atypical = class_size(type_of(seq, 3)) > code.payload_capacity
         if cw.atypical != expected_atypical:
             spot_ok = False
         if not cw.atypical and decode_fixed(cw, code) != seq:
@@ -329,7 +329,7 @@ def test_criterion_7_enumerative_coder():
         tv = type_of(seq, 3)
         r = rank_in_type(seq, 3)
         assert unrank_in_type(r, tv) == seq
-        per_type_ranks.setdefault(tv.counts, []).append(r)
+        per_type_ranks.setdefault(tv, []).append(r)
     bijective = all(
         sorted(ranks) == list(range(len(ranks)))
         for ranks in per_type_ranks.values()

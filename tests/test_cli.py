@@ -4,7 +4,9 @@ import hashlib
 import json
 import math
 import os
+import shlex
 import time
+from pathlib import Path
 
 import pytest
 
@@ -1056,3 +1058,16 @@ def test_figure_rows_match_corollary_on_grid():
                 checked += 1
     # q = 5 and 7 stop below f = 7 at the enumeration cap
     assert checked == 535, f"{checked} rows: the cap moved, so did the grid"
+
+
+def test_readme_cli_examples_exit_zero(capsys, monkeypatch, tmp_path):
+    # every `privcomp ...` line in the README's fenced blocks, run as written
+    # (figure writes its CSV into the working directory)
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    blocks = readme.split("```")[1::2]
+    lines = [ln for b in blocks for ln in b.splitlines() if ln.startswith("privcomp ")]
+    assert len(lines) == 8
+    monkeypatch.chdir(tmp_path)
+    for line in lines:
+        code, _, err = run_cli(capsys, *shlex.split(line)[1:])
+        assert code == 0, (line, err[-2000:])

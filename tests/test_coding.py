@@ -27,6 +27,7 @@ from privcomp.coding import (
     _rank_type,
     _to_digits,
     _unrank_type,
+    class_size,
     rank_in_type,
     subtract_codewords,
     type_of,
@@ -155,14 +156,14 @@ def unrank_both_ways(rank, tv):
 
 
 def test_type_of_examples():
-    assert type_of((0, 0, 1, 2), 3).counts == (2, 1, 1)
-    assert type_of((1,) * 5, 3).counts == (0, 5, 0)
-    assert type_of((), 3).counts == (0, 0, 0)
+    assert type_of((0, 0, 1, 2), 3) == (2, 1, 1)
+    assert type_of((1,) * 5, 3) == (0, 5, 0)
+    assert type_of((), 3) == (0, 0, 0)
 
 
 def test_class_size_is_multinomial():
     tv = type_of((0, 0, 1, 2), 3)
-    assert tv.class_size() == math.factorial(4) // (2 * 1 * 1)
+    assert class_size(tv) == math.factorial(4) // (2 * 1 * 1)
 
 
 # ------------------------------------------------------------- rank / unrank
@@ -182,7 +183,7 @@ def test_rank_unrank_roundtrip_exhaustive_small():
         for seq in itertools.product(range(3), repeat=L):
             tv = type_of(seq, 3)
             r = rank_in_type(seq, 3)
-            assert 0 <= r < tv.class_size()
+            assert 0 <= r < class_size(tv)
             assert unrank_in_type(r, tv) == seq
 
 
@@ -194,10 +195,10 @@ def test_rank_unrank_match_oracle_at_block_boundaries():
             for p in (np.full(A, 1 / A), rng.dirichlet(np.full(A, 0.3))):
                 seq = tuple(rng.choice(A, size=L, p=p).tolist())
                 tv = type_of(seq, A)
-                assert tv.class_size() == oracle_class_size(tv.counts)
+                assert class_size(tv) == oracle_class_size(tv)
                 r = rank_in_type(seq, A)
                 assert r == oracle_rank(seq, A)
-                assert unrank_both_ways(r, tv) == seq == oracle_unrank(r, tv.counts)
+                assert unrank_both_ways(r, tv) == seq == oracle_unrank(r, tv)
 
 
 @pytest.mark.parametrize("A", [1, 2, 3, 4])
@@ -238,9 +239,9 @@ def test_rank_exact_at_long_lengths(A, L):
     counts = np.random.default_rng(L + A).multinomial(L, np.full(A, 1 / A))
     low = np.repeat(np.arange(A), counts)
     tv = type_of(low, A)
-    assert coding._rank(low) == (0, tv.class_size())
+    assert coding._rank(low) == (0, class_size(tv))
     high = low[::-1]
-    assert coding._rank(high) == (tv.class_size() - 1, tv.class_size())
+    assert coding._rank(high) == (class_size(tv) - 1, class_size(tv))
 
 
 def test_encode_accepts_lists_tuples_and_integer_rows():
@@ -348,6 +349,24 @@ def test_codewords_match_golden_digest():
         digest.update(repr(cw.symbols).encode())
     assert typical == 286
     assert digest.hexdigest() == GOLDEN_DIGEST
+
+
+@pytest.mark.parametrize(
+    "q,A", [(3, 9), (127, 127), (16381, 16381), (2**61 - 1, 2), (2**61 - 1, 5)]
+)
+@pytest.mark.parametrize("L", [4096, 16384])
+def test_one_rank_gives_header_then_payload_digits(q, A, L):
+    # past GOLDEN_GRID's lengths and fields: the digits of type rank *
+    # q^payload_len + class rank are the header digits, then the payload
+    # digits; a budget above log_q(A) keeps every sequence typical
+    code = FixedCode(q=q, alphabet_size=A, length=L, budget=math.log(A, q) + 0.05)
+    seq = tuple(np.random.default_rng(L + A).integers(0, A, size=L).tolist())
+    cw = encode_fixed(seq, code)
+    assert not cw.atypical
+    header = _to_digits(_rank_type(type_of(seq, A)), q, code.header_len)
+    payload = _to_digits(rank_in_type(seq, A), q, code.payload_len)
+    assert cw.symbols == tuple(header) + tuple(payload)
+    assert decode_fixed(cw, code) == seq
 
 
 def test_budget_above_log_alphabet_plus_one_rejected():

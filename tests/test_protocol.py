@@ -815,6 +815,31 @@ def test_decode_counts_corrupt_later_codewords_as_failed():
         assert decode(plan, broken, cs, codes=codes).failed == [segment]
 
 
+def test_decode_counts_a_corrupt_round1_bundle_as_failed():
+    cs = candidate_set_from_exponents([(1, 0), (1, 1)], 3)
+    plan = generate_query_plan(2, 2, 1, seed=0)
+    store = MessageStore(q=3, messages=np.zeros((2, plan.beta, 16), dtype=np.int8))
+    codes = build_concrete_codes(cs, 16)
+    values = evaluate_candidates(store, cs)
+    answers = [answer_queries(j, plan, store, cs, values, codes)[0] for j in (1, 2)]
+    code = codes.joint_code
+    # 7 joint tuples, C(22, 6) = 74613 types in 11 header digits: digits of 2
+    # are type rank 3^11 - 1 = 177146, past the last type
+    assert code.alphabet_size == 7 and code.header_len == 11
+    first = np.flatnonzero(plan.round[plan.rows(1)] == 1)  # database 1 starts at row 0
+    bad = (2,) * code.header_len + (0,) * code.payload_len
+    with pytest.raises(CodecError, match="corrupt header"):
+        decode_fixed(Codeword(code=code, symbols=bad), code)
+    answers[0][first[0]] = Codeword(code=code, symbols=bad)
+    # the desired round-1 segment of database 1, and every 2-sum extending one
+    # of its round-1 rows
+    desired = np.flatnonzero(plan.desired)
+    hit = np.isin(desired, first) | np.isin(plan.side_ref[desired], first)
+    want = sorted(plan.permutation[plan.sums[desired[hit], 0] - 1].tolist())
+    assert want == [3, 4]
+    assert decode(plan, answers, cs, codes=codes).failed == want
+
+
 def test_concrete_joint_code_past_the_former_alphabet_cap(monkeypatch):
     # 81 joint tuples: round 1 was once sent raw, charged symbolically, and
     # the report carried a warning

@@ -22,7 +22,6 @@ from privcomp import (
     run_simulation,
     verify_privacy_structure,
 )
-from privcomp.coding import TypeVector, type_of
 from privcomp.protocol import DEFAULT_EPSILON, build_concrete_codes
 
 RATE_KEYS = [
@@ -93,8 +92,6 @@ def test_value_records_compare_and_hash_by_value():
     assert hash(encode_fixed(seq, code)) == hash(encode_fixed(list(seq), twin))
     assert encode_fixed(seq, code) != encode_fixed(seq[::-1], code)
     assert isinstance(encode_fixed(seq, code), Codeword)
-    assert type_of(seq, 2) == TypeVector(counts=(5, 3))
-    assert hash(type_of(seq, 2)) == hash(TypeVector((5, 3)))
     cs = monomial_candidate_set(2, 2, 3)
     assert rate_report(3, cs) == rate_report(3, cs)
     assert hash(rate_report(3, cs)) == hash(rate_report(3, cs))
@@ -139,7 +136,6 @@ def test_fields_are_read_only():
         (plan, "sums"),
         (code, "budget"),
         (encode_fixed([0] * 8, code), "symbols"),
-        (type_of([0, 1], 2), "counts"),
         (rate_report(3, monomial_candidate_set(2, 2, 3)), "achievable"),
         (verify_privacy_structure(plan), "violations"),
         (MessageStore(q=3, messages=np.zeros((1, 2, 4), dtype=np.int8)), "q"),
