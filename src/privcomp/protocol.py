@@ -65,8 +65,8 @@ CONCRETE_SYMBOL_CAP = 2**21
 # (x, y, xy at q = 1009: a 105 s run); a sum code's A = q is at most 16381
 JOINT_ALPHABET_CAP = 2**14
 DEFAULT_EPSILON = 0.05
-# rows of sums gathered, compared or counted at once: no stage of a run
-# holds a copy of all of sums
+# rows of sums gathered, compared or counted at once, within one round where
+# rows are taken round by round: no stage of a run holds a copy of all of sums
 BLOCK = 2**13
 
 
@@ -115,18 +115,15 @@ class QueryPlan(namedtuple("QueryPlan", "v permutation sums side_ref bounds")):
         return self.sums[:, self.v - 1] != 0
 
 
-def _blocks(size: int):
-    """Slices of BLOCK rows covering range(size): a gather or comparison of
-    whole sums rows is done one block at a time, never over all of sums."""
-    return (slice(i, i + BLOCK) for i in range(0, size, BLOCK))
+def _blocks(stop: int, start: int = 0):
+    """Slices of BLOCK rows covering range(start, stop): a gather or comparison
+    of whole sums rows is done one block at a time, never over all of sums."""
+    return (slice(i, min(i + BLOCK, stop)) for i in range(start, stop, BLOCK))
 
 
-def _masks(sums: np.ndarray, pi=None) -> np.ndarray:
-    """Candidate set of each row as a bitmask, bit w-1 for candidate w; with a
-    column permutation pi (0-based), member w sets bit pi[w-1] instead."""
+def _masks(sums: np.ndarray) -> np.ndarray:
+    """Candidate set of each row as a bitmask, bit w-1 for candidate w."""
     bit = 1 << np.arange(sums.shape[1], dtype=np.int64)
-    if pi is not None:
-        bit = bit[pi]
     masks = np.empty(len(sums), dtype=np.int64)
     for blk in _blocks(len(sums)):
         masks[blk] = (sums[blk] != 0) @ bit
@@ -218,7 +215,6 @@ def generate_query_plan(n: int, mu: int, v: int, seed=None) -> QueryPlan:
 # ------------------------------------------------------------- message store
 
 
-@cache  # called per database and per stage: np.iinfo costs microseconds
 def symbol_dtype(q: int) -> np.dtype:
     """The narrowest of int8 and int16 in which two symbols of F_q add
     without overflow before they are reduced: int8 up to q = 61."""
@@ -262,10 +258,10 @@ class MessageStore(namedtuple("MessageStore", "q messages")):
 
 
 def evaluate_candidates(store: MessageStore, candidate_set: CandidateSet):
-    """Images of all candidates on the stored messages, list of (beta, L)."""
-    codes = store.input_codes()
-    dtype = symbol_dtype(store.q)
-    return [t.values.astype(dtype)[codes] for t in candidate_set.functions]
+    """Images of all candidates on the stored messages, one (mu, beta, L)
+    array: images[w-1, s-1] is candidate w on segment s."""
+    tables = np.stack([t.values for t in candidate_set.functions])
+    return tables.astype(symbol_dtype(store.q)).take(store.input_codes(), axis=1)
 
 
 # ------------------------------------------------------------------- answers
@@ -323,15 +319,6 @@ def download_costs(profile, length: int, codes: ConcreteCodes | None = None):
     return codes.joint_code.codeword_len, [c.codeword_len for c in codes.sum_codes]
 
 
-def _sum_segments(sums: np.ndarray, perm: np.ndarray, values, q: int) -> np.ndarray:
-    """Raw answer of each row of sums: its members' segments added mod q."""
-    total = np.zeros((len(sums), values[0].shape[1]), dtype=symbol_dtype(q))
-    for w, col in enumerate(sums.T):
-        (rows,) = np.nonzero(col)
-        total[rows] = (total[rows] + values[w][perm[col[rows] - 1] - 1]) % q
-    return total
-
-
 def answer_queries(
     j: int,
     plan: QueryPlan,
@@ -354,41 +341,49 @@ def answer_queries(
     Only the queried sums, the replica, and the public candidate tables are
     consulted; nothing here depends on which candidate is desired.
     """
-    profile = candidate_set.profile
-    length = store.length
-    at = plan.rows(j)
-    part, first = plan.sums[at], plan.round[at] == 1
+    length, at = store.length, plan.rows(j)
+    part, rounds = plan.sums[at], plan.round[at]
+    first = rounds == 1
     round1_ts = part[first].max(axis=1)
     if len(round1_ts) == 0:
         raise ProtocolError(f"database {j} has no round-1 sums")
     if (round1_ts != round1_ts[0]).any():
         # joint compression requires one shared segment per database
-        raise ProtocolError(
-            f"database {j} has round-1 singletons at several subindices"
-        )
+        raise ProtocolError(f"database {j} has round-1 singletons at several subindices")
     perm = plan.permutation  # 1-based: a shifted copy costs O(beta) per database
-    # the rows' sums, one block at a time: range check, lead member, and the
-    # raw answers in symbolic mode
-    lead = np.empty(len(part), dtype=np.intp)
+    mu, beta = plan.mu, plan.beta
+    images = values.reshape(-1, length)  # row (w-1) beta + s-1: image w at s
+    lead = np.zeros(len(part), dtype=np.int8)  # as plan.round: mu <= 20
     if codes is None:
-        answers = np.empty((len(part), length), dtype=symbol_dtype(store.q))
-    for blk in _blocks(len(part)):
-        sums = part[blk]
-        if sums.min(initial=0) < 0 or sums.max(initial=0) > plan.beta:
-            raise ProtocolError(f"database {j}: subindex outside [1, {plan.beta}]")
-        lead[blk] = (sums != 0).argmax(axis=1)
-        if codes is None:
-            answers[blk] = _sum_segments(sums, perm, values, store.q)
-    if codes is not None:
+        answers = np.zeros((len(part), length), dtype=images.dtype)
+    else:
         row = store.input_codes(perm[round1_ts[0] - 1] - 1)
         bundle = encode_fixed(codes.image_of_code[row], codes.joint_code)
         answers = [bundle] * len(part)  # later sums are replaced below
-        leads = lead.tolist()
-        for i in np.flatnonzero(~first).tolist():
-            code = codes.sum_codes[leads[i]]
-            segments = (values[w][perm[t - 1] - 1] for w, t in enumerate(part[i]) if t)
-            answers[i] = sum_codewords(*(encode_fixed(seg, code) for seg in segments))
-    joint, lead_costs = download_costs(profile, length, codes)
+    # the rows of one round at a time, BLOCK at a time: range check, lead
+    # member, and the tau member segments of each row read with one take
+    for tau in range(1, mu + 1):
+        of_round = (rounds == tau).nonzero()[0]
+        for blk in _blocks(len(of_round)):
+            rows = of_round[blk]
+            sums = part.take(rows, axis=0).ravel()
+            w = sums.nonzero()[0]  # tau members per row, in column order
+            t = sums.take(w)
+            w %= mu
+            if t.min() < 0 or t.max() > beta:
+                raise ProtocolError(f"database {j}: subindex outside [1, {beta}]")
+            lead[rows] = w[::tau]
+            w = w * beta + perm.take(t - 1) - 1  # the members' rows of images
+            segments = images.take(w.reshape(-1, tau).T, axis=0)  # (tau, rows, L)
+            if codes is None and tau == 1:  # a one-member sum is the segment
+                answers[rows] = segments[0]
+            elif codes is None:
+                answers[rows] = segments.sum(axis=0, dtype=np.int32) % store.q
+            elif tau > 1:  # the members' codewords under the lead's code, summed
+                for i, row_segments in zip(rows.tolist(), segments.swapaxes(0, 1)):
+                    code = codes.sum_codes[lead[i]]
+                    answers[i] = sum_codewords(*(encode_fixed(x, code) for x in row_segments))
+    joint, lead_costs = download_costs(candidate_set.profile, length, codes)
     charges = np.zeros(len(part))
     charges[~first] = np.array(lead_costs, dtype=float)[lead[~first]]
     charges[np.argmax(first)] = joint
@@ -522,70 +517,88 @@ def verify_privacy_structure(plan: QueryPlan) -> PrivacyReport:
     cover every desired index.
 
     For each generator, sigma maps database j's row (round, mask, copy) to
-    its row (round, pi(mask), copy), where copy is the row's rank in plan
-    order within its (round, mask) class: the k-th row of a stable sort by
-    the moved key (round, pi(mask)) goes to the k-th row of a stable sort by
-    the key (round, mask).  Both sorted key arrays are equal exactly when the
-    class sizes are symmetric, so sigma then exists, and rho is read off the
-    entries: sums[r, w] -> sums[sigma(r), pi(w)].  The certificate holds when
-    sigma exists and rho is well defined on every database; rho then maps the
-    view's subindices onto themselves, so it is a bijection.  It is sound for
-    any sigma; the copy rule of the generator is what makes this sigma work.
-    Rows are gathered one block at a time, so the check holds no copy of sums.
+    its row (round, pi(mask), copy), copy being the row's rank in plan order
+    within its class: the k-th row of a stable sort by the moved key (round,
+    pi(mask)) goes to the k-th row of a stable sort by the key (round, mask).
+    The sorted keys are equal exactly when the class sizes are symmetric, so
+    sigma then exists.  rho, sums[r, w] -> sums[sigma(r), pi(w)], is read off
+    the members alone, one round of the sorted rows and BLOCK rows at a time,
+    so no copy of sums is made.  The certificate holds when sigma exists and
+    rho is well defined on every database; rho then maps the view's
+    subindices onto themselves, so it is a bijection.  It is sound for any
+    sigma; the copy rule of the generator is what makes this sigma work.
     """
-    mu, sums = plan.mu, plan.sums
+    mu, sums, rounds = plan.mu, plan.sums, plan.round
     if sums.min(initial=0) < 0 or sums.max(initial=0) > plan.beta:
         raise ProtocolError(f"a subindex is outside [1, {plan.beta}]")
     if mu == 1:  # one candidate: no column permutation to check
         return PrivacyReport(violations=[])
     low = (1 << mu) - 1  # the mask bits of a key
-    cycle = np.roll(np.arange(mu), -1)  # w -> w + 1; for mu = 2 this is (1 2)
-    swap = np.r_[1, 0, 2:mu]
-    pis = [cycle, swap][: min(mu - 1, 2)]
-    # rho[g][t] for generator g: a member's subindex maps to a member's, a
-    # non-member's 0 to 0.  Database j stores j (beta + 1) + image, so an
-    # entry below its stamp is unset for it and rho is never cleared
-    rho = [np.zeros(plan.beta + 1, dtype=np.int64) for _ in pis]
+    # the cycle w -> w + 1, which is (1 2) for mu = 2, and the transposition
+    pis = [np.roll(np.arange(mu), -1), np.r_[1, 0, 2:mu]][: min(mu - 1, 2)]
+    backs = [np.roll(np.arange(mu), 1), np.r_[1, 0, 2:mu]]  # their inverses
+    # rho[g][t] for generator g maps a member's subindex to a member's.
+    # Database j stores j (beta + 1) + image, so an entry below its stamp is
+    # unset for it and rho is never cleared; int32 holds them up to the cap
+    wide = (plan.n + 1) * (plan.beta + 1) > np.iinfo(np.int32).max
+    rho = [np.zeros(plan.beta + 1, dtype=np.int64 if wide else np.int32) for _ in pis]
+    firsts = np.arange(1, mu + 2, dtype=np.int64) << mu  # first keys of rounds
     violations = []
     for j in range(1, plan.n + 1):
         at = plan.rows(j)
         part, stamp = sums[at], j * (plan.beta + 1)
-        # key = (round, mask) of each row, the round so that a block's gathers
-        # stay local; rows sorted by key, plan order kept within each class
-        key = (plan.round[at].astype(np.int64) << mu) + _masks(part)
-        order = np.argsort(key, kind="stable")
-        key.sort()  # the sorted keys, key[order], without a second array
+        # key = (round << mu) + mask of each row, sorted: plan order is kept
+        # within a class, and the rounds follow one another
+        key = _masks(part)
+        key += np.left_shift(rounds[at], mu, dtype=np.int64)
+        order = key.argsort(kind="stable").astype(np.int32)  # half the size
+        key.sort()  # in place: key[order]
+        found, sources = [None] * len(pis), []  # violations; (g, source) of the rest
         for g, pi in enumerate(pis):
-            moved = (plan.round[at].astype(np.int64) << mu) + _masks(part, pi)
-            source = np.argsort(moved, kind="stable")  # sigma(source[k]) = order[k]
+            # the keys, in key order, with pi applied to their masks
+            if g == 0:  # the cycle: mask bit w moves to bit w + 1 mod mu
+                moved = key + (key & low) - ((key >> (mu - 1)) & 1) * low
+            else:  # the transposition: mask bits 0 and 1 trade places
+                moved = key ^ ((key ^ (key >> 1)) & 1) * 3
+            # ties keep key order, plan order within a class
+            source = order[moved.argsort(kind="stable")]  # sigma(source[k]) = order[k]
             moved.sort()
-            if not np.array_equal(key, moved):
-                # the first class count that differs names a class c with
-                # more rows than pi^-1(c) (key lower) or fewer (moved lower)
-                p = int(np.argmax(key != moved))
-                c = int(min(key[p], moved[p]))
-                back = sum(1 << w for w, to in enumerate(pi.tolist()) if c >> to & 1)
-                more, fewer = (c, back) if key[p] < moved[p] else (back, c)
-                violations.append(
-                    f"db {j}: (round, type) multiset is not symmetric: round "
-                    f"{c >> mu} has more sums of type {_type_of(more & low)} "
-                    f"than of type {_type_of(fewer & low)}"
-                )
+            if (key == moved).all():
+                del moved
+                sources.append((g, source))
                 continue
-            del moved
-            for rows in _blocks(len(key)):
-                a = part[source[rows]]
-                b = np.add(part[order[rows][:, None], pi], stamp, dtype=np.int64)
+            # the first class count that differs names a class c with more
+            # rows than pi^-1(c) (key lower) or fewer (moved lower)
+            p = int(np.argmax(key != moved))
+            c = int(min(key[p], moved[p]))
+            back = sum(1 << w for w, to in enumerate(pi.tolist()) if c >> to & 1)
+            more, fewer = (c, back) if key[p] < moved[p] else (back, c)
+            found[g] = (
+                f"db {j}: (round, type) multiset is not symmetric: round "
+                f"{c >> mu} has more sums of type {_type_of(more & low)} "
+                f"than of type {_type_of(fewer & low)}"
+            )
+        edges = key.searchsorted(firsts).tolist()
+        del key
+        # one round at a time, where each row has tau members: image row k's
+        # members, at columns c, are the images of source row k's at pi^-1(c)
+        for rows in (r for lo, hi in zip(edges, edges[1:]) for r in _blocks(hi, lo)):
+            image = part.take(order[rows], axis=0)
+            members = image.ravel().nonzero()[0]  # in column order
+            b = np.add(image.take(members), stamp, dtype=rho[0].dtype)
+            for g, source in sources:
+                a = part.take(source[rows], axis=0)[:, backs[g]].take(members)
                 held = rho[g][a]
                 clash = ((held >= stamp) & (held != b)).any()  # an earlier block
-                del held  # one int64 block fewer at the re-read below
                 rho[g][a] = b
                 if clash or (rho[g][a] != b).any():
-                    violations.append(
+                    found[g] = (
                         f"db {j}: view is not a relabeling of itself with "
-                        f"candidates 1..{mu} moved to {tuple((pi + 1).tolist())}"
+                        f"candidates 1..{mu} moved to {tuple((pis[g] + 1).tolist())}"
                     )
-                    break
+            sources = [(g, source) for g, source in sources if found[g] is None]
+        del order, source, sources  # before the next database's arrays exist
+        violations += filter(None, found)
     return PrivacyReport(violations=violations)
 
 
@@ -612,26 +625,15 @@ class SimulationReport(
     __slots__ = ()
 
     def as_dict(self) -> dict:
-        cs = self.config.candidate_set
-        out = {
-            "n": self.config.n,
-            "q": cs.q,
-            "mu": cs.mu,
-            "f": cs.f,
-            "L": self.config.length,
-            "v": self.config.v,
-            "mode": self.config.mode,
-            "seed": self.config.seed,
-            "D_total_qary": self.total_download,
-            "rate_measured": self.rate_measured,
-            "rate_formula": self.rate_formula,
-            "recovery_ok": self.recovery_ok,
-            "privacy_ok": self.privacy_ok,
-            "per_round": [
-                {"tau": tau, "charge": charge} for tau, charge in self.per_round
-            ],
-        }
-        if self.config.mode == "concrete":
+        c, cs = self.config, self.config.candidate_set
+        out = dict(
+            n=c.n, q=cs.q, mu=cs.mu, f=cs.f, L=c.length, v=c.v, mode=c.mode, seed=c.seed,
+            D_total_qary=self.total_download, rate_measured=self.rate_measured,
+            rate_formula=self.rate_formula, recovery_ok=self.recovery_ok,
+            privacy_ok=self.privacy_ok,
+            per_round=[{"tau": tau, "charge": charge} for tau, charge in self.per_round],
+        )
+        if c.mode == "concrete":
             out["decode_failure_rate"] = self.decode_failure_rate
         return out
 
@@ -678,13 +680,11 @@ def run_simulation(config: SimulationConfig) -> SimulationReport:
     store = MessageStore.generate(q, cs.f, beta, config.length, seed=message_seed)
     values = evaluate_candidates(store, cs)
 
-    answers, charges = zip(
-        *(answer_queries(j, plan, store, cs, values=values, codes=codes)
-          for j in range(1, n + 1))
-    )
+    answers, charges = zip(*(answer_queries(j, plan, store, cs, values, codes)
+                             for j in range(1, n + 1)))
 
     # recovery is checked against the desired image alone
-    direct = values[config.v - 1]
+    direct = values[config.v - 1].copy()  # a view would keep every image alive
     del store, values
     result = decode(plan, answers, cs, codes=codes)
     rounds = plan.round  # the ledger's rounds, row for row with the charges

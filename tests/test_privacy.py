@@ -318,6 +318,22 @@ def test_certificate_holds_no_copy_of_sums():
     assert peak < plan.sums.nbytes, peak / plan.sums.nbytes
 
 
+def test_certificate_gathers_members_round_by_round():
+    # (2, 13): 16,382 sums of 13 columns.  Gathering whole rows of sums and
+    # their images as BLOCK x mu int64 entries peaked at 2.82 MB; member
+    # blocks of one round, at most 1716 rows of 7 members, need half of that
+    plan = generate_query_plan(2, 13, 1, seed=0)
+    verify_privacy_structure(generate_query_plan(2, 3, 1, seed=0))
+    tracemalloc.start()
+    try:
+        report = verify_privacy_structure(plan)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.ok
+    assert peak <= 2.82e6 / 2, peak
+
+
 def test_certificate_rejects_a_class_that_runs_past_the_last_row():
     # database 2's round-2 sum (4, 1) loses candidate 2 and becomes a second
     # round-1 singleton of candidate 1; the transposition maps it to copy 1

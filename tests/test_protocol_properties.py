@@ -1,11 +1,13 @@
 """Property tests (hypothesis) of the protocol's charge arrays against the
 per-sum ledger oracle in test_protocol: charges, totals and per-round sums
-must be equal bit for bit, not approximately."""
+must be equal bit for bit, not approximately.  The symbolic answers are held
+equal to sums of member segments added in int64."""
 
 import itertools
 import math
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -135,3 +137,41 @@ def test_concrete_download_splits_into_header_slack_and_rounding(case):
     parts = [scheme_download(n, t[0], t[1:]) for t in (header, slack, rounding)]
     assert total == scheme_download(n, joint, leads)
     assert abs(total - length * d_one(n, cs.profile) - math.fsum(parts)) <= 1e-12 * total
+
+
+@st.composite
+def answer_cases(draw):
+    """(n, mu, v, q, L, seed) with beta = n^mu <= 2^10."""
+    mu = draw(st.integers(1, 10))
+    n = draw(st.integers(2, max(n for n in range(2, 65) if n**mu <= 2**10)))
+    v = draw(st.integers(1, mu))
+    q = draw(st.sampled_from([3, 61, 67, 16381]))
+    return n, mu, v, q, draw(st.integers(1, 3)), draw(st.integers(0, 2**16))
+
+
+# the module's row block, and blocks of 3 rows, so that one round's rows span
+# several blocks
+@pytest.mark.parametrize("block", [protocol.BLOCK, 3])
+@settings(deadline=None, max_examples=60)
+@given(answer_cases())
+def test_symbolic_answers_equal_an_int64_oracle(block, case):
+    # tau >= 3 members overflow int8 symbols at q = 61 and int16 at q = 16381
+    # unless they are added in a wider type
+    n, mu, v, q, length, seed = case
+    f = 1 if q > mu + 1 else 3
+    exponents = [e for e in itertools.product(range(q), repeat=f) if any(e)][:mu]
+    cs = candidate_set_from_exponents(exponents, q)
+    plan = generate_query_plan(n, mu, v, seed=seed)
+    store = MessageStore.generate(q, f, plan.beta, length, seed=seed)
+    values = protocol.evaluate_candidates(store, cs)
+    wide = values.astype(np.int64)
+    for j in range(1, n + 1):
+        with mock.patch.object(protocol, "BLOCK", block):
+            answers, _ = answer_queries(j, plan, store, cs, values)
+        # each row: its members' segments added in int64, mod q
+        oracle = sum(
+            np.where(t[:, None] > 0, x[plan.permutation[t - 1] - 1], 0)
+            for x, t in zip(wide, plan.sums[plan.rows(j)].T)
+        ) % q
+        assert answers.dtype == protocol.symbol_dtype(q)
+        assert np.array_equal(answers, oracle)
