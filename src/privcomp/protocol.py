@@ -65,23 +65,24 @@ CONCRETE_SYMBOL_CAP = 2**21
 # (x, y, xy at q = 1009: a 105 s run); a sum code's A = q is at most 16381
 JOINT_ALPHABET_CAP = 2**14
 DEFAULT_EPSILON = 0.05
-# rows of sums gathered, compared or counted at once, within one round where
-# rows are taken round by round: no stage of a run holds a copy of all of sums
+# rows whose members are gathered or compared at once, all of one round:
+# no stage of a run holds a second copy of the plan's members
 BLOCK = 2**13
 
 
 # ---------------------------------------------------------------- query plans
 
 
-class QueryPlan(namedtuple("QueryPlan", "v permutation sums side_ref bounds")):
+class QueryPlan(namedtuple("QueryPlan", "v mu permutation sums members side_ref bounds")):
     """All tau-sums for one retrieval, plus the private permutation.
 
     permutation[t-1] is the actual segment index of subindex t, 1-based.
-    Database j's sums are rows bounds[j-1]:bounds[j] of the (S, mu) matrix
-    sums, round by round, in the order it answers them; bounds holds n + 1
-    row offsets.  sums[i, w-1] is the subindex of candidate w in sum i, 0
-    when w is not a member; side_ref[i] is the undesired (tau-1)-sum a
-    desired sum extends, -1 for none.
+    Database j's sums are rows bounds[j-1]:bounds[j], round by round, in the
+    order it answers them; bounds holds n + 1 row offsets.  sums[i] is the
+    candidate set of sum i as a bitmask, bit w-1 for candidate w; members
+    holds every row's subindices, row after row, each row's in candidate
+    order, mu * beta of them in a built plan.  side_ref[i] is the undesired
+    (tau-1)-sum a desired sum extends, -1 for none.
     """
 
     # compared by identity: comparing the arrays would be ambiguous
@@ -95,39 +96,51 @@ class QueryPlan(namedtuple("QueryPlan", "v permutation sums side_ref bounds")):
         return slice(int(self.bounds[j - 1]), int(self.bounds[j]))
 
     @property
-    def mu(self) -> int:
-        return self.sums.shape[1]
-
-    @property
     def beta(self) -> int:
         return self.n**self.mu
 
     @cached_property
-    def round(self) -> np.ndarray:  # tau = number of members
-        # int8: the plan cap bounds mu by 20
-        tau = np.empty(len(self.sums), dtype=np.int8)
-        for blk in _blocks(len(tau)):
-            tau[blk] = np.count_nonzero(self.sums[blk], axis=1)
-        return tau
+    def round(self) -> np.ndarray:  # tau = number of members, uint8
+        return np.bitwise_count(self.sums)
 
     @cached_property
-    def desired(self) -> np.ndarray:  # bool: candidate v is a member
-        return self.sums[:, self.v - 1] != 0
+    def starts(self) -> np.ndarray:  # row i's members: members[starts[i]:starts[i+1]]
+        if self.sums.min(initial=0) < 0 or int(self.sums.max(initial=0)) >> self.mu:
+            raise ProtocolError(f"a sum has a candidate outside 1..{self.mu}")
+        # int32 unless 32 members a row could overflow it
+        starts = np.zeros(len(self.sums) + 1, np.int32 if len(self.sums) < 2**26 else np.int64)
+        np.cumsum(self.round, dtype=starts.dtype, out=starts[1:])
+        if starts[-1] != len(self.members):
+            raise ProtocolError(f"the sums have {starts[-1]} members, the plan {len(self.members)}")
+        return starts
 
 
-def _blocks(stop: int, start: int = 0):
-    """Slices of BLOCK rows covering range(start, stop): a gather or comparison
-    of whole sums rows is done one block at a time, never over all of sums."""
-    return (slice(i, min(i + BLOCK, stop)) for i in range(start, stop, BLOCK))
+def _by_round(rounds: np.ndarray, mu: int):
+    """Positions into rounds sorted by round, stably, and the edges of rounds
+    1..mu among them: round tau's are order[edges[tau-1]:edges[tau]]."""
+    order = rounds.argsort(kind="stable")
+    return order, rounds.take(order).searchsorted(np.arange(1, mu + 2)).tolist()
 
 
-def _masks(sums: np.ndarray) -> np.ndarray:
-    """Candidate set of each row as a bitmask, bit w-1 for candidate w."""
-    bit = 1 << np.arange(sums.shape[1], dtype=np.int64)
-    masks = np.empty(len(sums), dtype=np.int64)
-    for blk in _blocks(len(sums)):
-        masks[blk] = (sums[blk] != 0) @ bit
-    return masks
+def _blocks(edges: list):
+    """(tau, slice) pairs covering each edges[tau-1]:edges[tau], BLOCK at a time."""
+    for tau in range(1, len(edges)):
+        for i in range(edges[tau - 1], edges[tau], BLOCK):
+            yield tau, slice(i, min(i + BLOCK, edges[tau]))
+
+
+def _members(members: np.ndarray, starts: np.ndarray, rows: np.ndarray, at) -> np.ndarray:
+    """The members of rows at positions at within each row, rows by columns."""
+    return members.take(starts.take(rows)[:, None] + at)
+
+
+def _bits(masks: np.ndarray, tau: int) -> np.ndarray:
+    """The (len(masks), tau) set bits of masks of tau bits, lowest first."""
+    rest, bits = masks.astype(np.int64), np.empty((len(masks), tau), dtype=np.int64)
+    for i in range(tau):
+        bits[:, i] = rest & -rest
+        rest ^= bits[:, i]
+    return bits
 
 
 def _type_of(mask: int) -> tuple:
@@ -135,61 +148,74 @@ def _type_of(mask: int) -> tuple:
 
 
 def _build_plan(n: int, mu: int, v: int):
-    """The plan's (sums, side_ref, bounds) for desired candidate v, each round
-    built for all databases at once in an (n, per_db, mu) view of sums.
+    """The plan's (sums, members, side_ref, bounds) for desired candidate v,
+    each round built for all databases at once.
 
     A database's rows go round by round: the desired block, then the
     undesired block.  A desired tau-sum extends an undesired (tau-1)-sum of
     one of the n - 1 other databases, so round tau holds (n-1)^(tau-1) copies
     of each type: C(mu-1, tau-1) desired types and C(mu-1, tau) undesired ones.
-    Types are built over slots and slot s is written to column col[s], so
-    every plan for one (n, mu) is the v = 1 plan with columns 1 and v swapped.
+    Types are built over slots and slot s is candidate col[s] + 1, so every
+    plan for one (n, mu) is the v = 1 plan with candidates 1 and v swapped.
     """
     per_db = (n**mu - 1) // (n - 1)
-    sums = np.zeros((n * per_db, mu), dtype=np.int32)
+    sums = np.empty(n * per_db, dtype=np.int32)
+    members = np.empty(mu * n**mu, dtype=np.int32)
     side_ref = np.full(n * per_db, -1, dtype=np.int32)
-    view, refs = sums.reshape(n, per_db, mu), side_ref.reshape(n, per_db)
+    masks, refs = sums.reshape(n, per_db), side_ref.reshape(n, per_db)
+    slabs = members.reshape(n, -1)  # database j's members, round by round
     col = np.arange(mu)  # slot -> column: slots 1 and v swapped
     col[[0, v - 1]] = v - 1, 0
-    bit = 1 << np.arange(mu, dtype=np.int64)
-    # rank[mask]: rank of slot set mask in last round's undesired types, {} -> 0
+    bit, vbit = 1 << col, 1 << (v - 1)
+    # types: the round's tau-sets of slots 1..mu-1 as masks, in lexicographic
+    # order, so types[first[s]:] are those of slots s..mu-1; round 0 has {}
+    types, first = np.zeros(1, dtype=np.int64), np.zeros(mu + 1, dtype=np.int64)
+    # rank[mask]: rank of a mask among last round's undesired types, {} -> 0
     rank = np.zeros(1 << mu, dtype=np.int32)
-    start = prev = 0  # offsets of this round and of last round's undesired block
-    counter = 0  # global fresh-subindex counter for the desired candidate
+    start = offset = counter = 0  # this round's first row and member, subindices used
     for tau in range(1, mu + 1):
-        combos = np.fromiter(
-            itertools.chain.from_iterable(itertools.combinations(range(1, mu), tau)),
-            dtype=np.int64,
-            count=math.comb(mu - 1, tau) * tau,
-        ).reshape(-1, tau)  # undesired types, as 0-based slots
+        sides, parts = types, [bit[s] | types[first[s + 1] :] for s in range(1, mu)]
+        types = np.concatenate([types[:0], *parts])
+        first[1:] = np.cumsum([0] + [len(p) for p in parts])
         copies = (n - 1) ** (tau - 1)
         m = (n - 1) ** max(tau - 2, 0)  # copies of a side type per other database
-        size = math.comb(mu - 1, tau - 1) * m  # desired rows from each other database
-        n_desired = copies * math.comb(mu - 1, tau - 1)
-        split, end = start + n_desired, start + n_desired + copies * len(combos)
-        desired, undesired = view[:, start:split, col[0]], view[:, split:end]
-        if tau > 1:
-            # block k of database j extends the undesired sums of its k-th other
-            for k in range(n - 1):
-                other = np.where(np.arange(n) > k, k, k + 1)
-                at = slice(start + k * size, start + (k + 1) * size)
-                view[:, at] = view[other, prev : prev + size]
-                refs[:, at] = other[:, None] * per_db + np.arange(prev, prev + size)
+        size = len(sides) * m  # desired rows from each other database
+        n_desired = copies * len(sides)
+        split, end = start + n_desired, start + n_desired + copies * len(types)
+        slab = slabs[:, offset : offset + (end - start) * tau].reshape(n, -1, tau)
+        desired, undesired = slab[:, :n_desired], slab[:, n_desired:]
         # fresh subindices round by round, then database by database
-        desired[:] = counter + 1 + np.arange(n * n_desired).reshape(n, -1)
-        counter += n * n_desired
+        fresh = np.arange(counter + 1, counter + 1 + n * n_desired, dtype=np.int32)
+        fresh, counter = fresh.reshape(n, -1), counter + n * n_desired
+        masks[:, start:split] = np.tile(np.repeat(sides, m), copies // m) | vbit
+        if tau == 1:
+            desired[:, :, 0] = fresh
+        else:
+            # block k of database j extends the undesired sums of its k-th
+            # other database, with the fresh subindex in its candidate's place
+            # (n^2 <= beta entries here: mu >= 2)
+            other = np.arange(n - 1) + (np.arange(n - 1) >= np.arange(n)[:, None])
+            side = last[other].reshape(n, n_desired, tau - 1)
+            place = np.tile(np.repeat(np.bitwise_count(sides & (vbit - 1)), m), n - 1)
+            for i in range(tau):
+                np.copyto(desired[:, :, i], side[:, :, min(i, tau - 2)], where=i < place)
+                np.copyto(desired[:, :, i], fresh, where=i == place)
+                np.copyto(desired[:, :, i], side[:, :, i - 1], where=i > place)
+            del side  # before the undesired rows' temporaries exist
+            sides_at = other[:, :, None] * per_db + np.arange(prev, prev + size)
+            refs[:, start:split] = sides_at.reshape(n, -1)
         # member w of copy z of an undesired sum of type T takes the subindex
         # of copy z of the desired sum with side type T' = T minus {w}, copies
         # counted in row order: desired row (z // m) size + rank(T') m + z % m
         copy_row = (np.arange(copies // m)[:, None] * size + np.arange(m)).ravel()
-        at = np.arange(len(combos) * copies).reshape(-1, copies)
-        full = np.bitwise_or.reduce(bit[combos.T], axis=0)
-        for w in combos.T:
-            rows = rank[full - bit[w]][:, None] * m + copy_row
-            undesired[:, at, col[w][:, None]] = desired[:, rows]
-        rank[full] = np.arange(len(combos))
-        start, prev = end, split
-    return sums, side_ref, np.arange(n + 1) * per_db
+        at = rank[types[:, None] - _bits(types, tau)][:, None] * m
+        at = (at + copy_row[:, None]).reshape(-1, tau)  # (rows, members) in candidate order
+        np.take(fresh, at, axis=1, out=undesired, mode="clip")
+        del at
+        masks[:, split:end] = np.repeat(types, copies)
+        rank[types] = np.arange(len(types))
+        start, prev, offset, last = end, split, offset + (end - start) * tau, undesired
+    return sums, members, side_ref, np.arange(n + 1) * per_db
 
 
 def generate_query_plan(n: int, mu: int, v: int, seed=None) -> QueryPlan:
@@ -209,7 +235,7 @@ def generate_query_plan(n: int, mu: int, v: int, seed=None) -> QueryPlan:
         )
     permutation = np.random.default_rng(seed).permutation(beta)
     permutation += 1
-    return QueryPlan(v, permutation, *_build_plan(n, mu, v))
+    return QueryPlan(v, mu, permutation, *_build_plan(n, mu, v))
 
 
 # ------------------------------------------------------------- message store
@@ -342,51 +368,51 @@ def answer_queries(
     consulted; nothing here depends on which candidate is desired.
     """
     length, at = store.length, plan.rows(j)
-    part, rounds = plan.sums[at], plan.round[at]
-    first = rounds == 1
-    round1_ts = part[first].max(axis=1)
+    mu, beta, perm = plan.mu, plan.beta, plan.permutation  # 1-based permutation
+    # database j's rows, numbered from 0
+    rounds, masks, starts = plan.round[at], plan.sums[at], plan.starts[at.start :]
+    order, edges = _by_round(rounds, mu)
+    round1_ts = plan.members.take(starts.take(order[edges[0] : edges[1]]))
     if len(round1_ts) == 0:
         raise ProtocolError(f"database {j} has no round-1 sums")
     if (round1_ts != round1_ts[0]).any():
         # joint compression requires one shared segment per database
         raise ProtocolError(f"database {j} has round-1 singletons at several subindices")
-    perm = plan.permutation  # 1-based: a shifted copy costs O(beta) per database
-    mu, beta = plan.mu, plan.beta
+    ts = plan.members[starts[0] : starts[len(rounds)]]
+    if ts.min() < 1 or ts.max() > beta:
+        raise ProtocolError(f"database {j}: subindex outside [1, {beta}]")
     images = values.reshape(-1, length)  # row (w-1) beta + s-1: image w at s
-    lead = np.zeros(len(part), dtype=np.int8)  # as plan.round: mu <= 20
+    lead = np.zeros(len(rounds), dtype=np.int8)  # mu <= 20
     if codes is None:
-        answers = np.zeros((len(part), length), dtype=images.dtype)
+        answers = np.zeros((len(lead), length), dtype=images.dtype)
     else:
         row = store.input_codes(perm[round1_ts[0] - 1] - 1)
         bundle = encode_fixed(codes.image_of_code[row], codes.joint_code)
-        answers = [bundle] * len(part)  # later sums are replaced below
-    # the rows of one round at a time, BLOCK at a time: range check, lead
-    # member, and the tau member segments of each row read with one take
-    for tau in range(1, mu + 1):
-        of_round = (rounds == tau).nonzero()[0]
-        for blk in _blocks(len(of_round)):
-            rows = of_round[blk]
-            sums = part.take(rows, axis=0).ravel()
-            w = sums.nonzero()[0]  # tau members per row, in column order
-            t = sums.take(w)
-            w %= mu
-            if t.min() < 0 or t.max() > beta:
-                raise ProtocolError(f"database {j}: subindex outside [1, {beta}]")
-            lead[rows] = w[::tau]
-            w = w * beta + perm.take(t - 1) - 1  # the members' rows of images
-            segments = images.take(w.reshape(-1, tau).T, axis=0)  # (tau, rows, L)
-            if codes is None and tau == 1:  # a one-member sum is the segment
-                answers[rows] = segments[0]
-            elif codes is None:
-                answers[rows] = segments.sum(axis=0, dtype=np.int32) % store.q
-            elif tau > 1:  # the members' codewords under the lead's code, summed
-                for i, row_segments in zip(rows.tolist(), segments.swapaxes(0, 1)):
-                    code = codes.sum_codes[lead[i]]
-                    answers[i] = sum_codewords(*(encode_fixed(x, code) for x in row_segments))
+        answers = [bundle] * len(lead)  # later sums are replaced below
+    # the rows of one round at a time, BLOCK at a time: the members' columns
+    # are the set bits of the mask, so one take reads every member's segment
+    for tau, blk in _blocks(edges):
+        rows = order[blk]
+        w = np.bitwise_count(_bits(masks.take(rows), tau) - 1)  # candidates, 0-based
+        t = _members(plan.members, starts, rows, np.arange(tau))
+        lead[rows] = w[:, 0]
+        w = w * np.int64(beta) + perm.take(t - 1) - 1  # the members' rows of images
+        segments = images.take(w.T, axis=0)  # (tau, rows, L)
+        if codes is None and tau == 1:  # a one-member sum is the segment
+            answers[rows] = segments[0]
+        elif codes is None:
+            answers[rows] = segments.sum(axis=0, dtype=np.int32) % store.q
+        elif tau > 1:  # the members' codewords under the lead's code, summed
+            for i, row_segments in zip(rows.tolist(), segments.swapaxes(0, 1)):
+                code = codes.sum_codes[lead[i]]
+                answers[i] = sum_codewords(*(encode_fixed(x, code) for x in row_segments))
+    del order, rows  # rows views order: both go before the charges exist
     joint, lead_costs = download_costs(candidate_set.profile, length, codes)
-    charges = np.zeros(len(part))
-    charges[~first] = np.array(lead_costs, dtype=float)[lead[~first]]
-    charges[np.argmax(first)] = joint
+    first = rounds == 1
+    # the last candidate leads no later sum, only a round-1 one
+    charges = np.array([*lead_costs, 0.0]).take(lead)
+    charges[first] = 0.0
+    charges[first.argmax()] = joint
     return answers, charges
 
 
@@ -426,29 +452,37 @@ def decode(
             if codes is None
             else "symbolic answers cannot be decoded with concrete codes"
         )
-    desired = np.flatnonzero(plan.desired)
-    t = plan.sums[desired, v - 1]
+    masks, members, starts, bit = plan.sums, plan.members, plan.starts, 1 << (v - 1)
+    desired = np.flatnonzero(masks & bit)
+    # candidate v's place among a desired row's members
+    place = np.bitwise_count(masks.take(desired) & (bit - 1))
+    t = members.take(starts.take(desired) + place)
     if t.min(initial=1) < 1 or t.max(initial=1) > beta:
         raise ProtocolError(f"a desired sum has no subindex in [1, {beta}]")
-    later = plan.round[desired] > 1
+    later = plan.round.take(desired) > 1
     side = np.where(later, plan.side_ref[desired], -1)
-    ref, extended = side[later], desired[later]
-    if ref.min(initial=0) < 0 or ref.max(initial=0) >= len(plan.sums):
+    ref, extended, place = side[later], desired[later], place[later]
+    if ref.min(initial=0) < 0 or ref.max(initial=0) >= len(masks):
         raise ProtocolError("a desired sum is missing its side information")
-    for blk in _blocks(len(ref)):
-        expected = plan.sums[extended[blk]]
-        expected[:, v - 1] = 0
-        at = np.searchsorted(bounds, ref[blk], side="right")  # 1-based database
-        if (at == np.searchsorted(bounds, extended[blk], side="right")).any() or (
-            plan.sums[ref[blk]] != expected
-        ).any():
+    # the side row holds the desired row's members but candidate v's
+    order, edges = _by_round(plan.round.take(extended), plan.mu)
+    for tau, blk in _blocks(edges):
+        e, r, i = extended.take(order[blk]), ref.take(order[blk]), np.arange(tau - 1)
+        skip = i + (i >= place.take(order[blk])[:, None])  # e's members but v's
+        if (
+            (masks.take(r) != masks.take(e) ^ bit).any()
+            or (bounds.searchsorted(r, "right") == bounds.searchsorted(e, "right")).any()
+            or (_members(members, starts, r, i) != _members(members, starts, e, skip)).any()
+        ):
             raise ProtocolError("a side reference does not match its desired sum")
+    del ref, extended, place, order
     real = plan.permutation[t - 1]
     hits = np.bincount(real, minlength=beta + 1)[1:]
     if hits.max(initial=0) > 1:
         raise ProtocolError(f"segment {int(np.argmax(hits)) + 1} decoded twice")
     if (hits == 0).any():
         raise ProtocolError("decode did not cover every segment")
+    del hits, t
 
     probe = answers[0][0]
     length = probe.shape[-1] if isinstance(probe, np.ndarray) else probe.code.length
@@ -467,13 +501,13 @@ def decode(
             except CodecError:
                 lost[first] = True
                 continue
-            raw[first] = image[:, plan.sums[first].argmax(axis=1)].T
+            raw[first] = image[:, np.bitwise_count(masks.take(first) - 1)].T
     value = raw[desired]
     value -= raw[side]
     value %= q
     failed = lost[desired] | lost[side]  # side -1 is the zero row, never lost
     if codes is not None:
-        leads = (plan.sums[desired] != 0).argmax(axis=1).tolist()
+        leads = np.bitwise_count(_bits(masks.take(desired), 1)[:, 0] - 1).tolist()
         # encode each round-1 side {w} once: all sums {w, v} extending it share a code
         encoded = cache(lambda s, code: encode_fixed(raw[s], code))
         for k in np.flatnonzero(~failed & later).tolist():
@@ -509,34 +543,28 @@ def verify_privacy_structure(plan: QueryPlan) -> PrivacyReport:
     """Certify that no database's view of the plan depends on the desired index.
 
     Database j sees its sums: rounds, members and subindices, not the desired
-    flags.  The plan for another desired index is this one with its candidate
-    columns permuted, so privacy holds when, for every column permutation pi,
-    each view permuted by pi is a relabeling of itself: some bijection rho on
-    subindices maps its rows onto the view's rows.  Such pi form a group, so
-    its generators, the cycle (1 2 ... mu) and the transposition (1 2),
-    cover every desired index.
-
-    For each generator, sigma maps database j's row (round, mask, copy) to
-    its row (round, pi(mask), copy), copy being the row's rank in plan order
-    within its class: the k-th row of a stable sort by the moved key (round,
-    pi(mask)) goes to the k-th row of a stable sort by the key (round, mask).
-    The sorted keys are equal exactly when the class sizes are symmetric, so
-    sigma then exists.  rho, sums[r, w] -> sums[sigma(r), pi(w)], is read off
-    the members alone, one round of the sorted rows and BLOCK rows at a time,
-    so no copy of sums is made.  The certificate holds when sigma exists and
-    rho is well defined on every database; rho then maps the view's
-    subindices onto themselves, so it is a bijection.  It is sound for any
-    sigma; the copy rule of the generator is what makes this sigma work.
+    flags.  The plan for another desired index is this one with candidates
+    permuted, so privacy holds when, for every permutation pi of them, each
+    view permuted by pi is a relabeling of itself: some bijection rho on
+    subindices maps its rows onto the view's rows.  The cycle (1 2 ... mu)
+    and the transposition (1 2) generate every pi.  For each, sigma maps
+    database j's k-th row in a stable sort by the moved key (round << mu) +
+    pi(mask) to its k-th row in a stable sort by the key (round << mu) +
+    mask, both read off sums; the sorted keys are equal exactly when sigma
+    exists.  rho maps each member of a row to the member of the same
+    candidate's image in sigma's row, read one round and BLOCK rows at a
+    time.  The certificate holds when sigma exists and rho is well defined
+    on every database; rho is then a bijection.  It is sound for any sigma;
+    the copy rule of the plan is what makes this sigma work.
     """
-    mu, sums, rounds = plan.mu, plan.sums, plan.round
-    if sums.min(initial=0) < 0 or sums.max(initial=0) > plan.beta:
+    mu, rounds, members, starts = plan.mu, plan.round, plan.members, plan.starts
+    if members.min(initial=1) < 1 or members.max(initial=1) > plan.beta:
         raise ProtocolError(f"a subindex is outside [1, {plan.beta}]")
     if mu == 1:  # one candidate: no column permutation to check
         return PrivacyReport(violations=[])
     low = (1 << mu) - 1  # the mask bits of a key
     # the cycle w -> w + 1, which is (1 2) for mu = 2, and the transposition
     pis = [np.roll(np.arange(mu), -1), np.r_[1, 0, 2:mu]][: min(mu - 1, 2)]
-    backs = [np.roll(np.arange(mu), 1), np.r_[1, 0, 2:mu]]  # their inverses
     # rho[g][t] for generator g maps a member's subindex to a member's.
     # Database j stores j (beta + 1) + image, so an entry below its stamp is
     # unset for it and rho is never cleared; int32 holds them up to the cap
@@ -545,14 +573,14 @@ def verify_privacy_structure(plan: QueryPlan) -> PrivacyReport:
     firsts = np.arange(1, mu + 2, dtype=np.int64) << mu  # first keys of rounds
     violations = []
     for j in range(1, plan.n + 1):
-        at = plan.rows(j)
-        part, stamp = sums[at], j * (plan.beta + 1)
+        at, stamp = plan.rows(j), j * (plan.beta + 1)
         # key = (round << mu) + mask of each row, sorted: plan order is kept
         # within a class, and the rounds follow one another
-        key = _masks(part)
-        key += np.left_shift(rounds[at], mu, dtype=np.int64)
+        key = np.left_shift(rounds[at], mu, dtype=np.int64)
+        key += plan.sums[at]
         order = key.argsort(kind="stable").astype(np.int32)  # half the size
         key.sort()  # in place: key[order]
+        order += at.start  # plan rows
         found, sources = [None] * len(pis), []  # violations; (g, source) of the rest
         for g, pi in enumerate(pis):
             # the keys, in key order, with pi applied to their masks
@@ -580,14 +608,17 @@ def verify_privacy_structure(plan: QueryPlan) -> PrivacyReport:
             )
         edges = key.searchsorted(firsts).tolist()
         del key
-        # one round at a time, where each row has tau members: image row k's
-        # members, at columns c, are the images of source row k's at pi^-1(c)
-        for rows in (r for lo, hi in zip(edges, edges[1:]) for r in _blocks(hi, lo)):
-            image = part.take(order[rows], axis=0)
-            members = image.ravel().nonzero()[0]  # in column order
-            b = np.add(image.take(members), stamp, dtype=rho[0].dtype)
+        # image row k's member of candidate c is the image of source row k's
+        # of candidate pi^-1(c): in candidate order, the source's members
+        # rotated by one if the cycle moved candidate mu to 1, or the first
+        # two swapped if the transposition moved both 1 and 2
+        for tau, blk in _blocks(edges):
+            i = np.arange(tau)
+            b = np.add(_members(members, starts, order[blk], i), stamp, dtype=rho[0].dtype)
+            k = plan.sums.take(order[blk])[:, None]  # the image rows' masks
             for g, source in sources:
-                a = part.take(source[rows], axis=0)[:, backs[g]].take(members)
+                at = (i - (k & 1)) % tau if g == 0 else i ^ ((k & 3) == 3) * (i < 2)
+                a = _members(members, starts, source[blk], at)
                 held = rho[g][a]
                 clash = ((held >= stamp) & (held != b)).any()  # an earlier block
                 rho[g][a] = b

@@ -8,6 +8,7 @@ import math
 import time
 
 import numpy as np
+from dense_plans import dense, with_dense
 
 from privcomp import (
     FixedCode,
@@ -202,10 +203,9 @@ def test_criterion_4_recovery_and_privacy():
         seed += 1
     # negative control: a plan with one extra desired singleton must be caught
     plan = generate_query_plan(2, 2, 1, seed=0)
-    extra = np.zeros((1, plan.mu), dtype=plan.sums.dtype)
+    extra = np.zeros((1, plan.mu), dtype=np.int32)
     extra[0, 0] = 3
-    tampered = plan._replace(
-        sums=np.vstack([plan.sums, extra]),
+    tampered = with_dense(plan, np.vstack([dense(plan), extra]))._replace(
         side_ref=np.append(plan.side_ref, -1),
         bounds=np.append(plan.bounds[:-1], plan.bounds[-1] + 1),
     )

@@ -8,8 +8,8 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from dense_plans import dense, with_dense
 from privcomp import ProtocolError, QueryPlan, generate_query_plan, verify_privacy_structure
-from privcomp.protocol import _masks
 
 
 def db_rows(plan, j):
@@ -20,7 +20,7 @@ def db_rows(plan, j):
     at = plan.rows(j)
     return [
         (int(tau), tuple((w + 1, int(t)) for w, t in enumerate(row) if t))
-        for row, tau in zip(plan.sums[at], plan.round[at])
+        for row, tau in zip(dense(plan)[at], plan.round[at])
     ]
 
 
@@ -52,10 +52,9 @@ def test_type_multisets_equal_across_v(n, mu):
 
 def test_negative_control_extra_desired_singleton():
     plan = generate_query_plan(2, 2, 1, seed=0)
-    extra = np.zeros((1, plan.mu), dtype=plan.sums.dtype)
+    extra = np.zeros((1, plan.mu), dtype=np.int32)
     extra[0, plan.v - 1] = 3
-    tampered = plan._replace(
-        sums=np.vstack([plan.sums, extra]),
+    tampered = with_dense(plan, np.vstack([dense(plan), extra]))._replace(
         side_ref=np.append(plan.side_ref, -1),
         bounds=np.append(plan.bounds[:-1], plan.bounds[-1] + 1),
     )
@@ -78,11 +77,12 @@ def test_relabeling_detects_breakage():
     plans = sibling_plans(2, 3)
     # retarget one undesired subindex: type multisets still match, but the
     # sharing pattern stops being a relabeling of the other plans' views
-    sums = plans[0].sums.copy()
-    i = np.flatnonzero(~plans[0].desired & (plans[0].round == 2))[0]
+    sums = dense(plans[0])
+    desired = sums[:, plans[0].v - 1] != 0
+    i = np.flatnonzero(~desired & (plans[0].round == 2))[0]
     (w1, w2) = np.flatnonzero(sums[i])
     sums[i, w1] = sums[i, w2]
-    tampered = plans[0]._replace(sums=sums)
+    tampered = with_dense(plans[0], sums)
     assert all(
         type_multiset(tampered, j) == type_multiset(plans[1], j) for j in (1, 2)
     )
@@ -101,12 +101,12 @@ def test_cyclic_symmetry_alone_is_not_privacy():
         dtype=np.int32,
     )
     rows = len(sums)
-    plan = QueryPlan(
-        v=1, permutation=np.arange(1, 9), sums=sums,
+    plan = with_dense(QueryPlan(
+        v=1, mu=3, permutation=np.arange(1, 9), sums=None, members=None,
         side_ref=np.full(rows, -1), bounds=np.array([0, rows, rows]),
-    )
-    cycled = plan._replace(sums=sums[:, [2, 0, 1]])
-    swapped = plan._replace(sums=sums[:, [1, 0, 2]])
+    ), sums)
+    cycled = with_dense(plan, sums[:, [2, 0, 1]])
+    swapped = with_dense(plan, sums[:, [1, 0, 2]])
     if importlib.util.find_spec("networkx"):
         assert vf2_isomorphic(plan, cycled, 1)
         assert not vf2_isomorphic(plan, swapped, 1)
@@ -165,11 +165,11 @@ def test_subindex_uniformity_chi_square():
     slots = []
     for p in sibling_plans(n, mu):
         for j in range(1, n + 1):
-            at = p.rows(j)
+            at, sums = p.rows(j), dense(p)
             round1 = np.flatnonzero(p.round[at] == 1)
-            slots.append(int(p.sums[at][round1[0]].max()))
-            last_desired = np.flatnonzero(p.desired[at])[-1]
-            slots.append(int(p.sums[at][last_desired, p.v - 1]))
+            slots.append(int(sums[at][round1[0]].max()))
+            last_desired = np.flatnonzero(sums[at][:, p.v - 1])[-1]
+            slots.append(int(sums[at][last_desired, p.v - 1]))
     counts = np.zeros((len(slots), beta), dtype=np.int64)
     for seed in range(seeds):
         perm = np.array(generate_query_plan(n, mu, 1, seed=seed).permutation)
@@ -288,24 +288,10 @@ def test_relabeling_search_is_not_recursive():
     assert report.ok
 
 
-def test_masks_build_no_copy_of_the_membership_matrix():
-    # (2, 16): 131,070 sums; an int64 copy of (sums != 0) alone is 16.8 MB
-    sums = generate_query_plan(2, 16, 1, seed=0).sums
-    rows = len(sums)
-    expected = (sums != 0) @ (1 << np.arange(sums.shape[1], dtype=np.int64))
-    tracemalloc.start()
-    try:
-        masks = _masks(sums)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert np.array_equal(masks, expected)
-    assert peak <= 3 * rows * 8, peak / (rows * 8)
-
-
 def test_certificate_holds_no_copy_of_sums():
-    # (2, 16): 131,070 sums; a sorted copy of sums alone is 8.4 MB, so the
-    # rows must be gathered one block at a time
+    # (2, 16): 131,070 sums; a sorted copy of them as a dense matrix of 16
+    # int32 columns alone is 8.4 MB, so the rows must be gathered one block
+    # at a time
     plan = generate_query_plan(2, 16, 1, seed=0)
     verify_privacy_structure(generate_query_plan(2, 3, 1, seed=0))
     tracemalloc.start()
@@ -315,7 +301,8 @@ def test_certificate_holds_no_copy_of_sums():
     finally:
         tracemalloc.stop()
     assert report.ok
-    assert peak < plan.sums.nbytes, peak / plan.sums.nbytes
+    dense_bytes = 131_070 * 16 * 4
+    assert peak < dense_bytes, peak / dense_bytes
 
 
 def test_certificate_gathers_members_round_by_round():
@@ -339,10 +326,10 @@ def test_certificate_rejects_a_class_that_runs_past_the_last_row():
     # round-1 singleton of candidate 1; the transposition maps it to copy 1
     # of type (2,), which does not exist and would sort past the last row
     plan = generate_query_plan(2, 2, 1, seed=0)
-    sums = plan.sums.copy()
+    sums = dense(plan)
     sums[5, 1] = 0
     assert (plan.rows(2), plan.round[5], sums[5, 0]) == (slice(3, 6), 2, 4)
-    report = verify_privacy_structure(plan._replace(sums=sums))
+    report = verify_privacy_structure(with_dense(plan, sums))
     assert report.relabeling_ok is False
     assert any("multiset is not symmetric" in v for v in report.violations)
 
@@ -352,9 +339,9 @@ def test_asymmetry_message_names_the_larger_class(w, more, fewer):
     # database 2's round-2 sum (4, 1) keeps only one member and becomes a
     # second round-1 singleton of that candidate
     plan = generate_query_plan(2, 2, 1, seed=0)
-    sums = plan.sums.copy()
+    sums = dense(plan)
     sums[5, w] = 0
-    assert verify_privacy_structure(plan._replace(sums=sums)).violations == [
+    assert verify_privacy_structure(with_dense(plan, sums)).violations == [
         "db 2: (round, type) multiset is not symmetric: round 1 has more sums "
         f"of type {more} than of type {fewer}"
     ]
@@ -366,10 +353,10 @@ def test_asymmetry_messages_count_true_under_the_cycle():
     # (3,) once.  The cycle moves (1,) to (2,), which has as many rows, so a
     # message naming (1,) must name its preimage (3,) as the smaller class
     plan = generate_query_plan(2, 3, 1, seed=0)
-    sums = plan.sums.copy()
+    sums = dense(plan)
     assert sums[3:6].tolist() == [[3, 2, 0], [4, 0, 2], [0, 4, 3]]
     sums[3, 1] = sums[5, 2] = 0
-    tampered = plan._replace(sums=sums)
+    tampered = with_dense(plan, sums)
     violations = verify_privacy_structure(tampered).violations
     assert len(violations) == 2  # one for each generator, both on database 1
     counts = Counter(type_multiset(tampered, 1))
@@ -387,7 +374,7 @@ def test_asymmetry_messages_count_true_under_the_cycle():
 @pytest.mark.parametrize("past_beta", [False, True])
 def test_certificate_rejects_a_subindex_outside_the_segments(mu, past_beta):
     plan = generate_query_plan(2, mu, 1, seed=0)
-    sums = plan.sums.copy()
+    sums = dense(plan)
     sums[0, 0] = plan.beta + 1 if past_beta else -1
     with pytest.raises(ProtocolError, match=f"outside \\[1, {plan.beta}\\]"):
-        verify_privacy_structure(plan._replace(sums=sums))
+        verify_privacy_structure(with_dense(plan, sums))

@@ -10,6 +10,7 @@ from unittest import mock
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from dense_plans import dense, with_dense
 from hypothesis import strategies as st
 from privcomp import generate_query_plan, protocol, verify_privacy_structure
 from test_privacy import vf2_isomorphic
@@ -30,19 +31,19 @@ def mutated_plans(draw, sizes=VF2_SIZES, intact=False):
     plan = generate_query_plan(n, mu, draw(st.integers(1, mu)), seed=draw(st.integers(0, 3)))
     if intact and draw(st.integers(0, 4)) == 0:
         return plan
-    r = draw(st.integers(0, len(plan.sums) - 1))
+    sums = dense(plan)
+    r = draw(st.integers(0, len(sums) - 1))
     w = draw(st.integers(0, mu - 1))
-    sums = plan.sums.copy()
     sums[r, w] = draw(st.integers(0, plan.beta).filter(lambda t: t != sums[r, w]))
-    return plan._replace(sums=sums)
+    return with_dense(plan, sums)
 
 
 def vf2_private(plan):
     """Every view is isomorphic to its image with columns 1 and w swapped."""
     for w in range(1, plan.mu):
-        sums = plan.sums.copy()
+        sums = dense(plan)
         sums[:, [0, w]] = sums[:, [w, 0]]
-        swapped = plan._replace(sums=sums)
+        swapped = with_dense(plan, sums)
         if not all(vf2_isomorphic(plan, swapped, j) for j in range(1, plan.n + 1)):
             return False
     return True
@@ -93,7 +94,7 @@ def copy_rule_certifies(plan):
     generators = [[(w + 1) % mu for w in range(mu)], [1, 0, *range(2, mu)]]
     for j in range(1, plan.n + 1):
         classes = defaultdict(list)
-        for row in plan.sums[plan.rows(j)].tolist():
+        for row in dense(plan)[plan.rows(j)].tolist():
             members = frozenset(w for w, t in enumerate(row) if t)
             classes[(len(members), members)].append(row)
         for pi in generators[: min(mu - 1, 2)]:

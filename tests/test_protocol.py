@@ -5,6 +5,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from dense_plans import dense, with_dense
 
 from privcomp import (
     CodecError,
@@ -96,6 +97,7 @@ def plan_rows(plan):
 
     members is the sorted tuple of (candidate, subindex) pairs of the sum.
     """
+    sums = dense(plan)
     return [
         (
             int(j),
@@ -105,7 +107,7 @@ def plan_rows(plan):
             int(ref),
         )
         for row, j, tau, d, ref in zip(
-            plan.sums, row_db(plan), plan.round, plan.desired, plan.side_ref
+            sums, row_db(plan), plan.round, sums[:, plan.v - 1] != 0, plan.side_ref
         )
     ]
 
@@ -204,9 +206,11 @@ def test_plan_is_built_in_place():
     finally:
         tracemalloc.stop()
     size = sum(
-        a.nbytes for a in (plan.permutation, plan.sums, plan.side_ref, plan.bounds)
+        a.nbytes
+        for a in (plan.permutation, plan.sums, plan.members, plan.side_ref, plan.bounds)
     )
     assert peak <= 1.3 * size, peak / size
+    assert plan.members.size == plan.mu * plan.beta
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
@@ -288,7 +292,7 @@ def test_recovery_exact_n2_mu2():
                 # each answer is its members' images added in int64, mod q
                 oracle = sum(
                     np.where(t[:, None] > 0, x[plan.permutation[t - 1] - 1], 0)
-                    for x, t in zip(wide, plan.sums[plan.rows(j)].T)
+                    for x, t in zip(wide, dense(plan)[plan.rows(j)].T)
                 ) % q
                 assert a.dtype == dtype
                 assert np.array_equal(a, oracle)
@@ -344,7 +348,7 @@ def oracle_ledger(j, plan, cs, length, epsilon=None):
         charge = float(code.codeword_len)
     ledger = [(1, charge)]
     at = plan.rows(j)
-    for row, tau in zip(plan.sums[at].tolist(), plan.round[at].tolist()):
+    for row, tau in zip(dense(plan)[at].tolist(), plan.round[at].tolist()):
         if tau == 1:
             continue
         type_ = tuple(w + 1 for w, t in enumerate(row) if t)
@@ -550,10 +554,10 @@ def test_answer_unknown_subindex():
     cs = candidate_set_from_exponents([(1, 0), (1, 1)], 3)
     store = MessageStore.generate(3, 2, beta=4, length=4, seed=0)
     plan = generate_query_plan(2, 2, 1, seed=0)
-    bad_sums = plan.sums.copy()
+    bad_sums = dense(plan)
     rows = plan.rows(1)
     bad_sums[rows][plan.round[rows] == 2, 0] = 99
-    bad = plan._replace(sums=bad_sums)
+    bad = with_dense(plan, bad_sums)
     with pytest.raises(ProtocolError):
         answer_queries(1, bad, store, cs, evaluate_candidates(store, cs))
 
@@ -565,14 +569,14 @@ def test_answer_needs_one_round1_subindex():
     values = evaluate_candidates(store, cs)
     first = np.flatnonzero(plan.round[plan.rows(1)] == 1)
     # database 1's singletons become pairs: no round-1 sum is left
-    paired = plan.sums.copy()
+    paired = dense(plan)
     paired[first] = paired[first].max(axis=1, keepdims=True)
     # one singleton moves to another subindex
-    split = plan.sums.copy()
+    split = dense(plan)
     split[first[0]] = np.where(split[first[0]], split[first[0]] % plan.beta + 1, 0)
     for sums, message in [(paired, "no round-1 sums"), (split, "several subindices")]:
         with pytest.raises(ProtocolError, match=message):
-            answer_queries(1, plan._replace(sums=sums), store, cs, values)
+            answer_queries(1, with_dense(plan, sums), store, cs, values)
 
 
 def test_decode_missing_side_information():
@@ -581,7 +585,8 @@ def test_decode_missing_side_information():
     plan = generate_query_plan(2, 2, 1, seed=0)
     values = evaluate_candidates(store, cs)
     answers = [answer_queries(j, plan, store, cs, values)[0] for j in (1, 2)]
-    broken_refs = np.where(plan.desired & (plan.round == 2), -1, plan.side_ref)
+    desired = dense(plan)[:, plan.v - 1] != 0
+    broken_refs = np.where(desired & (plan.round == 2), -1, plan.side_ref)
     broken = plan._replace(side_ref=broken_refs)
     with pytest.raises(ProtocolError):
         decode(broken, answers, cs)
@@ -593,26 +598,55 @@ def test_decode_rejects_inconsistent_plans_and_answers():
     plan = generate_query_plan(2, 2, 1, seed=0)
     values = evaluate_candidates(store, cs)
     answers = [answer_queries(j, plan, store, cs, values)[0] for j in (1, 2)]
-    desired = np.flatnonzero(plan.desired)
+    desired = np.flatnonzero(dense(plan)[:, plan.v - 1])
     later = desired[plan.round[desired] == 2]
     # side reference pointing at the desired sum itself
     refs = plan.side_ref.copy()
     refs[later[0]] = later[0]
     # one segment decoded twice: two desired sums share a subindex
-    twice = plan.sums.copy()
+    twice = dense(plan)
     twice[desired[1], 0] = twice[desired[0], 0]
     # one desired sum dropped: a segment is never decoded
-    dropped = plan.sums.copy()
+    dropped = dense(plan)
     dropped[desired[0], plan.v - 1] = 0
     for bad, message in [
         (plan._replace(side_ref=refs), "does not match"),
-        (plan._replace(sums=twice), "decoded twice"),
-        (plan._replace(sums=dropped), "did not cover"),
+        (with_dense(plan, twice), "decoded twice"),
+        (with_dense(plan, dropped), "did not cover"),
     ]:
         with pytest.raises(ProtocolError, match=message):
             decode(bad, answers, cs)
     with pytest.raises(ProtocolError, match="every database"):
         decode(plan, answers[:1], cs)
+
+
+@pytest.mark.parametrize("malformed", ["fewer", "more", "bit mu", "bit 31"])
+def test_malformed_plans_fail_one_way(malformed):
+    # members that do not fit the masks: one too few or too many, a candidate
+    # bit at mu (moved there from candidate 1, so the count still fits), and
+    # bit 31, which makes a mask negative
+    cs = candidate_set_from_exponents([(1, 0), (1, 1)], 3)
+    store = MessageStore.generate(3, 2, beta=4, length=4, seed=0)
+    plan = generate_query_plan(2, 2, 1, seed=0)
+    values = evaluate_candidates(store, cs)
+    answers = [answer_queries(j, plan, store, cs, values)[0] for j in (1, 2)]
+    sums = plan.sums.copy()
+    assert sums[0] == 1  # candidate 1 alone
+    if malformed == "bit mu":
+        sums[0] ^= 1 | 1 << plan.mu
+    if malformed == "bit 31":
+        sums[-1] |= np.int32(-(2**31))
+    members = {"fewer": plan.members[:-1], "more": np.append(plan.members, 1)}
+    bad = plan._replace(sums=sums, members=members.get(malformed, plan.members))
+    checks = [
+        lambda: protocol.verify_privacy_structure(bad),
+        lambda: answer_queries(1, bad, store, cs, values),
+        lambda: answer_queries(2, bad, store, cs, values),
+        lambda: decode(bad, answers, cs),
+    ]
+    for check in checks:
+        with pytest.raises(ProtocolError, match="members|candidate outside"):
+            check()
 
 
 def test_decode_rejects_answers_of_the_other_mode():
@@ -797,13 +831,14 @@ def test_decode_counts_corrupt_later_codewords_as_failed():
     values = evaluate_candidates(store, cs)
     answers = [answer_queries(j, plan, store, cs, values, codes)[0] for j in (1, 2)]
     assert decode(plan, answers, cs, codes=codes).failed == []
-    i = int(np.flatnonzero(plan.desired & (plan.round == 2))[0])
+    sums = dense(plan)
+    i = int(np.flatnonzero((sums[:, plan.v - 1] != 0) & (plan.round == 2))[0])
     j = int(np.searchsorted(plan.bounds, i, side="right"))
     code = answers[j - 1][i - plan.bounds[j - 1]].code
     zero = encode_fixed((0,) * code.length, code)
     head, body = code.header_len, code.payload_len
     assert 3**head > math.comb(code.length + 2, 2)  # so a header can be out of range
-    segment = int(plan.permutation[plan.sums[i, 0] - 1])
+    segment = int(plan.permutation[sums[i, 0] - 1])
     # a type rank of 3^head - 1, or a rank of 1 in the class of one constant sequence
     bad_header = (2,) * head + (0,) * body
     bad_rank = zero.symbols[:head] + (0,) * (body - 1) + (1,)
@@ -833,9 +868,10 @@ def test_decode_counts_a_corrupt_round1_bundle_as_failed():
     answers[0][first[0]] = Codeword(code=code, symbols=bad)
     # the desired round-1 segment of database 1, and every 2-sum extending one
     # of its round-1 rows
-    desired = np.flatnonzero(plan.desired)
+    sums = dense(plan)
+    desired = np.flatnonzero(sums[:, plan.v - 1])
     hit = np.isin(desired, first) | np.isin(plan.side_ref[desired], first)
-    want = sorted(plan.permutation[plan.sums[desired[hit], 0] - 1].tolist())
+    want = sorted(plan.permutation[sums[desired[hit], 0] - 1].tolist())
     assert want == [3, 4]
     assert decode(plan, answers, cs, codes=codes).failed == want
 

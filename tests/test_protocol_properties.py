@@ -9,6 +9,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from dense_plans import dense
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from privcomp import (
@@ -171,7 +172,7 @@ def test_symbolic_answers_equal_an_int64_oracle(block, case):
         # each row: its members' segments added in int64, mod q
         oracle = sum(
             np.where(t[:, None] > 0, x[plan.permutation[t - 1] - 1], 0)
-            for x, t in zip(wide, plan.sums[plan.rows(j)].T)
+            for x, t in zip(wide, dense(plan)[plan.rows(j)].T)
         ) % q
         assert answers.dtype == protocol.symbol_dtype(q)
         assert np.array_equal(answers, oracle)
