@@ -172,26 +172,18 @@ def cmd_figure(args) -> int:
     _write("\n".join(lines) + "\n", args.out)
 
     reference = load_reference_figure() if args.q == 3 else {}
-    worst = 0.0
-    failures = []
-    checked = 0
+    checked = []  # (n, g, f, deviation) of each printed row with a reference
     for r in rows:
-        key = (r["n"], r["g"], r["f"])
-        if key not in reference:
-            continue
-        checked += 1
-        ref_ach, ref_conv = reference[key]
-        dev = max(abs(r["achievable"] - ref_ach), abs(r["converse"] - ref_conv))
-        worst = max(worst, dev)
-        if dev > FIGURE_TOL:
-            failures.append(f"(n={key[0]}, g={key[1]}, f={key[2]}): deviation {dev:.3e}")
+        if (key := (r["n"], r["g"], r["f"])) in reference:
+            ref_ach, ref_conv = reference[key]
+            dev = max(abs(r["achievable"] - ref_ach), abs(r["converse"] - ref_conv))
+            checked.append((*key, dev))
+    worst = max([0.0] + [dev for *_, dev in checked])
+    failures = [f"(n={n}, g={g}, f={f}): deviation {dev:.3e}"
+                for n, g, f, dev in checked if dev > FIGURE_TOL]
     if failures:
-        print(
-            f"reference mismatch on {len(failures)} rows (tolerance {FIGURE_TOL:g}):",
-            file=sys.stderr,
-        )
-        for line in failures:
-            print("  " + line, file=sys.stderr)
+        print(f"reference mismatch on {len(failures)} rows (tolerance {FIGURE_TOL:g}):",
+              *failures, sep="\n  ", file=sys.stderr)
         return EXIT_VERIFICATION
     if reference and not checked:
         print(
@@ -200,9 +192,9 @@ def cmd_figure(args) -> int:
             file=sys.stderr,
         )
     elif reference:
-        unchecked = len(rows) - checked
+        unchecked = len(rows) - len(checked)
         print(
-            f"all {checked} reference rows matched (worst deviation {worst:.3e})"
+            f"all {len(checked)} reference rows matched (worst deviation {worst:.3e})"
             + (f"; {unchecked} of {len(rows)} printed rows have no reference "
                f"value and were not checked" if unchecked else ""),
             file=sys.stderr,

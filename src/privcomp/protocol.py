@@ -19,18 +19,17 @@ then has one shape, symmetric in the candidates, and the privacy certificate
 checks that symmetry on the plan itself, while each (candidate, subindex) pair
 stays fresh where freshness matters.
 
-Every row is charged from one cost list per run (download_costs): the
-round-1 cost per database, and the cost of a tau-sum by its lead member (the
-lowest column, so the largest entropy).  Symbolic mode charges L times the
-joint and the lead's entropy while sending raw sums, so recovery can be
-checked exactly; concrete mode, used exactly when concrete codes are given,
-sends fixed-length codewords from the coding module and charges their lengths.
+run_simulation prices the sums of each (round, lead) pair once, from one cost
+list (download_costs): the round-1 cost per database, and the cost of a
+tau-sum by its lead (the lowest column, so the largest entropy).  Symbolic
+mode prices L times the joint and the lead's entropy while sending raw sums,
+so recovery can be checked exactly; concrete mode, used exactly when concrete
+codes are given, sends fixed-length codewords and prices their lengths.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 from collections import namedtuple
 from functools import cache, cached_property
 
@@ -349,21 +348,20 @@ def answer_queries(
     j: int,
     plan: QueryPlan,
     store: MessageStore,
-    candidate_set: CandidateSet,
     values,
     codes: ConcreteCodes | None = None,
 ):
-    """Database j's answers and charges for its part of the plan.
+    """Database j's answers to its part of the plan, and each sum's lead.
 
-    answers[i] answers database j's i-th sum in plan order, and charges[i]
-    is its cost in q-ary units, read off download_costs in both modes: the
-    round-1 cost sits on the first round-1 row, the other round-1 rows cost
-    0.0, and a later sum costs what a sum led by its lead member does.
-    Without codes (symbolic mode) the answers are raw sums mod q, one (S_j,
-    L) array whose round-1 rows are the joint bundle.  With codes (concrete
-    mode) they are a list: each later sum as its members' codewords summed,
-    every round-1 row as the one joint-bundle codeword.  values holds the
-    candidates' images on the replica, as evaluate_candidates returns them.
+    answers[i] answers database j's i-th sum in plan order, and lead[i], an
+    int8, is the 0-based candidate that leads it: its lowest member, for a
+    round-1 sum its only one.  A sum's round and lead fix its price, which
+    run_simulation reads off download_costs.  Without codes (symbolic mode)
+    the answers are raw sums mod q, one (S_j, L) array whose round-1 rows are
+    the joint bundle.  With codes (concrete mode) they are a list: each later
+    sum as its members' codewords summed, every round-1 row as the one
+    joint-bundle codeword.  values holds the candidates' images on the
+    replica, as evaluate_candidates returns them.
     Only the queried sums, the replica, and the public candidate tables are
     consulted; nothing here depends on which candidate is desired.
     """
@@ -406,14 +404,7 @@ def answer_queries(
             for i, row_segments in zip(rows.tolist(), segments.swapaxes(0, 1)):
                 code = codes.sum_codes[lead[i]]
                 answers[i] = sum_codewords(*(encode_fixed(x, code) for x in row_segments))
-    del order, rows  # rows views order: both go before the charges exist
-    joint, lead_costs = download_costs(candidate_set.profile, length, codes)
-    first = rounds == 1
-    # the last candidate leads no later sum, only a round-1 one
-    charges = np.array([*lead_costs, 0.0]).take(lead)
-    charges[first] = 0.0
-    charges[first.argmax()] = joint
-    return answers, charges
+    return answers, lead
 
 
 # -------------------------------------------------------------------- decode
@@ -555,7 +546,9 @@ def verify_privacy_structure(plan: QueryPlan) -> PrivacyReport:
     candidate's image in sigma's row, read one round and BLOCK rows at a
     time.  The certificate holds when sigma exists and rho is well defined
     on every database; rho is then a bijection.  It is sound for any sigma;
-    the copy rule of the plan is what makes this sigma work.
+    the copy rule of the plan is what makes this sigma work.  A view is
+    certified as a multiset: the order of its rows, plan order, whose first
+    row is always the singleton {v}, is not covered.
     """
     mu, rounds, members, starts = plan.mu, plan.round, plan.members, plan.starts
     if members.min(initial=1) < 1 or members.max(initial=1) > plan.beta:
@@ -651,7 +644,8 @@ class SimulationReport(
         "per_round decode_failure_rate",
     )
 ):
-    """Downloads in q-ary units; per_round lists (tau, total charge)."""
+    """Downloads in q-ary units, each rounded once from its exact sum;
+    per_round lists (tau, total charge)."""
 
     __slots__ = ()
 
@@ -670,9 +664,9 @@ class SimulationReport(
 
 
 def run_simulation(config: SimulationConfig) -> SimulationReport:
-    """Execute the protocol end to end and check the ledger once: its total
-    against rates.scheme_download of the cost list every charge was read
-    from, exactly for code lengths and to 1e-12 relative for entropies."""
+    """Execute the protocol end to end, price it by (round, lead) counts and
+    check the total once against rates.scheme_download of the cost list,
+    exactly for code lengths and to 1e-12 relative for entropies."""
     cs = config.candidate_set
     n, mu, q = config.n, cs.mu, cs.q
     require_nondegenerate(cs)
@@ -711,14 +705,18 @@ def run_simulation(config: SimulationConfig) -> SimulationReport:
     store = MessageStore.generate(q, cs.f, beta, config.length, seed=message_seed)
     values = evaluate_candidates(store, cs)
 
-    answers, charges = zip(*(answer_queries(j, plan, store, cs, values, codes)
-                             for j in range(1, n + 1)))
+    answers, leads = zip(*(answer_queries(j, plan, store, values, codes)
+                           for j in range(1, n + 1)))
 
     # recovery is checked against the desired image alone
     direct = values[config.v - 1].copy()  # a view would keep every image alive
     del store, values
+    # a sum's price is fixed by its round and lead: count the sums of each
+    # pair, keyed in int64 as uint8 rounds times mu would wrap
+    keys = plan.round * np.int64(mu) + np.concatenate(leads)
+    counts = np.bincount(keys, minlength=(mu + 1) * mu).reshape(mu + 1, mu)
+    del leads, keys
     result = decode(plan, answers, cs, codes=codes)
-    rounds = plan.round  # the ledger's rounds, row for row with the charges
     del plan, answers
     # only concrete decoding can fail on a segment, and a run that decodes
     # none has recovered nothing
@@ -728,17 +726,23 @@ def run_simulation(config: SimulationConfig) -> SimulationReport:
         result.segments[ok_rows], direct[ok_rows]
     )
 
-    # exactly rounded sums, so no total depends on the order of the rows
-    charges = np.concatenate(charges)
-    total = math.fsum(charges.tolist())
-    per_round = [(t, math.fsum(charges[rounds == t].tolist())) for t in range(1, mu + 1)]
     costs = download_costs(cs.profile, config.length, codes)
+    # the costs as integers over one power-of-two scale: each total is exact
+    # until its one rounding, the float math.fsum gives on a charge per row
+    ratios = [float(c).as_integer_ratio() for c in (costs[0], *costs[1])]
+    scale = max(d for _, d in ratios)
+    joint, *lead_costs = (a * (scale // d) for a, d in ratios)
+    # round 1: the joint per database; later: each lead's count times its cost
+    # (zip leaves out the last candidate, which leads no later sum)
+    sums = [n * joint]
+    sums += [sum(c * x for c, x in zip(row, lead_costs)) for row in counts[2:].tolist()]
+    per_round = [(tau, s / scale) for tau, s in enumerate(sums, 1)]
+    total = sum(sums) / scale
     expected = rates.scheme_download(n, *costs)
     slack = 0 if isinstance(expected, int) else 1e-12 * expected
     if abs(total - expected) > slack:
         raise ProtocolError(f"download {total} != closed form {expected}")
-    h_min = cs.profile.h_min
-    rate_measured = beta * config.length * h_min / total if total else 0.0
+    rate_measured = beta * config.length * cs.profile.h_min / total if total else 0.0
     rate_formula = rates.achievable_rate(n, cs.profile)
     return SimulationReport(
         config=config,

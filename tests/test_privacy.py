@@ -215,7 +215,7 @@ def test_full_joint_distribution_micro_exhaustive():
         images = tuple(tuple(int(x) for x in val.ravel()) for val in values)
         for (v, perm), plan in plans.items():
             for j in (1, 2):
-                answers, _ = answer_queries(j, plan, store, cs, values=values)
+                answers, _ = answer_queries(j, plan, store, values=values)
                 rows = db_rows(plan, j)
                 # the round-1 rows form the joint bundle, in candidate order
                 bundle = sorted(

@@ -288,7 +288,7 @@ def test_recovery_exact_n2_mu2():
             plan = generate_query_plan(2, 2, v, seed=7)
             answers = []
             for j in (1, 2):
-                a, _ = answer_queries(j, plan, store, cs, values=values)
+                a, _ = answer_queries(j, plan, store, values=values)
                 # each answer is its members' images added in int64, mod q
                 oracle = sum(
                     np.where(t[:, None] > 0, x[plan.permutation[t - 1] - 1], 0)
@@ -335,8 +335,8 @@ def test_recovery_randomized(n, v, seed):
 # -------------------------------------------------------------------- ledger
 
 
-# the earlier per-sum ledger rule, built one entry per sum: the charge arrays
-# must reproduce it
+# the earlier per-sum ledger rule, built one entry per sum: the ledger's
+# (round, lead) counts must reproduce its totals bit for bit
 def oracle_ledger(j, plan, cs, length, epsilon=None):
     """(round, charge) of database j: the joint charge, then its later sums
     in plan order.  epsilon None is symbolic mode, a number concrete mode."""
@@ -359,6 +359,26 @@ def oracle_ledger(j, plan, cs, length, epsilon=None):
             charge = float(FixedCode(q, q, length, budget + epsilon).codeword_len)
         ledger.append((len(type_), charge))
     return ledger
+
+
+def oracle_totals(plan, cs, length, epsilon=None):
+    """(total, per_round) of every database's oracle ledger, each total the
+    exactly rounded sum of its charges."""
+    ledger = [e for j in range(1, plan.n + 1) for e in oracle_ledger(j, plan, cs, length, epsilon)]
+    per_round = [
+        (tau, math.fsum(c for r, c in ledger if r == tau)) for tau in range(1, plan.mu + 1)
+    ]
+    return math.fsum(c for _, c in ledger), per_round
+
+
+def assert_leads(plan, j, lead):
+    """lead holds each of database j's sums' lowest member column, 0-based:
+    a round-1 sum's own candidate, a later sum's lowest set mask bit."""
+    rows = dense(plan)[plan.rows(j)]
+    assert lead.dtype == np.int8
+    assert lead.tolist() == [int(np.flatnonzero(row)[0]) for row in rows]
+    masks = plan.sums[plan.rows(j)].tolist()
+    assert lead.tolist() == [(m & -m).bit_length() - 1 for m in masks]
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -404,24 +424,21 @@ def test_simulation_at_many_databases(n, exponents):
     ],
 )
 def test_ledger_adds_charges_exactly(monkeypatch, mode, n, exponents, length):
-    answered = []
+    plans = []
 
     def recorded(j, plan, *args, **kwargs):
-        answers, charges = answer_queries(j, plan, *args, **kwargs)
-        answered.append((plan.round[plan.rows(j)], charges))
-        return answers, charges
+        plans.append(plan)
+        return answer_queries(j, plan, *args, **kwargs)
 
     monkeypatch.setattr(protocol, "answer_queries", recorded)
     cs = candidate_set_from_exponents(exponents, 3)
     rep = run_simulation(
         SimulationConfig(n=n, candidate_set=cs, length=length, v=2, mode=mode, seed=4)
     )
-    rounds = np.concatenate([r for r, _ in answered])
-    charges = np.concatenate([c for _, c in answered])
-    assert rep.total_download == math.fsum(charges.tolist())
-    assert rep.per_round == [
-        (tau, math.fsum(charges[rounds == tau].tolist())) for tau in range(1, cs.mu + 1)
-    ]
+    epsilon = None if mode == "symbolic" else protocol.DEFAULT_EPSILON
+    total, per_round = oracle_totals(plans[0], cs, length, epsilon)
+    assert rep.total_download == total
+    assert rep.per_round == per_round
 
 
 def test_symbolic_sum_is_componentwise_field_add():
@@ -434,7 +451,7 @@ def test_symbolic_sum_is_componentwise_field_add():
     (w1, t1), (w2, t2) = two_sum[2]
     a = values[w1 - 1][plan.permutation[t1 - 1] - 1]
     b = values[w2 - 1][plan.permutation[t2 - 1] - 1]
-    answers, _ = answer_queries(1, plan, store, cs, values=values)
+    answers, _ = answer_queries(1, plan, store, values=values)
     assert np.array_equal(answers[i], (a + b) % 3)
     # the componentwise rule itself: (1,2,0) + (2,2,1) = (0,1,1) over F_3
     assert (np.array([1, 2, 0]) + np.array([2, 2, 1])) % 3 == pytest.approx([0, 1, 1])
@@ -444,10 +461,15 @@ def test_symbolic_two_sum_charge_is_max_entropy():
     cs = candidate_set_from_exponents([(1, 0), (1, 1)], 3)
     store = MessageStore.generate(3, 2, beta=4, length=16, seed=0)
     plan = generate_query_plan(2, 2, 1, seed=0)
-    _, charges = answer_queries(1, plan, store, cs, evaluate_candidates(store, cs))
-    two_sum = charges[plan.round[plan.rows(1)] == 2]
+    _, lead = answer_queries(1, plan, store, evaluate_candidates(store, cs))
+    assert_leads(plan, 1, lead)
+    _, lead_costs = protocol.download_costs(cs.profile, 16)
+    two_sum = [lead_costs[w] for w in lead[plan.round[plan.rows(1)] == 2]]
     assert len(two_sum) == 1
     assert two_sum[0] == pytest.approx(16 * 1.0, abs=1e-12)  # max(1, 0.9057)
+    rep = run_simulation(SimulationConfig(n=2, candidate_set=cs, length=16, v=1, seed=0))
+    assert rep.per_round == oracle_totals(plan, cs, 16)[1]
+    assert rep.per_round[1] == (2, 2 * two_sum[0])
 
 
 @pytest.mark.parametrize("epsilon", [None, 0.05])
@@ -458,12 +480,15 @@ def test_charges_equal_oracle_ledger_n3_mu3(epsilon):
     plan = generate_query_plan(3, 3, 2, seed=2)
     values = evaluate_candidates(store, cs)
     for j in (1, 2, 3):
-        _, charges = answer_queries(j, plan, store, cs, values, codes=codes)
-        ledger = oracle_ledger(j, plan, cs, 12, epsilon)
-        first = plan.round[plan.rows(j)] == 1
-        assert charges[0] == ledger[0][1]
-        assert charges[first][1:].tolist() == [0.0] * (cs.mu - 1)
-        assert charges[~first].tolist() == [c for _, c in ledger[1:]]
+        _, lead = answer_queries(j, plan, store, values, codes=codes)
+        assert_leads(plan, j, lead)
+    mode = "symbolic" if epsilon is None else "concrete"
+    rep = run_simulation(SimulationConfig(
+        n=3, candidate_set=cs, length=12, v=2, mode=mode, seed=2, epsilon=epsilon or 0.05
+    ))
+    joint = oracle_ledger(1, plan, cs, 12, epsilon)[0][1]
+    assert rep.per_round[0] == (1, 3 * joint)
+    assert (rep.total_download, rep.per_round) == oracle_totals(plan, cs, 12, epsilon)
 
 
 def closed_form(n, codes):
@@ -498,9 +523,9 @@ def test_concrete_ledger_equals_closed_form(
     answered = []
 
     def recorded(j, plan, *args, **kwargs):
-        answers, charges = answer_queries(j, plan, *args, **kwargs)
-        answered.append((j, plan, charges))
-        return answers, charges
+        answers, lead = answer_queries(j, plan, *args, **kwargs)
+        answered.append((j, plan, lead))
+        return answers, lead
 
     monkeypatch.setattr(protocol, "answer_queries", recorded)
     cs = candidate_set_from_exponents(exponents, q)
@@ -509,14 +534,12 @@ def test_concrete_ledger_equals_closed_form(
     )
     rep = run_simulation(config)
     ledger = []
-    for j, plan, charges in answered:
-        oracle = oracle_ledger(j, plan, cs, length, epsilon)
-        first = plan.round[plan.rows(j)] == 1
-        assert charges[first].tolist() == [oracle[0][1]] + [0.0] * (first.sum() - 1)
-        assert charges[~first].tolist() == [c for _, c in oracle[1:]]
-        ledger += oracle
+    for j, plan, lead in answered:
+        assert_leads(plan, j, lead)
+        ledger += oracle_ledger(j, plan, cs, length, epsilon)
     codes = build_concrete_codes(cs, length, epsilon)
     assert rep.total_download == closed_form(n, codes) == sum(c for _, c in ledger)
+    assert rep.per_round == oracle_totals(answered[0][1], cs, length, epsilon)[1]
     assert rep.per_round[0] == (1, n * codes.joint_code.codeword_len)
     assert rep.recovery_ok
     assert (rep.decode_failure_rate > 0) == fails
@@ -559,7 +582,7 @@ def test_answer_unknown_subindex():
     bad_sums[rows][plan.round[rows] == 2, 0] = 99
     bad = with_dense(plan, bad_sums)
     with pytest.raises(ProtocolError):
-        answer_queries(1, bad, store, cs, evaluate_candidates(store, cs))
+        answer_queries(1, bad, store, evaluate_candidates(store, cs))
 
 
 def test_answer_needs_one_round1_subindex():
@@ -576,7 +599,7 @@ def test_answer_needs_one_round1_subindex():
     split[first[0]] = np.where(split[first[0]], split[first[0]] % plan.beta + 1, 0)
     for sums, message in [(paired, "no round-1 sums"), (split, "several subindices")]:
         with pytest.raises(ProtocolError, match=message):
-            answer_queries(1, with_dense(plan, sums), store, cs, values)
+            answer_queries(1, with_dense(plan, sums), store, values)
 
 
 def test_decode_missing_side_information():
@@ -584,7 +607,7 @@ def test_decode_missing_side_information():
     store = MessageStore.generate(3, 2, beta=4, length=4, seed=0)
     plan = generate_query_plan(2, 2, 1, seed=0)
     values = evaluate_candidates(store, cs)
-    answers = [answer_queries(j, plan, store, cs, values)[0] for j in (1, 2)]
+    answers = [answer_queries(j, plan, store, values)[0] for j in (1, 2)]
     desired = dense(plan)[:, plan.v - 1] != 0
     broken_refs = np.where(desired & (plan.round == 2), -1, plan.side_ref)
     broken = plan._replace(side_ref=broken_refs)
@@ -597,7 +620,7 @@ def test_decode_rejects_inconsistent_plans_and_answers():
     store = MessageStore.generate(3, 2, beta=4, length=4, seed=0)
     plan = generate_query_plan(2, 2, 1, seed=0)
     values = evaluate_candidates(store, cs)
-    answers = [answer_queries(j, plan, store, cs, values)[0] for j in (1, 2)]
+    answers = [answer_queries(j, plan, store, values)[0] for j in (1, 2)]
     desired = np.flatnonzero(dense(plan)[:, plan.v - 1])
     later = desired[plan.round[desired] == 2]
     # side reference pointing at the desired sum itself
@@ -629,7 +652,7 @@ def test_malformed_plans_fail_one_way(malformed):
     store = MessageStore.generate(3, 2, beta=4, length=4, seed=0)
     plan = generate_query_plan(2, 2, 1, seed=0)
     values = evaluate_candidates(store, cs)
-    answers = [answer_queries(j, plan, store, cs, values)[0] for j in (1, 2)]
+    answers = [answer_queries(j, plan, store, values)[0] for j in (1, 2)]
     sums = plan.sums.copy()
     assert sums[0] == 1  # candidate 1 alone
     if malformed == "bit mu":
@@ -640,8 +663,8 @@ def test_malformed_plans_fail_one_way(malformed):
     bad = plan._replace(sums=sums, members=members.get(malformed, plan.members))
     checks = [
         lambda: protocol.verify_privacy_structure(bad),
-        lambda: answer_queries(1, bad, store, cs, values),
-        lambda: answer_queries(2, bad, store, cs, values),
+        lambda: answer_queries(1, bad, store, values),
+        lambda: answer_queries(2, bad, store, values),
         lambda: decode(bad, answers, cs),
     ]
     for check in checks:
@@ -655,8 +678,8 @@ def test_decode_rejects_answers_of_the_other_mode():
     plan = generate_query_plan(2, 2, 1, seed=0)
     codes = build_concrete_codes(cs, 16)
     values = evaluate_candidates(store, cs)
-    symbolic = [answer_queries(j, plan, store, cs, values)[0] for j in (1, 2)]
-    concrete = [answer_queries(j, plan, store, cs, values, codes)[0] for j in (1, 2)]
+    symbolic = [answer_queries(j, plan, store, values)[0] for j in (1, 2)]
+    concrete = [answer_queries(j, plan, store, values, codes)[0] for j in (1, 2)]
     assert not decode(plan, concrete, cs, codes=codes).failed
     with pytest.raises(ProtocolError, match="need the codes"):
         decode(plan, concrete, cs)
@@ -806,7 +829,7 @@ def test_decode_encodes_each_round1_side_once(monkeypatch, n, exponents):
     codes = build_concrete_codes(cs, 64)
     values = evaluate_candidates(store, cs)
     answers = [
-        answer_queries(j, plan, store, cs, values, codes)[0] for j in range(1, n + 1)
+        answer_queries(j, plan, store, values, codes)[0] for j in range(1, n + 1)
     ]
     encoded = []
     real = protocol.encode_fixed
@@ -829,7 +852,7 @@ def test_decode_counts_corrupt_later_codewords_as_failed():
     store = MessageStore(q=3, messages=np.zeros((2, plan.beta, 16), dtype=np.int8))
     codes = build_concrete_codes(cs, 16)
     values = evaluate_candidates(store, cs)
-    answers = [answer_queries(j, plan, store, cs, values, codes)[0] for j in (1, 2)]
+    answers = [answer_queries(j, plan, store, values, codes)[0] for j in (1, 2)]
     assert decode(plan, answers, cs, codes=codes).failed == []
     sums = dense(plan)
     i = int(np.flatnonzero((sums[:, plan.v - 1] != 0) & (plan.round == 2))[0])
@@ -856,7 +879,7 @@ def test_decode_counts_a_corrupt_round1_bundle_as_failed():
     store = MessageStore(q=3, messages=np.zeros((2, plan.beta, 16), dtype=np.int8))
     codes = build_concrete_codes(cs, 16)
     values = evaluate_candidates(store, cs)
-    answers = [answer_queries(j, plan, store, cs, values, codes)[0] for j in (1, 2)]
+    answers = [answer_queries(j, plan, store, values, codes)[0] for j in (1, 2)]
     code = codes.joint_code
     # 7 joint tuples, C(22, 6) = 74613 types in 11 header digits: digits of 2
     # are type rank 3^11 - 1 = 177146, past the last type

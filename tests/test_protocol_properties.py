@@ -1,6 +1,6 @@
-"""Property tests (hypothesis) of the protocol's charge arrays against the
-per-sum ledger oracle in test_protocol: charges, totals and per-round sums
-must be equal bit for bit, not approximately.  The symbolic answers are held
+"""Property tests (hypothesis) of the protocol's ledger against the per-sum
+ledger oracle in test_protocol: each sum's lead, and totals and per-round
+sums equal bit for bit, not approximately.  The symbolic answers are held
 equal to sums of member segments added in int64."""
 
 import itertools
@@ -24,7 +24,7 @@ from privcomp import (
 )
 from privcomp.protocol import build_concrete_codes, download_costs
 from privcomp.rates import scheme_download
-from test_protocol import closed_form, oracle_ledger
+from test_protocol import assert_leads, closed_form, oracle_ledger, oracle_totals
 
 
 @st.composite
@@ -68,21 +68,17 @@ def test_charges_equal_oracle_ledger(case):
     real = protocol.answer_queries
 
     def spy(j, plan, *args, **kwargs):
-        answers, charges = real(j, plan, *args, **kwargs)
-        recorded.append((j, plan, charges))
-        return answers, charges
+        answers, lead = real(j, plan, *args, **kwargs)
+        recorded.append((j, plan, lead))
+        return answers, lead
 
     with mock.patch.object(protocol, "answer_queries", spy):
         rep = run_simulation(config)
     assert [j for j, _, _ in recorded] == list(range(1, n + 1))
     ledger = []  # every database's oracle entries, added up exactly
-    for j, plan, charges in recorded:
-        oracle = oracle_ledger(j, plan, cs, length, epsilon)
-        first = plan.round[plan.rows(j)] == 1
-        assert charges.dtype == float and len(charges) == len(first)
-        assert charges[first].tolist() == [oracle[0][1]] + [0.0] * (first.sum() - 1)
-        assert charges[~first].tolist() == [c for _, c in oracle[1:]]
-        ledger += oracle
+    for j, plan, lead in recorded:
+        assert_leads(plan, j, lead)
+        ledger += oracle_ledger(j, plan, cs, length, epsilon)
     assert rep.total_download == math.fsum(c for _, c in ledger)
     assert rep.per_round == [
         (tau, math.fsum(c for r, c in ledger if r == tau)) for tau in range(1, cs.mu + 1)
@@ -106,11 +102,41 @@ def test_sorted_charges_do_not_depend_on_v(case):
     views = set()
     for v in range(1, cs.mu + 1):
         plan = generate_query_plan(n, cs.mu, v, seed=config.seed)
+        # a sum's (round, lead) fixes its charge
         views.add(tuple(
-            tuple(sorted(answer_queries(j, plan, store, cs, values, codes)[1].tolist()))
+            tuple(sorted(zip(
+                plan.round[plan.rows(j)].tolist(),
+                answer_queries(j, plan, store, values, codes)[1].tolist(),
+            )))
             for j in range(1, n + 1)
         ))
     assert len(views) == 1
+
+
+@st.composite
+def ledger_cases(draw):
+    """(n, mu, v, q, mode, L) with beta = n^mu <= 128."""
+    n = draw(st.integers(2, 5))
+    mu = draw(st.integers(1, max(m for m in range(1, 7) if n**m <= 128)))
+    mode = draw(st.sampled_from(["symbolic", "concrete"]))
+    length = draw(st.integers(1, 8 if mode == "concrete" else 24))
+    return n, mu, draw(st.integers(1, mu)), draw(st.sampled_from([3, 7])), mode, length
+
+
+@settings(deadline=None, max_examples=40)
+@given(ledger_cases())
+def test_ledger_totals_equal_oracle_sums(case):
+    # the ledger prices (round, lead) counts, the oracle adds one charge per
+    # sum, and both round once
+    n, mu, v, q, mode, length = case
+    exponents = [e for e in itertools.product(range(q), repeat=2) if any(e)][:mu]
+    cs = candidate_set_from_exponents(exponents, q)
+    rep = run_simulation(
+        SimulationConfig(n=n, candidate_set=cs, length=length, v=v, mode=mode, seed=v)
+    )
+    epsilon = None if mode == "symbolic" else protocol.DEFAULT_EPSILON
+    plan = generate_query_plan(n, mu, v)  # the oracle reads no permutation
+    assert (rep.total_download, rep.per_round) == oracle_totals(plan, cs, length, epsilon)
 
 
 @settings(deadline=None, max_examples=30)
@@ -168,7 +194,7 @@ def test_symbolic_answers_equal_an_int64_oracle(block, case):
     wide = values.astype(np.int64)
     for j in range(1, n + 1):
         with mock.patch.object(protocol, "BLOCK", block):
-            answers, _ = answer_queries(j, plan, store, cs, values)
+            answers, _ = answer_queries(j, plan, store, values)
         # each row: its members' segments added in int64, mod q
         oracle = sum(
             np.where(t[:, None] > 0, x[plan.permutation[t - 1] - 1], 0)
