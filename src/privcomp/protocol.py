@@ -29,7 +29,6 @@ codes are given, sends fixed-length codewords and prices their lengths.
 
 from __future__ import annotations
 
-import itertools
 from collections import namedtuple
 from functools import cache, cached_property
 
@@ -76,11 +75,12 @@ class QueryPlan(namedtuple("QueryPlan", "v mu permutation sums members side_ref 
     """All tau-sums for one retrieval, plus the private permutation.
 
     permutation[t-1] is the actual segment index of subindex t, 1-based.
-    Database j's sums are rows bounds[j-1]:bounds[j], round by round, in the
-    order it answers them; bounds holds n + 1 row offsets.  sums[i] is the
-    candidate set of sum i as a bitmask, bit w-1 for candidate w; members
-    holds every row's subindices, row after row, each row's in candidate
-    order, mu * beta of them in a built plan.  side_ref[i] is the undesired
+    Database j's sums are rows bounds[j-1]:bounds[j], in the order it
+    receives and answers them: by round, then by mask, in a built plan;
+    bounds holds n + 1 row offsets.  sums[i] is the candidate set of sum i
+    as a bitmask, bit w-1 for candidate w; members holds every row's
+    subindices, row after row, each row's in candidate order, mu * beta of
+    them in a built plan.  side_ref[i] is the undesired
     (tau-1)-sum a desired sum extends, -1 for none.
     """
 
@@ -114,14 +114,17 @@ class QueryPlan(namedtuple("QueryPlan", "v mu permutation sums members side_ref 
         return starts
 
 
-def _by_round(rounds: np.ndarray, mu: int):
-    """Positions into rounds sorted by round, stably, and the edges of rounds
-    1..mu among them: round tau's are order[edges[tau-1]:edges[tau]]."""
-    order = rounds.argsort(kind="stable")
-    return order, rounds.take(order).searchsorted(np.arange(1, mu + 2)).tolist()
+def _blocks(rounds: np.ndarray, mu: int):
+    """(tau, rows) pairs: the positions of round tau among each BLOCK
+    positions of rounds, for tau = 1..mu; no array spans all rows."""
+    for tau in range(1, mu + 1):
+        for i in range(0, len(rounds), BLOCK):
+            rows = np.flatnonzero(rounds[i : i + BLOCK] == tau)
+            if len(rows):
+                yield tau, rows + i
 
 
-def _blocks(edges: list):
+def _spans(edges: list):
     """(tau, slice) pairs covering each edges[tau-1]:edges[tau], BLOCK at a time."""
     for tau in range(1, len(edges)):
         for i in range(edges[tau - 1], edges[tau], BLOCK):
@@ -150,10 +153,12 @@ def _build_plan(n: int, mu: int, v: int):
     """The plan's (sums, members, side_ref, bounds) for desired candidate v,
     each round built for all databases at once.
 
-    A database's rows go round by round: the desired block, then the
-    undesired block.  A desired tau-sum extends an undesired (tau-1)-sum of
-    one of the n - 1 other databases, so round tau holds (n-1)^(tau-1) copies
-    of each type: C(mu-1, tau-1) desired types and C(mu-1, tau) undesired ones.
+    Each round is built as a desired block, then an undesired block, and is
+    then reordered: a database receives its rows by round and mask, build
+    order kept within a type.  A desired tau-sum extends an undesired
+    (tau-1)-sum of one of the n - 1 other databases, so round tau holds
+    (n-1)^(tau-1) copies of each type: C(mu-1, tau-1) desired types and
+    C(mu-1, tau) undesired ones.
     Types are built over slots and slot s is candidate col[s] + 1, so every
     plan for one (n, mu) is the v = 1 plan with candidates 1 and v swapped.
     """
@@ -172,6 +177,21 @@ def _build_plan(n: int, mu: int, v: int):
     # rank[mask]: rank of a mask among last round's undesired types, {} -> 0
     rank = np.zeros(1 << mu, dtype=np.int32)
     start = offset = counter = 0  # this round's first row and member, subindices used
+
+    def wire_order(start, end, offset, tau):
+        """Sort round tau's rows, start:end of every database, stably by
+        mask, and return where each row went, relative to start."""
+        order = masks[0, start:end].argsort(kind="stable")  # one layout for all
+        masks[:, start:end] = masks[:, start:end][:, order]
+        refs[:, start:end] = refs[:, start:end][:, order]
+        rows = slabs[:, offset : offset + (end - start) * tau].reshape(n, -1, tau)
+        step = max(1, BLOCK // len(order))  # databases at a time, not the whole round
+        for j in range(0, n, step):
+            rows[j : j + step] = rows[j : j + step].take(order, axis=1)
+        moved_to = np.empty_like(order)
+        moved_to[order] = np.arange(len(order))
+        return moved_to
+
     for tau in range(1, mu + 1):
         sides, parts = types, [bit[s] | types[first[s + 1] :] for s in range(1, mu)]
         types = np.concatenate([types[:0], *parts])
@@ -201,7 +221,10 @@ def _build_plan(n: int, mu: int, v: int):
                 np.copyto(desired[:, :, i], fresh, where=i == place)
                 np.copyto(desired[:, :, i], side[:, :, i - 1], where=i > place)
             del side  # before the undesired rows' temporaries exist
-            sides_at = other[:, :, None] * per_db + np.arange(prev, prev + size)
+            # the last round is read no more: put it in wire order, and point
+            # at its undesired rows where they went
+            moved_to = wire_order(*span)[prev - span[0] :][:size] + span[0]
+            sides_at = other[:, :, None] * per_db + moved_to
             refs[:, start:split] = sides_at.reshape(n, -1)
         # member w of copy z of an undesired sum of type T takes the subindex
         # of copy z of the desired sum with side type T' = T minus {w}, copies
@@ -213,7 +236,12 @@ def _build_plan(n: int, mu: int, v: int):
         del at
         masks[:, split:end] = np.repeat(types, copies)
         rank[types] = np.arange(len(types))
+        span = start, end, offset, tau
         start, prev, offset, last = end, split, offset + (end - start) * tau, undesired
+    # the wire order: every database receives its rows by (round, mask), the
+    # order in which the privacy certificate pairs them, so the sequence it
+    # receives is the view it certifies
+    wire_order(*span)
     return sums, members, side_ref, np.arange(n + 1) * per_db
 
 
@@ -345,54 +373,64 @@ def download_costs(profile, length: int, codes: ConcreteCodes | None = None):
 
 
 def answer_queries(
-    j: int,
     plan: QueryPlan,
     store: MessageStore,
     values,
     codes: ConcreteCodes | None = None,
 ):
-    """Database j's answers to its part of the plan, and each sum's lead.
+    """Every database's answers to its part of the plan, and each sum's lead.
 
-    answers[i] answers database j's i-th sum in plan order, and lead[i], an
-    int8, is the 0-based candidate that leads it: its lowest member, for a
-    round-1 sum its only one.  A sum's round and lead fix its price, which
-    run_simulation reads off download_costs.  Without codes (symbolic mode)
-    the answers are raw sums mod q, one (S_j, L) array whose round-1 rows are
-    the joint bundle.  With codes (concrete mode) they are a list: each later
-    sum as its members' codewords summed, every round-1 row as the one
-    joint-bundle codeword.  values holds the candidates' images on the
-    replica, as evaluate_candidates returns them.
-    Only the queried sums, the replica, and the public candidate tables are
-    consulted; nothing here depends on which candidate is desired.
+    answers[i] answers sum i of the plan, and lead[i], an int8, is the
+    0-based candidate that leads it: its lowest member, for a round-1 sum its
+    only one.  A sum's round and lead fix its price, which run_simulation
+    reads off download_costs.  Without codes (symbolic mode) the answers are
+    raw sums mod q, one (S, L) array whose round-1 rows are each database's
+    joint bundle.  With codes (concrete mode) they are a list: each later sum
+    as its members' codewords summed, every round-1 row as its database's
+    joint-bundle codeword, encoded once per database.  values holds the
+    candidates' images on the replica, as evaluate_candidates returns them.
+    A sum's answer reads only that sum, the replica and the public candidate
+    tables, so each database's answers depend on its own sums alone, and
+    nothing here depends on which candidate is desired.
     """
-    length, at = store.length, plan.rows(j)
-    mu, beta, perm = plan.mu, plan.beta, plan.permutation  # 1-based permutation
-    # database j's rows, numbered from 0
-    rounds, masks, starts = plan.round[at], plan.sums[at], plan.starts[at.start :]
-    order, edges = _by_round(rounds, mu)
-    round1_ts = plan.members.take(starts.take(order[edges[0] : edges[1]]))
-    if len(round1_ts) == 0:
-        raise ProtocolError(f"database {j} has no round-1 sums")
-    if (round1_ts != round1_ts[0]).any():
-        # joint compression requires one shared segment per database
-        raise ProtocolError(f"database {j} has round-1 singletons at several subindices")
-    ts = plan.members[starts[0] : starts[len(rounds)]]
-    if ts.min() < 1 or ts.max() > beta:
-        raise ProtocolError(f"database {j}: subindex outside [1, {beta}]")
+    length, mu, beta, perm = store.length, plan.mu, plan.beta, plan.permutation
+    rounds, masks, members, starts = plan.round, plan.sums, plan.members, plan.starts
+    n, bounds = plan.n, plan.bounds
+    # each round-1 row's database, 0-based, and subindex; each database's first
+    first = np.flatnonzero(rounds == 1)
+    db, t1 = bounds.searchsorted(first, "right") - 1, members.take(starts.take(first))
+    head = db.searchsorted(np.arange(n))
+    checks = np.zeros((3, n), dtype=bool)  # the databases each check fails on
+    checks[0] = np.bincount(db, minlength=n) == 0
+    # joint compression requires one shared segment per database
+    checks[1, db[t1 != t1[head[db]]]] = True
+    if members.min(initial=1) < 1 or members.max(initial=1) > beta:
+        at = np.flatnonzero((members < 1) | (members > beta))
+        checks[2, starts.take(bounds[:-1]).searchsorted(at, "right") - 1] = True
+    if checks.any():  # the first offending database, its first failed check
+        j = int(checks.any(axis=0).argmax()) + 1
+        raise ProtocolError(
+            [
+                f"database {j} has no round-1 sums",
+                f"database {j} has round-1 singletons at several subindices",
+                f"database {j}: subindex outside [1, {beta}]",
+            ][int(checks[:, j - 1].argmax())]
+        )
     images = values.reshape(-1, length)  # row (w-1) beta + s-1: image w at s
-    lead = np.zeros(len(rounds), dtype=np.int8)  # mu <= 20
+    lead = np.zeros(len(masks), dtype=np.int8)  # mu <= 20
     if codes is None:
         answers = np.zeros((len(lead), length), dtype=images.dtype)
     else:
-        row = store.input_codes(perm[round1_ts[0] - 1] - 1)
-        bundle = encode_fixed(codes.image_of_code[row], codes.joint_code)
-        answers = [bundle] * len(lead)  # later sums are replaced below
+        # each database's round-1 segment, its joint bundle encoded once
+        inputs = codes.image_of_code[store.input_codes(perm.take(t1[head] - 1) - 1)]
+        bundles = [encode_fixed(x, codes.joint_code) for x in inputs]
+        sizes = np.diff(bounds).tolist()
+        answers = [b for b, size in zip(bundles, sizes) for _ in range(size)]
     # the rows of one round at a time, BLOCK at a time: the members' columns
     # are the set bits of the mask, so one take reads every member's segment
-    for tau, blk in _blocks(edges):
-        rows = order[blk]
+    for tau, rows in _blocks(rounds, mu):
         w = np.bitwise_count(_bits(masks.take(rows), tau) - 1)  # candidates, 0-based
-        t = _members(plan.members, starts, rows, np.arange(tau))
+        t = _members(members, starts, rows, np.arange(tau))
         lead[rows] = w[:, 0]
         w = w * np.int64(beta) + perm.take(t - 1) - 1  # the members' rows of images
         segments = images.take(w.T, axis=0)  # (tau, rows, L)
@@ -421,23 +459,23 @@ def decode(
     candidate_set: CandidateSet,
     codes: ConcreteCodes | None = None,
 ):
-    """Recover all beta desired segments from the answers of databases 1..n.
+    """Recover all beta desired segments from every database's answers.
 
-    The answers are concrete exactly when the codes they were encoded with
-    are given.  A desired sum is resolved by subtracting its side
-    information, the undesired sum it extends: nothing for round 1, a raw
-    answer (symbolic), a known segment encoded once for every sum extending
-    it (concrete, tau = 2), or a widened undesired codeword sum (tau >= 3).
-    A concrete desired sum fails exactly when decode_fixed raises CodecError
-    on it, as on an Atypical (widened and subtracted as such) or corrupt
-    codeword, or when its side is a row of a round-1 bundle that failed so.
+    answers is what answer_queries returns: one answer per sum of the plan,
+    concrete exactly when the codes they were encoded with are given.  A
+    desired sum is resolved by subtracting its side information, the
+    undesired sum it extends: nothing for round 1, a raw answer (symbolic),
+    a known segment encoded once for every sum extending it (concrete, tau =
+    2), or a widened undesired codeword sum (tau >= 3).  A concrete desired
+    sum fails exactly when decode_fixed raises CodecError on it, as on an
+    Atypical (widened and subtracted as such) or corrupt codeword, or when
+    its side is a row of a round-1 bundle that failed so.
     """
     v, q, beta, bounds = plan.v, candidate_set.q, plan.beta, plan.bounds
-    if list(map(len, answers)) != np.diff(bounds).tolist():
+    if len(answers) != len(plan.sums):
         raise ProtocolError("need answers from every database")
-    # answer_queries sends one array per database in symbolic mode, a list
-    # in concrete mode
-    if any(isinstance(a, np.ndarray) != (codes is None) for a in answers):
+    # answer_queries sends one array in symbolic mode, a list in concrete mode
+    if isinstance(answers, np.ndarray) != (codes is None):
         raise ProtocolError(
             "concrete answers need the codes they were encoded with"
             if codes is None
@@ -456,17 +494,16 @@ def decode(
     if ref.min(initial=0) < 0 or ref.max(initial=0) >= len(masks):
         raise ProtocolError("a desired sum is missing its side information")
     # the side row holds the desired row's members but candidate v's
-    order, edges = _by_round(plan.round.take(extended), plan.mu)
-    for tau, blk in _blocks(edges):
-        e, r, i = extended.take(order[blk]), ref.take(order[blk]), np.arange(tau - 1)
-        skip = i + (i >= place.take(order[blk])[:, None])  # e's members but v's
+    for tau, blk in _blocks(plan.round.take(extended), plan.mu):
+        e, r, i = extended.take(blk), ref.take(blk), np.arange(tau - 1)
+        skip = i + (i >= place.take(blk)[:, None])  # e's members but v's
         if (
             (masks.take(r) != masks.take(e) ^ bit).any()
             or (bounds.searchsorted(r, "right") == bounds.searchsorted(e, "right")).any()
             or (_members(members, starts, r, i) != _members(members, starts, e, skip)).any()
         ):
             raise ProtocolError("a side reference does not match its desired sum")
-    del ref, extended, place, order
+    del ref, extended, place
     real = plan.permutation[t - 1]
     hits = np.bincount(real, minlength=beta + 1)[1:]
     if hits.max(initial=0) > 1:
@@ -475,24 +512,26 @@ def decode(
         raise ProtocolError("decode did not cover every segment")
     del hits, t
 
-    probe = answers[0][0]
-    length = probe.shape[-1] if isinstance(probe, np.ndarray) else probe.code.length
+    probe = answers[0]
+    length = probe.shape[-1] if codes is None else probe.code.length
     # raw row values; the extra last row is the zero side information of round 1
     raw = np.zeros((len(plan.sums) + 1, length), dtype=symbol_dtype(q))
     lost = np.zeros(len(plan.sums) + 1, dtype=bool)
     if codes is None:
-        np.concatenate(answers, out=raw[:-1])
+        raw[:-1] = answers
     else:
-        # the answers arrive in row order, so a sum id indexes its codeword
-        coded = list(itertools.chain(*answers))
-        for j in range(1, plan.n + 1):
-            first = np.flatnonzero(plan.round[plan.rows(j)] == 1) + bounds[j - 1]
+        # each database's round-1 rows share its bundle, decoded once
+        first = np.flatnonzero(plan.round == 1)
+        dbs, which = np.unique(bounds.searchsorted(first, "right"), return_inverse=True)
+        tables = np.zeros((len(dbs), plan.mu, length), dtype=raw.dtype)
+        bad = np.zeros(len(dbs), dtype=bool)
+        for k, i in enumerate(first[which.searchsorted(np.arange(len(dbs)))].tolist()):
             try:
-                image = codes.image_tuples[list(decode_fixed(coded[first[0]], codes.joint_code))]
+                tables[k] = codes.image_tuples[list(decode_fixed(answers[i], codes.joint_code))].T
             except CodecError:
-                lost[first] = True
-                continue
-            raw[first] = image[:, np.bitwise_count(masks.take(first) - 1)].T
+                bad[k] = True
+        raw[first] = tables[which, np.bitwise_count(masks.take(first) - 1)]
+        lost[first] = bad[which]
     value = raw[desired]
     value -= raw[side]
     value %= q
@@ -504,9 +543,9 @@ def decode(
         for k in np.flatnonzero(~failed & later).tolist():
             i, s = int(desired[k]), int(side[k])
             code = codes.sum_codes[leads[k]]
-            side_cw = encoded(s, code) if plan.round[s] == 1 else widen_codeword(coded[s], code)
+            side_cw = encoded(s, code) if plan.round[s] == 1 else widen_codeword(answers[s], code)
             try:
-                value[k] = decode_fixed(subtract_codewords(coded[i], side_cw), code)
+                value[k] = decode_fixed(subtract_codewords(answers[i], side_cw), code)
             except CodecError:
                 failed[k] = True
         value[failed] = 0
@@ -546,9 +585,11 @@ def verify_privacy_structure(plan: QueryPlan) -> PrivacyReport:
     candidate's image in sigma's row, read one round and BLOCK rows at a
     time.  The certificate holds when sigma exists and rho is well defined
     on every database; rho is then a bijection.  It is sound for any sigma;
-    the copy rule of the plan is what makes this sigma work.  A view is
-    certified as a multiset: the order of its rows, plan order, whose first
-    row is always the singleton {v}, is not covered.
+    the copy rule of the plan is what makes this sigma work.  A built plan
+    stores each database's rows in this key order, the order the database
+    receives them, so sigma pairs the k-th sum of one received sequence with
+    the k-th of the other: the certificate covers the order of the wire,
+    not only its multiset.
     """
     mu, rounds, members, starts = plan.mu, plan.round, plan.members, plan.starts
     if members.min(initial=1) < 1 or members.max(initial=1) > plan.beta:
@@ -605,7 +646,7 @@ def verify_privacy_structure(plan: QueryPlan) -> PrivacyReport:
         # of candidate pi^-1(c): in candidate order, the source's members
         # rotated by one if the cycle moved candidate mu to 1, or the first
         # two swapped if the transposition moved both 1 and 2
-        for tau, blk in _blocks(edges):
+        for tau, blk in _spans(edges):
             i = np.arange(tau)
             b = np.add(_members(members, starts, order[blk], i), stamp, dtype=rho[0].dtype)
             k = plan.sums.take(order[blk])[:, None]  # the image rows' masks
@@ -705,15 +746,14 @@ def run_simulation(config: SimulationConfig) -> SimulationReport:
     store = MessageStore.generate(q, cs.f, beta, config.length, seed=message_seed)
     values = evaluate_candidates(store, cs)
 
-    answers, leads = zip(*(answer_queries(j, plan, store, values, codes)
-                           for j in range(1, n + 1)))
+    answers, leads = answer_queries(plan, store, values, codes)
 
     # recovery is checked against the desired image alone
     direct = values[config.v - 1].copy()  # a view would keep every image alive
     del store, values
     # a sum's price is fixed by its round and lead: count the sums of each
     # pair, keyed in int64 as uint8 rounds times mu would wrap
-    keys = plan.round * np.int64(mu) + np.concatenate(leads)
+    keys = plan.round * np.int64(mu) + leads
     counts = np.bincount(keys, minlength=(mu + 1) * mu).reshape(mu + 1, mu)
     del leads, keys
     result = decode(plan, answers, cs, codes=codes)

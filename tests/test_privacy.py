@@ -1,4 +1,5 @@
 import ast
+import functools
 import importlib.util
 import itertools
 import re
@@ -118,8 +119,11 @@ def test_cyclic_symmetry_alone_is_not_privacy():
 # -------------------------------------------------- exact law, brute force
 
 
+@functools.cache
 def wire_distributions(n, mu):
-    """Distribution of each database's wire view over all permutations."""
+    """Distribution of each database's wire view over all permutations: key
+    (True, v, j) the sequence of sums it receives, (False, v, j) their
+    multiset."""
     beta = n**mu
     plans = [
         generate_query_plan(n, mu, v)._replace(permutation=np.arange(1, beta + 1))
@@ -130,14 +134,13 @@ def wire_distributions(n, mu):
         for v in range(1, mu + 1)
         for j in range(1, n + 1)
     }
-    dists = {key: Counter() for key in views}
+    dists = {(ordered, *key): Counter() for key in views for ordered in (True, False)}
     for perm in itertools.permutations(range(1, beta + 1)):
         for key, sums in views.items():
             # members are sorted by candidate already; only subindices move
-            canon = tuple(
-                sorted(tuple((w, perm[t - 1]) for w, t in s) for s in sums)
-            )
-            dists[key][canon] += 1
+            wired = tuple(tuple((w, perm[t - 1]) for w, t in s) for s in sums)
+            dists[(True, *key)][wired] += 1
+            dists[(False, *key)][tuple(sorted(wired))] += 1
     return dists
 
 
@@ -146,7 +149,17 @@ def test_wire_distribution_identical_across_v(n, mu):
     dists = wire_distributions(n, mu)
     for j in range(1, n + 1):
         for v in range(2, mu + 1):
-            assert dists[(v, j)] == dists[(1, j)]
+            assert dists[(False, v, j)] == dists[(False, 1, j)]
+
+
+@pytest.mark.parametrize("n,mu", [(2, 2), (2, 3)])
+def test_ordered_wire_distribution_identical_across_v(n, mu):
+    # the sums in the order a database receives them, not only their
+    # multiset: a plan-order wire whose first sum is always {v} differs
+    dists = wire_distributions(n, mu)
+    for j in range(1, n + 1):
+        for v in range(2, mu + 1):
+            assert dists[(True, v, j)] == dists[(True, 1, j)]
 
 
 # ----------------------------------------------------------- uniformity
@@ -214,8 +227,9 @@ def test_full_joint_distribution_micro_exhaustive():
         values = evaluate_candidates(store, cs)
         images = tuple(tuple(int(x) for x in val.ravel()) for val in values)
         for (v, perm), plan in plans.items():
+            every, _ = answer_queries(plan, store, values=values)
             for j in (1, 2):
-                answers, _ = answer_queries(j, plan, store, values=values)
+                answers = every[plan.rows(j)]
                 rows = db_rows(plan, j)
                 # the round-1 rows form the joint bundle, in candidate order
                 bundle = sorted(

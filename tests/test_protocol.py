@@ -165,9 +165,13 @@ def oracle_cases():
 
 
 def database_major(rows):
-    """Oracle rows reordered database by database, plan order kept within a
-    database, with side_ref mapped to the new row ids."""
-    order = sorted(range(len(rows)), key=lambda i: rows[i][0])
+    """Oracle rows reordered database by database, each database's by round
+    and mask (the sum of 2^(w-1) over its candidates w), plan order kept
+    within a type, with side_ref mapped to the new row ids."""
+    order = sorted(
+        range(len(rows)),
+        key=lambda i: (rows[i][0], rows[i][1], sum(1 << (w - 1) for w, _ in rows[i][2])),
+    )
     new_id = {old: new for new, old in enumerate(order)}
     return [
         (*rows[i][:4], new_id[rows[i][4]] if rows[i][4] >= 0 else -1) for i in order
@@ -286,9 +290,9 @@ def test_recovery_exact_n2_mu2():
         wide = [x.astype(np.int64) for x in values]
         for v in (1, 2):
             plan = generate_query_plan(2, 2, v, seed=7)
-            answers = []
+            answers, _ = answer_queries(plan, store, values=values)
             for j in (1, 2):
-                a, _ = answer_queries(j, plan, store, values=values)
+                a = answers[plan.rows(j)]
                 # each answer is its members' images added in int64, mod q
                 oracle = sum(
                     np.where(t[:, None] > 0, x[plan.permutation[t - 1] - 1], 0)
@@ -296,7 +300,6 @@ def test_recovery_exact_n2_mu2():
                 ) % q
                 assert a.dtype == dtype
                 assert np.array_equal(a, oracle)
-                answers.append(a)
             result = decode(plan, answers, cs)
             assert not result.failed
             assert result.segments.dtype == dtype
@@ -426,9 +429,9 @@ def test_simulation_at_many_databases(n, exponents):
 def test_ledger_adds_charges_exactly(monkeypatch, mode, n, exponents, length):
     plans = []
 
-    def recorded(j, plan, *args, **kwargs):
+    def recorded(plan, *args, **kwargs):
         plans.append(plan)
-        return answer_queries(j, plan, *args, **kwargs)
+        return answer_queries(plan, *args, **kwargs)
 
     monkeypatch.setattr(protocol, "answer_queries", recorded)
     cs = candidate_set_from_exponents(exponents, 3)
@@ -441,6 +444,32 @@ def test_ledger_adds_charges_exactly(monkeypatch, mode, n, exponents, length):
     assert rep.per_round == per_round
 
 
+@pytest.mark.parametrize("mode", ["symbolic", "concrete"])
+def test_answers_of_a_database_read_its_own_sums_alone(mode):
+    # database 2's subindices all move by one and its first later sum loses
+    # a member: databases 1 and 3 still send the same answers and leads
+    cs = candidate_set_from_exponents([(1, 0), (0, 1), (1, 1)], 3)
+    plan = generate_query_plan(3, 3, 2, seed=1)
+    store = MessageStore.generate(3, 2, beta=plan.beta, length=8, seed=1)
+    codes = build_concrete_codes(cs, 8) if mode == "concrete" else None
+    values = evaluate_candidates(store, cs)
+    sums, at = dense(plan), plan.rows(2)
+    sums[at] = np.where(sums[at], sums[at] % plan.beta + 1, 0)
+    later = at.start + int(np.flatnonzero(plan.round[at] == 3)[0])
+    sums[later, np.flatnonzero(sums[later])[0]] = 0
+    altered = with_dense(plan, sums)
+    answers, lead = answer_queries(plan, store, values, codes)
+    changed, changed_lead = answer_queries(altered, store, values, codes)
+    assert lead[at].tolist() != changed_lead[at].tolist()
+    for j in (1, 3):
+        rows = plan.rows(j)
+        assert lead[rows].tolist() == changed_lead[rows].tolist()
+        if codes is None:
+            assert np.array_equal(answers[rows], changed[rows])
+        else:
+            assert answers[rows] == changed[rows]
+
+
 def test_symbolic_sum_is_componentwise_field_add():
     cs = candidate_set_from_exponents([(1, 0), (0, 1)], 3)
     store = MessageStore.generate(3, 2, beta=4, length=3, seed=0)
@@ -451,8 +480,8 @@ def test_symbolic_sum_is_componentwise_field_add():
     (w1, t1), (w2, t2) = two_sum[2]
     a = values[w1 - 1][plan.permutation[t1 - 1] - 1]
     b = values[w2 - 1][plan.permutation[t2 - 1] - 1]
-    answers, _ = answer_queries(1, plan, store, values=values)
-    assert np.array_equal(answers[i], (a + b) % 3)
+    answers, _ = answer_queries(plan, store, values=values)
+    assert np.array_equal(answers[i], (a + b) % 3)  # database 1 starts at row 0
     # the componentwise rule itself: (1,2,0) + (2,2,1) = (0,1,1) over F_3
     assert (np.array([1, 2, 0]) + np.array([2, 2, 1])) % 3 == pytest.approx([0, 1, 1])
 
@@ -461,7 +490,8 @@ def test_symbolic_two_sum_charge_is_max_entropy():
     cs = candidate_set_from_exponents([(1, 0), (1, 1)], 3)
     store = MessageStore.generate(3, 2, beta=4, length=16, seed=0)
     plan = generate_query_plan(2, 2, 1, seed=0)
-    _, lead = answer_queries(1, plan, store, evaluate_candidates(store, cs))
+    _, lead = answer_queries(plan, store, evaluate_candidates(store, cs))
+    lead = lead[plan.rows(1)]
     assert_leads(plan, 1, lead)
     _, lead_costs = protocol.download_costs(cs.profile, 16)
     two_sum = [lead_costs[w] for w in lead[plan.round[plan.rows(1)] == 2]]
@@ -479,9 +509,9 @@ def test_charges_equal_oracle_ledger_n3_mu3(epsilon):
     codes = None if epsilon is None else build_concrete_codes(cs, 12, epsilon)
     plan = generate_query_plan(3, 3, 2, seed=2)
     values = evaluate_candidates(store, cs)
+    _, lead = answer_queries(plan, store, values, codes=codes)
     for j in (1, 2, 3):
-        _, lead = answer_queries(j, plan, store, values, codes=codes)
-        assert_leads(plan, j, lead)
+        assert_leads(plan, j, lead[plan.rows(j)])
     mode = "symbolic" if epsilon is None else "concrete"
     rep = run_simulation(SimulationConfig(
         n=3, candidate_set=cs, length=12, v=2, mode=mode, seed=2, epsilon=epsilon or 0.05
@@ -522,9 +552,9 @@ def test_concrete_ledger_equals_closed_form(
 ):
     answered = []
 
-    def recorded(j, plan, *args, **kwargs):
-        answers, lead = answer_queries(j, plan, *args, **kwargs)
-        answered.append((j, plan, lead))
+    def recorded(plan, *args, **kwargs):
+        answers, lead = answer_queries(plan, *args, **kwargs)
+        answered.append((plan, lead))
         return answers, lead
 
     monkeypatch.setattr(protocol, "answer_queries", recorded)
@@ -534,12 +564,13 @@ def test_concrete_ledger_equals_closed_form(
     )
     rep = run_simulation(config)
     ledger = []
-    for j, plan, lead in answered:
-        assert_leads(plan, j, lead)
+    [(plan, lead)] = answered
+    for j in range(1, n + 1):
+        assert_leads(plan, j, lead[plan.rows(j)])
         ledger += oracle_ledger(j, plan, cs, length, epsilon)
     codes = build_concrete_codes(cs, length, epsilon)
     assert rep.total_download == closed_form(n, codes) == sum(c for _, c in ledger)
-    assert rep.per_round == oracle_totals(answered[0][1], cs, length, epsilon)[1]
+    assert rep.per_round == oracle_totals(plan, cs, length, epsilon)[1]
     assert rep.per_round[0] == (1, n * codes.joint_code.codeword_len)
     assert rep.recovery_ok
     assert (rep.decode_failure_rate > 0) == fails
@@ -581,8 +612,8 @@ def test_answer_unknown_subindex():
     rows = plan.rows(1)
     bad_sums[rows][plan.round[rows] == 2, 0] = 99
     bad = with_dense(plan, bad_sums)
-    with pytest.raises(ProtocolError):
-        answer_queries(1, bad, store, evaluate_candidates(store, cs))
+    with pytest.raises(ProtocolError, match=r"database 1: subindex outside \[1, 4\]"):
+        answer_queries(bad, store, evaluate_candidates(store, cs))
 
 
 def test_answer_needs_one_round1_subindex():
@@ -597,9 +628,23 @@ def test_answer_needs_one_round1_subindex():
     # one singleton moves to another subindex
     split = dense(plan)
     split[first[0]] = np.where(split[first[0]], split[first[0]] % plan.beta + 1, 0)
-    for sums, message in [(paired, "no round-1 sums"), (split, "several subindices")]:
+    for sums, message in [
+        (paired, "database 1 has no round-1 sums"),
+        (split, "database 1 has round-1 singletons at several subindices"),
+    ]:
         with pytest.raises(ProtocolError, match=message):
-            answer_queries(1, with_dense(plan, sums), store, values)
+            answer_queries(with_dense(plan, sums), store, values)
+        # the same change at database 2 alone is named there
+        moved = dense(plan)
+        moved[plan.rows(2)] = sums[plan.rows(1)]
+        with pytest.raises(ProtocolError, match=message.replace("1", "2", 1)):
+            answer_queries(with_dense(plan, moved), store, values)
+    # database 1 split and database 2 paired: the first database is named,
+    # with its own failure
+    both = dense(plan)
+    both[plan.rows(1)], both[plan.rows(2)] = split[plan.rows(1)], paired[plan.rows(1)]
+    with pytest.raises(ProtocolError, match="database 1 has round-1 singletons"):
+        answer_queries(with_dense(plan, both), store, values)
 
 
 def test_decode_missing_side_information():
@@ -607,7 +652,7 @@ def test_decode_missing_side_information():
     store = MessageStore.generate(3, 2, beta=4, length=4, seed=0)
     plan = generate_query_plan(2, 2, 1, seed=0)
     values = evaluate_candidates(store, cs)
-    answers = [answer_queries(j, plan, store, values)[0] for j in (1, 2)]
+    answers = answer_queries(plan, store, values)[0]
     desired = dense(plan)[:, plan.v - 1] != 0
     broken_refs = np.where(desired & (plan.round == 2), -1, plan.side_ref)
     broken = plan._replace(side_ref=broken_refs)
@@ -620,7 +665,7 @@ def test_decode_rejects_inconsistent_plans_and_answers():
     store = MessageStore.generate(3, 2, beta=4, length=4, seed=0)
     plan = generate_query_plan(2, 2, 1, seed=0)
     values = evaluate_candidates(store, cs)
-    answers = [answer_queries(j, plan, store, values)[0] for j in (1, 2)]
+    answers = answer_queries(plan, store, values)[0]
     desired = np.flatnonzero(dense(plan)[:, plan.v - 1])
     later = desired[plan.round[desired] == 2]
     # side reference pointing at the desired sum itself
@@ -640,7 +685,7 @@ def test_decode_rejects_inconsistent_plans_and_answers():
         with pytest.raises(ProtocolError, match=message):
             decode(bad, answers, cs)
     with pytest.raises(ProtocolError, match="every database"):
-        decode(plan, answers[:1], cs)
+        decode(plan, answers[plan.rows(1)], cs)
 
 
 @pytest.mark.parametrize("malformed", ["fewer", "more", "bit mu", "bit 31"])
@@ -652,7 +697,7 @@ def test_malformed_plans_fail_one_way(malformed):
     store = MessageStore.generate(3, 2, beta=4, length=4, seed=0)
     plan = generate_query_plan(2, 2, 1, seed=0)
     values = evaluate_candidates(store, cs)
-    answers = [answer_queries(j, plan, store, values)[0] for j in (1, 2)]
+    answers = answer_queries(plan, store, values)[0]
     sums = plan.sums.copy()
     assert sums[0] == 1  # candidate 1 alone
     if malformed == "bit mu":
@@ -663,8 +708,7 @@ def test_malformed_plans_fail_one_way(malformed):
     bad = plan._replace(sums=sums, members=members.get(malformed, plan.members))
     checks = [
         lambda: protocol.verify_privacy_structure(bad),
-        lambda: answer_queries(1, bad, store, values),
-        lambda: answer_queries(2, bad, store, values),
+        lambda: answer_queries(bad, store, values),
         lambda: decode(bad, answers, cs),
     ]
     for check in checks:
@@ -678,8 +722,8 @@ def test_decode_rejects_answers_of_the_other_mode():
     plan = generate_query_plan(2, 2, 1, seed=0)
     codes = build_concrete_codes(cs, 16)
     values = evaluate_candidates(store, cs)
-    symbolic = [answer_queries(j, plan, store, values)[0] for j in (1, 2)]
-    concrete = [answer_queries(j, plan, store, values, codes)[0] for j in (1, 2)]
+    symbolic = answer_queries(plan, store, values)[0]
+    concrete = answer_queries(plan, store, values, codes)[0]
     assert not decode(plan, concrete, cs, codes=codes).failed
     with pytest.raises(ProtocolError, match="need the codes"):
         decode(plan, concrete, cs)
@@ -828,9 +872,7 @@ def test_decode_encodes_each_round1_side_once(monkeypatch, n, exponents):
     store = MessageStore.generate(3, 2, beta=plan.beta, length=64, seed=0)
     codes = build_concrete_codes(cs, 64)
     values = evaluate_candidates(store, cs)
-    answers = [
-        answer_queries(j, plan, store, values, codes)[0] for j in range(1, n + 1)
-    ]
+    answers = answer_queries(plan, store, values, codes)[0]
     encoded = []
     real = protocol.encode_fixed
 
@@ -852,12 +894,11 @@ def test_decode_counts_corrupt_later_codewords_as_failed():
     store = MessageStore(q=3, messages=np.zeros((2, plan.beta, 16), dtype=np.int8))
     codes = build_concrete_codes(cs, 16)
     values = evaluate_candidates(store, cs)
-    answers = [answer_queries(j, plan, store, values, codes)[0] for j in (1, 2)]
+    answers = answer_queries(plan, store, values, codes)[0]
     assert decode(plan, answers, cs, codes=codes).failed == []
     sums = dense(plan)
     i = int(np.flatnonzero((sums[:, plan.v - 1] != 0) & (plan.round == 2))[0])
-    j = int(np.searchsorted(plan.bounds, i, side="right"))
-    code = answers[j - 1][i - plan.bounds[j - 1]].code
+    code = answers[i].code
     zero = encode_fixed((0,) * code.length, code)
     head, body = code.header_len, code.payload_len
     assert 3**head > math.comb(code.length + 2, 2)  # so a header can be out of range
@@ -868,8 +909,8 @@ def test_decode_counts_corrupt_later_codewords_as_failed():
     for added in [bad_header, bad_rank]:
         with pytest.raises(CodecError):
             decode_fixed(Codeword(code=code, symbols=added), code)
-        broken = [list(a) for a in answers]
-        broken[j - 1][i - plan.bounds[j - 1]] = sum_codewords(Codeword(code, added), zero)
+        broken = list(answers)
+        broken[i] = sum_codewords(Codeword(code, added), zero)
         assert decode(plan, broken, cs, codes=codes).failed == [segment]
 
 
@@ -879,7 +920,7 @@ def test_decode_counts_a_corrupt_round1_bundle_as_failed():
     store = MessageStore(q=3, messages=np.zeros((2, plan.beta, 16), dtype=np.int8))
     codes = build_concrete_codes(cs, 16)
     values = evaluate_candidates(store, cs)
-    answers = [answer_queries(j, plan, store, values, codes)[0] for j in (1, 2)]
+    answers = answer_queries(plan, store, values, codes)[0]
     code = codes.joint_code
     # 7 joint tuples, C(22, 6) = 74613 types in 11 header digits: digits of 2
     # are type rank 3^11 - 1 = 177146, past the last type
@@ -888,7 +929,7 @@ def test_decode_counts_a_corrupt_round1_bundle_as_failed():
     bad = (2,) * code.header_len + (0,) * code.payload_len
     with pytest.raises(CodecError, match="corrupt header"):
         decode_fixed(Codeword(code=code, symbols=bad), code)
-    answers[0][first[0]] = Codeword(code=code, symbols=bad)
+    answers[first[0]] = Codeword(code=code, symbols=bad)
     # the desired round-1 segment of database 1, and every 2-sum extending one
     # of its round-1 rows
     sums = dense(plan)

@@ -1,7 +1,8 @@
 """Property tests (hypothesis) of the protocol's ledger against the per-sum
 ledger oracle in test_protocol: each sum's lead, and totals and per-round
 sums equal bit for bit, not approximately.  The symbolic answers are held
-equal to sums of member segments added in int64."""
+equal to sums of member segments added in int64, and the one-pass answers of
+every database to each database's answers computed on its own."""
 
 import itertools
 import math
@@ -24,6 +25,7 @@ from privcomp import (
 )
 from privcomp.protocol import build_concrete_codes, download_costs
 from privcomp.rates import scheme_download
+from per_database import answer_database
 from test_protocol import assert_leads, closed_form, oracle_ledger, oracle_totals
 
 
@@ -67,17 +69,19 @@ def test_charges_equal_oracle_ledger(case):
     recorded = []
     real = protocol.answer_queries
 
-    def spy(j, plan, *args, **kwargs):
-        answers, lead = real(j, plan, *args, **kwargs)
-        recorded.append((j, plan, lead))
+    def spy(plan, *args, **kwargs):
+        answers, lead = real(plan, *args, **kwargs)
+        recorded.append((plan, lead))
         return answers, lead
 
     with mock.patch.object(protocol, "answer_queries", spy):
         rep = run_simulation(config)
-    assert [j for j, _, _ in recorded] == list(range(1, n + 1))
+    # one call answers every database
+    [(plan, lead)] = recorded
+    assert plan.n == n and len(lead) == len(plan.sums)
     ledger = []  # every database's oracle entries, added up exactly
-    for j, plan, lead in recorded:
-        assert_leads(plan, j, lead)
+    for j in range(1, n + 1):
+        assert_leads(plan, j, lead[plan.rows(j)])
         ledger += oracle_ledger(j, plan, cs, length, epsilon)
     assert rep.total_download == math.fsum(c for _, c in ledger)
     assert rep.per_round == [
@@ -102,11 +106,12 @@ def test_sorted_charges_do_not_depend_on_v(case):
     views = set()
     for v in range(1, cs.mu + 1):
         plan = generate_query_plan(n, cs.mu, v, seed=config.seed)
+        lead = answer_queries(plan, store, values, codes)[1]
         # a sum's (round, lead) fixes its charge
         views.add(tuple(
             tuple(sorted(zip(
                 plan.round[plan.rows(j)].tolist(),
-                answer_queries(j, plan, store, values, codes)[1].tolist(),
+                lead[plan.rows(j)].tolist(),
             )))
             for j in range(1, n + 1)
         ))
@@ -192,13 +197,46 @@ def test_symbolic_answers_equal_an_int64_oracle(block, case):
     store = MessageStore.generate(q, f, plan.beta, length, seed=seed)
     values = protocol.evaluate_candidates(store, cs)
     wide = values.astype(np.int64)
+    with mock.patch.object(protocol, "BLOCK", block):
+        answers, _ = answer_queries(plan, store, values)
     for j in range(1, n + 1):
-        with mock.patch.object(protocol, "BLOCK", block):
-            answers, _ = answer_queries(j, plan, store, values)
         # each row: its members' segments added in int64, mod q
         oracle = sum(
             np.where(t[:, None] > 0, x[plan.permutation[t - 1] - 1], 0)
             for x, t in zip(wide, dense(plan)[plan.rows(j)].T)
         ) % q
         assert answers.dtype == protocol.symbol_dtype(q)
-        assert np.array_equal(answers, oracle)
+        assert np.array_equal(answers[plan.rows(j)], oracle)
+
+
+@st.composite
+def one_pass_cases(draw):
+    """(n, mu, v, q, mode, L, seed) with beta = n^mu <= 81."""
+    n = draw(st.integers(2, 5))
+    mu = draw(st.integers(1, max(m for m in range(1, 6) if n**m <= 81)))
+    mode = draw(st.sampled_from(["symbolic", "concrete"]))
+    length = draw(st.integers(1, 6 if mode == "concrete" else 16))
+    q = draw(st.sampled_from([2, 3, 7, 61]))
+    return n, mu, draw(st.integers(1, mu)), q, mode, length, draw(st.integers(0, 2**16))
+
+
+@settings(deadline=None, max_examples=50)
+@given(one_pass_cases())
+def test_one_pass_answers_equal_the_per_database_reference(case):
+    n, mu, v, q, mode, length, seed = case
+    exponents = [e for e in itertools.product(range(q), repeat=3) if any(e)][:mu]
+    cs = candidate_set_from_exponents(exponents, q)
+    plan = generate_query_plan(n, mu, v, seed=seed)
+    store = MessageStore.generate(q, 3, plan.beta, length, seed=seed)
+    codes = build_concrete_codes(cs, length) if mode == "concrete" else None
+    values = protocol.evaluate_candidates(store, cs)
+    answers, lead = answer_queries(plan, store, values, codes)
+    assert len(answers) == len(lead) == len(plan.sums)
+    for j in range(1, n + 1):
+        expected, expected_lead = answer_database(j, plan, store, values, codes)
+        assert lead[plan.rows(j)].tolist() == expected_lead.tolist()
+        if codes is None:
+            assert answers.dtype == expected.dtype
+            assert np.array_equal(answers[plan.rows(j)], expected)
+        else:
+            assert answers[plan.rows(j)] == expected
