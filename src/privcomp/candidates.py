@@ -345,7 +345,7 @@ def monomial_candidate_set(f: int, g: int, q: int) -> CandidateSet:
     vectors = generate_nonparallel_monomials(f, g, q)
     _check_enumeration_cap(q, f, len(vectors))
     h = {e: monomial_entropy(e, q) for e in vectors}
-    order = sorted(vectors, key=lambda e: (-h[e],) + grlex_key(e))
+    order = sorted(vectors, key=lambda e: -h[e])  # stable: vectors are graded-lex
     if order[:f] != [tuple(int(i == j) for j in range(f)) for i in range(f)]:
         raise AssertionError(f"the messages do not lead the set ({f}, {g}, {q})")
     joints = tuple(float(min(v, f)) for v in range(1, len(order) + 1))

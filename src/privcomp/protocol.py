@@ -76,12 +76,13 @@ class QueryPlan(namedtuple("QueryPlan", "v mu permutation sums members side_ref 
 
     permutation[t-1] is the actual segment index of subindex t, 1-based.
     Database j's sums are rows bounds[j-1]:bounds[j], in the order it
-    receives and answers them: by round, then by mask, in a built plan;
-    bounds holds n + 1 row offsets.  sums[i] is the candidate set of sum i
-    as a bitmask, bit w-1 for candidate w; members holds every row's
-    subindices, row after row, each row's in candidate order, mu * beta of
-    them in a built plan.  side_ref[i] is the undesired
-    (tau-1)-sum a desired sum extends, -1 for none.
+    receives and answers them; bounds holds n + 1 row offsets.  sums[i] is
+    the candidate set of sum i as a bitmask, bit w-1 for candidate w;
+    members holds every row's subindices, row after row, in candidate order.
+    side_ref[i] is the undesired (tau-1)-sum a desired sum extends, -1 for
+    none.  starts refuses a mask bit at or above mu, members that do not fit
+    the masks and a subindex outside [1, beta]; the privacy certificate
+    refuses a database whose sums do not come by round, then by mask.
     """
 
     # compared by identity: comparing the arrays would be ambiguous
@@ -109,8 +110,13 @@ class QueryPlan(namedtuple("QueryPlan", "v mu permutation sums members side_ref 
         # int32 unless 32 members a row could overflow it
         starts = np.zeros(len(self.sums) + 1, np.int32 if len(self.sums) < 2**26 else np.int64)
         np.cumsum(self.round, dtype=starts.dtype, out=starts[1:])
-        if starts[-1] != len(self.members):
-            raise ProtocolError(f"the sums have {starts[-1]} members, the plan {len(self.members)}")
+        members, beta = self.members, self.beta
+        if starts[-1] != len(members):
+            raise ProtocolError(f"the sums have {starts[-1]} members, the plan {len(members)}")
+        if members.min(initial=1) < 1 or members.max(initial=1) > beta:
+            at = np.flatnonzero((members < 1) | (members > beta))[0]
+            j = int(starts.take(self.bounds[:-1]).searchsorted(at, "right"))
+            raise ProtocolError(f"database {j}: subindex outside [1, {beta}]")
         return starts
 
 
@@ -391,7 +397,9 @@ def answer_queries(
     candidates' images on the replica, as evaluate_candidates returns them.
     A sum's answer reads only that sum, the replica and the public candidate
     tables, so each database's answers depend on its own sums alone, and
-    nothing here depends on which candidate is desired.
+    nothing here depends on which candidate is desired.  ProtocolError names
+    the first database with no round-1 sums or with round-1 singletons at
+    several subindices; plan.starts refuses malformed plans.
     """
     length, mu, beta, perm = store.length, plan.mu, plan.beta, plan.permutation
     rounds, masks, members, starts = plan.round, plan.sums, plan.members, plan.starts
@@ -400,20 +408,16 @@ def answer_queries(
     first = np.flatnonzero(rounds == 1)
     db, t1 = bounds.searchsorted(first, "right") - 1, members.take(starts.take(first))
     head = db.searchsorted(np.arange(n))
-    checks = np.zeros((3, n), dtype=bool)  # the databases each check fails on
+    checks = np.zeros((2, n), dtype=bool)  # the databases each check fails on
     checks[0] = np.bincount(db, minlength=n) == 0
     # joint compression requires one shared segment per database
     checks[1, db[t1 != t1[head[db]]]] = True
-    if members.min(initial=1) < 1 or members.max(initial=1) > beta:
-        at = np.flatnonzero((members < 1) | (members > beta))
-        checks[2, starts.take(bounds[:-1]).searchsorted(at, "right") - 1] = True
     if checks.any():  # the first offending database, its first failed check
         j = int(checks.any(axis=0).argmax()) + 1
         raise ProtocolError(
             [
                 f"database {j} has no round-1 sums",
                 f"database {j} has round-1 singletons at several subindices",
-                f"database {j}: subindex outside [1, {beta}]",
             ][int(checks[:, j - 1].argmax())]
         )
     images = values.reshape(-1, length)  # row (w-1) beta + s-1: image w at s
@@ -486,8 +490,6 @@ def decode(
     # candidate v's place among a desired row's members
     place = np.bitwise_count(masks.take(desired) & (bit - 1))
     t = members.take(starts.take(desired) + place)
-    if t.min(initial=1) < 1 or t.max(initial=1) > beta:
-        raise ProtocolError(f"a desired sum has no subindex in [1, {beta}]")
     later = plan.round.take(desired) > 1
     side = np.where(later, plan.side_ref[desired], -1)
     ref, extended, place = side[later], desired[later], place[later]
@@ -572,28 +574,25 @@ class PrivacyReport(namedtuple("PrivacyReport", "violations")):
 def verify_privacy_structure(plan: QueryPlan) -> PrivacyReport:
     """Certify that no database's view of the plan depends on the desired index.
 
-    Database j sees its sums: rounds, members and subindices, not the desired
-    flags.  The plan for another desired index is this one with candidates
-    permuted, so privacy holds when, for every permutation pi of them, each
-    view permuted by pi is a relabeling of itself: some bijection rho on
-    subindices maps its rows onto the view's rows.  The cycle (1 2 ... mu)
-    and the transposition (1 2) generate every pi.  For each, sigma maps
+    Database j sees its sums in the order it receives them, plan order:
+    rounds, members and subindices, not the desired flags.  The plan for
+    another desired index is this one with candidates permuted, so privacy
+    holds when, for every permutation pi of them, each view permuted by pi
+    is a relabeling of itself: some bijection rho on subindices maps its
+    rows onto the view's rows, position by position.  The cycle (1 2 ...
+    mu) and the transposition (1 2) generate every pi.  A view whose keys
+    (round << mu) + mask are not nondecreasing is refused, as its order can
+    name candidates; its other checks are skipped.  Otherwise sigma maps
     database j's k-th row in a stable sort by the moved key (round << mu) +
-    pi(mask) to its k-th row in a stable sort by the key (round << mu) +
-    mask, both read off sums; the sorted keys are equal exactly when sigma
-    exists.  rho maps each member of a row to the member of the same
-    candidate's image in sigma's row, read one round and BLOCK rows at a
-    time.  The certificate holds when sigma exists and rho is well defined
-    on every database; rho is then a bijection.  It is sound for any sigma;
-    the copy rule of the plan is what makes this sigma work.  A built plan
-    stores each database's rows in this key order, the order the database
-    receives them, so sigma pairs the k-th sum of one received sequence with
-    the k-th of the other: the certificate covers the order of the wire,
-    not only its multiset.
+    pi(mask) to its k-th row, both read off sums; the sorted moved keys
+    equal the keys exactly when sigma exists.  rho maps each member of a
+    row to the member of the same candidate's image in sigma's row, read
+    one round and BLOCK rows at a time.  The certificate holds when every
+    view is in key order, sigma exists and rho is well defined on every
+    database; rho is then a bijection.  It is sound for any sigma; the copy
+    rule of the plan is what makes this sigma work.
     """
     mu, rounds, members, starts = plan.mu, plan.round, plan.members, plan.starts
-    if members.min(initial=1) < 1 or members.max(initial=1) > plan.beta:
-        raise ProtocolError(f"a subindex is outside [1, {plan.beta}]")
     if mu == 1:  # one candidate: no column permutation to check
         return PrivacyReport(violations=[])
     low = (1 << mu) - 1  # the mask bits of a key
@@ -607,23 +606,22 @@ def verify_privacy_structure(plan: QueryPlan) -> PrivacyReport:
     firsts = np.arange(1, mu + 2, dtype=np.int64) << mu  # first keys of rounds
     violations = []
     for j in range(1, plan.n + 1):
-        at, stamp = plan.rows(j), j * (plan.beta + 1)
-        # key = (round << mu) + mask of each row, sorted: plan order is kept
-        # within a class, and the rounds follow one another
-        key = np.left_shift(rounds[at], mu, dtype=np.int64)
-        key += plan.sums[at]
-        order = key.argsort(kind="stable").astype(np.int32)  # half the size
-        key.sort()  # in place: key[order]
-        order += at.start  # plan rows
+        rows, stamp = plan.rows(j), j * (plan.beta + 1)
+        sums, begin = plan.sums[rows], starts[rows.start : rows.stop + 1]  # views
+        key = np.left_shift(rounds[rows], mu, dtype=np.int64)
+        key += sums
+        if (key[1:] < key[:-1]).any():
+            violations.append(f"db {j}: sums are not sent in (round, mask) order")
+            continue
         found, sources = [None] * len(pis), []  # violations; (g, source) of the rest
         for g, pi in enumerate(pis):
-            # the keys, in key order, with pi applied to their masks
+            # the keys with pi applied to their masks
             if g == 0:  # the cycle: mask bit w moves to bit w + 1 mod mu
                 moved = key + (key & low) - ((key >> (mu - 1)) & 1) * low
             else:  # the transposition: mask bits 0 and 1 trade places
                 moved = key ^ ((key ^ (key >> 1)) & 1) * 3
-            # ties keep key order, plan order within a class
-            source = order[moved.argsort(kind="stable")]  # sigma(source[k]) = order[k]
+            # ties keep plan order within a class
+            source = moved.argsort(kind="stable")  # sigma(source[k]) = row k
             moved.sort()
             if (key == moved).all():
                 del moved
@@ -647,12 +645,13 @@ def verify_privacy_structure(plan: QueryPlan) -> PrivacyReport:
         # rotated by one if the cycle moved candidate mu to 1, or the first
         # two swapped if the transposition moved both 1 and 2
         for tau, blk in _spans(edges):
-            i = np.arange(tau)
-            b = np.add(_members(members, starts, order[blk], i), stamp, dtype=rho[0].dtype)
-            k = plan.sums.take(order[blk])[:, None]  # the image rows' masks
+            i, k = np.arange(tau), sums[blk, None]  # k: the image rows' masks
+            # the image rows are all of round tau: one run of members
+            b = members[begin[blk.start] : begin[blk.stop]].reshape(-1, tau)
+            b = np.add(b, stamp, dtype=rho[0].dtype)
             for g, source in sources:
                 at = (i - (k & 1)) % tau if g == 0 else i ^ ((k & 3) == 3) * (i < 2)
-                a = _members(members, starts, source[blk], at)
+                a = _members(members, begin, source[blk], at)
                 held = rho[g][a]
                 clash = ((held >= stamp) & (held != b)).any()  # an earlier block
                 rho[g][a] = b
@@ -662,7 +661,7 @@ def verify_privacy_structure(plan: QueryPlan) -> PrivacyReport:
                         f"candidates 1..{mu} moved to {tuple((pis[g] + 1).tolist())}"
                     )
             sources = [(g, source) for g, source in sources if found[g] is None]
-        del order, source, sources  # before the next database's arrays exist
+        del source, sources  # before the next database's arrays exist
         violations += filter(None, found)
     return PrivacyReport(violations=violations)
 

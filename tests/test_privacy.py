@@ -9,7 +9,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from dense_plans import dense, with_dense
+from dense_plans import dense, reordered, wire_ordered, with_dense
 from privcomp import ProtocolError, QueryPlan, generate_query_plan, verify_privacy_structure
 
 
@@ -59,7 +59,7 @@ def test_negative_control_extra_desired_singleton():
         side_ref=np.append(plan.side_ref, -1),
         bounds=np.append(plan.bounds[:-1], plan.bounds[-1] + 1),
     )
-    report = verify_privacy_structure(tampered)
+    report = verify_privacy_structure(wire_ordered(tampered))
     assert report.relabeling_ok is False
     assert not report.ok
     assert any("multiset is not symmetric" in v for v in report.violations)
@@ -111,7 +111,7 @@ def test_cyclic_symmetry_alone_is_not_privacy():
     if importlib.util.find_spec("networkx"):
         assert vf2_isomorphic(plan, cycled, 1)
         assert not vf2_isomorphic(plan, swapped, 1)
-    report = verify_privacy_structure(plan)
+    report = verify_privacy_structure(wire_ordered(plan))
     assert report.relabeling_ok is False
     assert any("not a relabeling" in v for v in report.violations)
 
@@ -343,7 +343,7 @@ def test_certificate_rejects_a_class_that_runs_past_the_last_row():
     sums = dense(plan)
     sums[5, 1] = 0
     assert (plan.rows(2), plan.round[5], sums[5, 0]) == (slice(3, 6), 2, 4)
-    report = verify_privacy_structure(with_dense(plan, sums))
+    report = verify_privacy_structure(wire_ordered(with_dense(plan, sums)))
     assert report.relabeling_ok is False
     assert any("multiset is not symmetric" in v for v in report.violations)
 
@@ -355,7 +355,7 @@ def test_asymmetry_message_names_the_larger_class(w, more, fewer):
     plan = generate_query_plan(2, 2, 1, seed=0)
     sums = dense(plan)
     sums[5, w] = 0
-    assert verify_privacy_structure(with_dense(plan, sums)).violations == [
+    assert verify_privacy_structure(wire_ordered(with_dense(plan, sums))).violations == [
         "db 2: (round, type) multiset is not symmetric: round 1 has more sums "
         f"of type {more} than of type {fewer}"
     ]
@@ -370,7 +370,7 @@ def test_asymmetry_messages_count_true_under_the_cycle():
     sums = dense(plan)
     assert sums[3:6].tolist() == [[3, 2, 0], [4, 0, 2], [0, 4, 3]]
     sums[3, 1] = sums[5, 2] = 0
-    tampered = with_dense(plan, sums)
+    tampered = wire_ordered(with_dense(plan, sums))
     violations = verify_privacy_structure(tampered).violations
     assert len(violations) == 2  # one for each generator, both on database 1
     counts = Counter(type_multiset(tampered, 1))
@@ -392,3 +392,25 @@ def test_certificate_rejects_a_subindex_outside_the_segments(mu, past_beta):
     sums[0, 0] = plan.beta + 1 if past_beta else -1
     with pytest.raises(ProtocolError, match=f"outside \\[1, {plan.beta}\\]"):
         verify_privacy_structure(with_dense(plan, sums))
+
+
+@pytest.mark.parametrize("n,mu", [(2, 3), (3, 4), (2, 6)])
+def test_certificate_refuses_a_view_out_of_wire_order(n, mu):
+    # database 1 receives its {v} singleton first, the order in which plans
+    # were once sent and which names v, or its sums in reverse: the view's
+    # multiset is that of a private plan, its order is not
+    message = "db 1: sums are not sent in (round, mask) order"
+    for v in range(1, mu + 1):
+        plan = generate_query_plan(n, mu, v, seed=0)
+        assert verify_privacy_structure(plan).ok
+        rows = np.arange(len(plan.sums))
+        first = rows[plan.rows(1)]
+        backwards = rows.copy()
+        backwards[plan.rows(1)] = first[::-1]
+        orders = [backwards]
+        if v >= 2:
+            singleton = first[plan.sums[first] == 1 << (v - 1)]
+            rest = np.setdiff1d(rows, singleton)
+            orders.append(np.concatenate([singleton, rest]))
+        for order in orders:
+            assert verify_privacy_structure(reordered(plan, order)).violations == [message]

@@ -86,17 +86,21 @@ def test_certificate_agrees_with_vf2_on_mutated_plans(block, data):
 
 
 def copy_rule_certifies(plan):
-    """The certificate's rule, row by row: on each database, for the cycle
-    (1 2 ... mu) and the transposition (1 2), the rows of each (round,
-    members) class, in plan order, are zipped with those of its image class;
-    the sizes must agree and the subindex map rho must be well defined."""
+    """The certificate's rule, row by row: on each database, the rows come
+    by round, then by mask, and for the cycle (1 2 ... mu) and the
+    transposition (1 2), the rows of each (round, members) class, in plan
+    order, are zipped with those of its image class; the sizes must agree
+    and the subindex map rho must be well defined."""
     mu = plan.mu
     generators = [[(w + 1) % mu for w in range(mu)], [1, 0, *range(2, mu)]]
     for j in range(1, plan.n + 1):
-        classes = defaultdict(list)
+        classes, keys = defaultdict(list), []
         for row in dense(plan)[plan.rows(j)].tolist():
             members = frozenset(w for w, t in enumerate(row) if t)
             classes[(len(members), members)].append(row)
+            keys.append((len(members), sum(1 << w for w in members)))
+        if keys != sorted(keys):
+            return False
         for pi in generators[: min(mu - 1, 2)]:
             rho = {}
             for (tau, members), rows in classes.items():

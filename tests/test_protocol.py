@@ -677,7 +677,11 @@ def test_decode_rejects_inconsistent_plans_and_answers():
     # one desired sum dropped: a segment is never decoded
     dropped = dense(plan)
     dropped[desired[0], plan.v - 1] = 0
+    # a desired subindex past beta, at database 1
+    outside = dense(plan)
+    outside[desired[0], plan.v - 1] = plan.beta + 1
     for bad, message in [
+        (with_dense(plan, outside), r"database 1: subindex outside \[1, 4\]"),
         (plan._replace(side_ref=refs), "does not match"),
         (with_dense(plan, twice), "decoded twice"),
         (with_dense(plan, dropped), "did not cover"),
